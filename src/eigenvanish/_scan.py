@@ -3,53 +3,14 @@
 
 The trace sequence of powers of a generator satisfies the linear recurrence
 given by the generator's minimal polynomial, so the scan is O(n) per step with
-no polynomial multiplication. Two interchangeable backends: a numba-compiled
-scalar loop (default when numba is importable) and a blocked pure-numpy path.
-Selection: EIGENVANISH_BACKEND=numba|numpy, or the `backend` argument.
-Both produce bit-identical count tables (asserted in the test suite).
+no polynomial multiplication. The production kernel is the blocked numpy path
+`_scan_blocked`; `_scan_python` is a plain-python oracle that the test suite
+compares it to, bit for bit.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via EIGENVANISH_BACKEND
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
 _BLOCK = 1 << 16
-
-
-@njit(cache=True)
-def _scan_scalar(rec, seed, total, p, q, counts):
-    n = rec.shape[0]
-    window = seed.copy()
-    pos = 0
-    m = 0
-    for _ in range(total):
-        counts[m, window[pos]] += 1
-        acc = 0
-        for j in range(n - pos):
-            acc += rec[j] * window[pos + j]
-        for j in range(pos):
-            acc += rec[n - pos + j] * window[j]
-        window[pos] = (-acc) % q
-        pos += 1
-        if pos == n:
-            pos = 0
-        m += 1
-        if m == p:
-            m = 0
 
 
 def _companion(rec, q):
@@ -115,29 +76,19 @@ def _scan_python(rec, seed, total, p, q, counts):
             m = 0
 
 
-def default_backend() -> str:
-    env = os.environ.get("EIGENVANISH_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        return env
-    return "numba" if HAVE_NUMBA else "numpy"
+def scan_counts(rec, seed, total: int, p: int, q: int, backend: str = "numpy"):
+    """Histogram of (k mod p, Tr(alpha^k)) over k in [0, total).
 
-
-def scan_counts(rec, seed, total: int, p: int, q: int, backend: str | None = None):
-    """Histogram of (k mod p, Tr(alpha^k)) over k in [0, total)."""
-    chosen = backend or default_backend()
+    `backend` is "numpy" (production) or "python" (the slow oracle).
+    """
     rec_arr = np.asarray(rec, dtype=np.int64)
     seed_arr = np.asarray(seed, dtype=np.int64)
-    counts = np.zeros((p, q), dtype=np.int64)
-    if chosen == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is not installed")
-        _scan_scalar(rec_arr, seed_arr, total, p, q, counts)
-    elif chosen == "numpy":
+    if backend == "numpy":
+        counts = np.zeros((p, q), dtype=np.int64)
         _scan_blocked(rec_arr, seed_arr, total, p, q, counts)
-    elif chosen == "python":
+        return counts
+    if backend == "python":
         py_counts = [[0] * q for _ in range(p)]
         _scan_python(list(rec_arr), list(seed_arr), total, p, q, py_counts)
-        counts = np.array(py_counts, dtype=np.int64)
-    else:
-        raise ValueError(f"unknown scan backend {chosen!r}")
-    return counts
+        return np.array(py_counts, dtype=np.int64)
+    raise ValueError(f"unknown scan backend {backend!r}")

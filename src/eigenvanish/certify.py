@@ -128,7 +128,7 @@ def _witness_record(
     h: int,
     R: int,
     field_cap: int,
-    backend: str | None,
+    backend: str,
 ) -> tuple[WitnessRecord, tuple[int, int, int]]:
     p, q, n = setup.p, setup.q, setup.n
     v = compute_v(p, q, setup.g)
@@ -174,7 +174,7 @@ def certify_half_plus(
     qbound: int = DEFAULT_QBOUND,
     field_cap: int = DEFAULT_FIELD_CAP,
     g: int | None = None,
-    backend: str | None = None,
+    backend: str = "numpy",
 ) -> Certificate:
     """Run witnesses of order (p-1)/2 until one shows p ∤ b (verdict Trivial)."""
     if p <= 3 or p % 4 != 3:
@@ -210,7 +210,9 @@ def certify_half_plus(
 
 
 def check_certificate(cert: Certificate) -> list[str]:
-    """Re-check every stored identity from the record alone; returns problems."""
+    """Re-check every stored identity and recompute every cheap fact (q prime,
+    h(-p), g primitive, v, route); returns problems. The fields themselves are
+    not rebuilt."""
     problems: list[str] = []
     p = cert.p
     if p <= 3 or p % 4 != 3 or not isprime(p):
@@ -221,6 +223,18 @@ def check_certificate(cert: Certificate) -> list[str]:
         problems.append(f"unknown verdict {cert.verdict!r}")
     if cert.verdict == TRIVIAL and not cert.witnesses:
         problems.append("Trivial verdict with no witnesses")
+    if [c[0] for c in cert.field_choices] != [w.q for w in cert.witnesses]:
+        problems.append("field_choices do not list the witnesses' q in order")
+    try:
+        h = class_number(p).h
+    except EigenvanishError as exc:
+        return problems + [f"cannot recompute h(-{p}): {exc}"]
+    try:
+        g_ok = multiplicative_order(cert.g, p) == p - 1
+    except EigenvanishError:
+        g_ok = False
+    if not g_ok:
+        problems.append(f"g={cert.g} is not a primitive root mod {p}")
     saw_nontrivial_b = False
     for w in cert.witnesses:
         tag = f"witness q={w.q}"
@@ -231,6 +245,21 @@ def check_certificate(cert: Certificate) -> list[str]:
         if order != w.n or w.n != (p - 1) // 2:
             problems.append(f"{tag}: order mismatch")
             continue
+        if not isprime(w.q):
+            problems.append(f"{tag}: q is not prime")
+        if w.h != h:
+            problems.append(f"{tag}: h={w.h} but h(-{p}) = {h}")
+            continue
+        if g_ok:
+            try:
+                v = compute_v(p, w.q, cert.g)
+                if w.v != v:
+                    problems.append(f"{tag}: v={w.v} but recomputed v = {v}")
+            except EigenvanishError as exc:
+                problems.append(f"{tag}: cannot recompute v: {exc}")
+        want_route = ROUTE_FULL if w.q**w.n <= cert.field_cap else ROUTE_ANALYTIC
+        if w.route != want_route:
+            problems.append(f"{tag}: route {w.route!r} but the field cap gives {want_route!r}")
         if w.n - 2 * w.v != w.h:
             problems.append(f"{tag}: n - 2v != h")
         if 4 * w.q**w.h != w.a * w.a + p * w.b * w.b:
@@ -430,7 +459,7 @@ def remark_explore(
     qbound: int = DEFAULT_QBOUND,
     field_cap: int = DEFAULT_FIELD_CAP,
     g: int | None = None,
-    backend: str | None = None,
+    backend: str = "numpy",
 ) -> ExploreReport:
     """Order-(p-1)/4 and order-(p-1)/6 analogues of the witness identity:
     e^2 q^(n-2v) = (Σd)^2 + p(e Σd^2 - (Σd)^2), plus the index at the

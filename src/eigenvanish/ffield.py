@@ -9,7 +9,8 @@ encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import gcd
 
 from sympy import factorint, isprime
 from sympy.polys.specialpolys import cyclotomic_poly
@@ -33,7 +34,7 @@ def multiplicative_order(a: int, m: int) -> int:
     if m < 2:
         raise BadInput(f"modulus {m} < 2")
     a %= m
-    if _gcd(a, m) != 1:
+    if gcd(a, m) != 1:
         raise NotCoprime(f"gcd({a}, {m}) != 1")
     # group exponent divides phi(m); strip each prime as far as possible
     phi = 1
@@ -44,12 +45,6 @@ def multiplicative_order(a: int, m: int) -> int:
         while order % prime == 0 and pow(a, order // prime, m) == 1:
             order //= prime
     return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 @dataclass(frozen=True)
@@ -192,7 +187,7 @@ def _is_irreducible(coeffs, q: int) -> bool:
     return True
 
 
-def _group_order_factors(q: int, n: int) -> list[int]:
+def _group_order_primes(q: int, n: int) -> list[int]:
     """Prime factors of q^n - 1, split along cyclotomic polynomial values."""
     primes: set[int] = set()
     for d in range(1, n + 1):
@@ -217,7 +212,6 @@ class FieldContext:
     alpha: tuple[int, ...]
     zeta: tuple[int, ...]
     basis_traces: tuple[int, ...]
-    order_factors: tuple[int, ...] = field(repr=False, default=())
 
     @property
     def order(self) -> int:
@@ -266,7 +260,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     if modulus is None:
         raise InternalInvariant("no irreducible polynomial found")
 
-    factors = _group_order_factors(q, n)
+    factors = _group_order_primes(q, n)
     order = size - 1
     one = (1,) + (0,) * (n - 1)
     alpha = None
@@ -281,13 +275,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     zeta = _powmod(alpha, f, modulus, q)
     traces = _basis_traces(modulus, q)
     ctx = FieldContext(
-        q=q,
-        n=n,
-        modulus=modulus,
-        alpha=alpha,
-        zeta=zeta,
-        basis_traces=traces,
-        order_factors=tuple(factors),
+        q=q, n=n, modulus=modulus, alpha=alpha, zeta=zeta, basis_traces=traces
     )
     if ctx.pow(zeta, setup.p) != one or zeta == one:
         raise InternalInvariant("zeta is not a primitive p-th root of unity")
@@ -316,11 +304,6 @@ def _basis_traces(modulus, q: int) -> tuple[int, ...]:
 def trace(ctx: FieldContext, x) -> int:
     """Absolute trace F_{q^n} -> F_q, linear in the coefficient basis."""
     return sum(c * t for c, t in zip(x, ctx.basis_traces)) % ctx.q
-
-
-def fpow(ctx: FieldContext, x, exponent: int):
-    """x^exponent in the field (exponent >= 0)."""
-    return ctx.pow(x, exponent)
 
 
 def dlog_order_p(ctx: FieldContext, y, p: int) -> int:

@@ -9,7 +9,7 @@ scaled period differences and a_k their exact character-twisted sums.
 from dataclasses import dataclass
 
 from .errors import DivisibilityFailure, InternalInvariant, NonIntegralPeriod
-from .ffield import CyclotomicSetup, FieldContext, generator_recurrence
+from .ffield import CyclotomicSetup, FieldContext, generator_recurrence, multiplicative_order
 from ._scan import scan_counts
 
 
@@ -60,20 +60,13 @@ class PeriodTable:
         return tuple(x.rational_value for x in self.eta)
 
 
-def _residue(a: int, p: int) -> int:
-    """Smallest nonnegative residue of a mod p."""
-    return a % p
-
-
 def compute_v(p: int, q: int, g: int) -> int:
     """min over cosets of (1/p) * sum of residues |g^(k+e*l)|_p, l < n."""
-    n = 1
-    while pow(q, n, p) != 1:
-        n += 1
+    n = multiplicative_order(q, p)
     e = (p - 1) // n
     best = None
     for k in range(e):
-        s = sum(_residue(pow(g, k + e * l, p), p) for l in range(n))
+        s = sum(pow(g, k + e * l, p) for l in range(n))
         if s % p:
             raise InternalInvariant(f"coset residue sum {s} not divisible by {p}")
         best = s // p if best is None else min(best, s // p)
@@ -103,7 +96,7 @@ def compute_a(setup: CyclotomicSetup, d, v: int) -> tuple[int, ...]:
 
 
 def compute_period_table(
-    ctx: FieldContext, setup: CyclotomicSetup, backend: str | None = None
+    ctx: FieldContext, setup: CyclotomicSetup, backend: str = "numpy"
 ) -> PeriodTable:
     p, q, f = setup.p, setup.q, setup.f
     rec, seed = generator_recurrence(ctx)

@@ -8,17 +8,20 @@ from eigenvanish import (
     BadInput,
     BadPrime,
     BoundExhausted,
+    CyclotomicSetup,
+    WitnessRecord,
     certificate_from_dict,
     certificate_to_dict,
     certify_half_plus,
     check_certificate,
+    class_number,
     find_primes_of_order,
     multiplicative_order,
     remark_explore,
     vandiver_scan,
     verify_certificate,
 )
-from eigenvanish.certify import ROUTE_ANALYTIC, ROUTE_FULL
+from eigenvanish.certify import ROUTE_ANALYTIC, ROUTE_FULL, _witness_record
 
 
 def test_find_primes_of_order_goldens():
@@ -118,6 +121,8 @@ def test_verify_rejects_tampering():
     assert not verify_certificate(bad)
     bad = dataclasses.replace(cert, p=13)
     assert not verify_certificate(bad)
+    bad = dataclasses.replace(cert, r=3)
+    assert not verify_certificate(bad)
 
 
 def test_verify_rejects_empty_trivial():
@@ -132,6 +137,98 @@ def test_verify_rejects_wrong_verdict():
     cert = certify_half_plus(7)
     bad = dataclasses.replace(cert, verdict="Inconclusive")
     assert not verify_certificate(bad)
+
+
+@pytest.fixture(scope="module")
+def cert7():
+    return certify_half_plus(7)
+
+
+def _with_witness(cert, **changes):
+    return dataclasses.replace(
+        cert, witnesses=(dataclasses.replace(cert.witnesses[-1], **changes),)
+    )
+
+
+def _problems_mention(cert, text):
+    problems = check_certificate(cert)
+    assert not verify_certificate(cert)
+    assert any(text in msg for msg in problems), problems
+
+
+def test_verify_rejects_forgery_a(cert7):
+    # h(-7) = 1 and v = 1; the forged record satisfies n - 2v = h and
+    # 4*2^3 = 2^2 + 7*2^2 with a made-up modulus
+    forged = dataclasses.replace(
+        _with_witness(cert7, q=2, n=3, v=0, h=3, a=2, b=2, d0=2, d1=0,
+                      a0_mod_p=6, a1_mod_p=6, i_mod_p=1),
+        field_choices=((2, 999, 2),),
+    )
+    _problems_mention(forged, "h=3 but h(-7) = 1")
+
+
+def test_verify_rejects_forgery_b_composite_q(cert7):
+    # 4 has order 3 mod 7 and 4*4 = (-3)^2 + 7*1^2, but 4 is not prime
+    forged = dataclasses.replace(
+        _with_witness(cert7, q=4, n=3, v=1, h=1, a=-3, b=1, d0=-1, d1=-2,
+                      a0_mod_p=6, a1_mod_p=5, i_mod_p=2),
+        field_choices=((4, 11, 2),),
+    )
+    _problems_mention(forged, "q is not prime")
+
+
+def test_verify_rejects_non_primitive_g(cert7):
+    for g in (1, 2, 4, 6):
+        _problems_mention(dataclasses.replace(cert7, g=g), "not a primitive root")
+
+
+def test_verify_rejects_wrong_v(cert7):
+    _problems_mention(_with_witness(cert7, v=0), "recomputed v = 1")
+
+
+def test_verify_rejects_wrong_route(cert7):
+    _problems_mention(_with_witness(cert7, route=ROUTE_ANALYTIC), "route")
+    _problems_mention(_with_witness(cert7, route="unknown"), "route")
+    _problems_mention(dataclasses.replace(cert7, field_cap=7), "route")
+
+
+def test_verify_checks_field_choice_order(cert7):
+    cn = class_number(7)
+    other, other_choice = _witness_record(
+        CyclotomicSetup.create(7, 11), cn.h, cn.R, cert7.field_cap, "numpy"
+    )
+    two = dataclasses.replace(
+        cert7,
+        witnesses=(other,) + cert7.witnesses,
+        field_choices=(other_choice,) + cert7.field_choices,
+    )
+    assert check_certificate(two) == []
+    swapped = dataclasses.replace(two, field_choices=two.field_choices[::-1])
+    _problems_mention(swapped, "field_choices")
+    _problems_mention(dataclasses.replace(cert7, field_choices=()), "field_choices")
+    q, m, a = cert7.field_choices[0]
+    _problems_mention(dataclasses.replace(cert7, field_choices=((3, m, a),)), "field_choices")
+
+
+def test_verify_reports_recomputation_errors(cert7):
+    # g = p and q = p make multiplicative_order raise; the verifier reports
+    # them as problems instead of propagating the error
+    _problems_mention(dataclasses.replace(cert7, g=7), "not a primitive root")
+    _problems_mention(_with_witness(cert7, q=7), "order mismatch")
+
+
+@pytest.mark.parametrize(
+    "field", [f.name for f in dataclasses.fields(WitnessRecord)]
+)
+def test_verify_rejects_each_tampered_witness_field(cert7, field):
+    value = getattr(cert7.witnesses[-1], field)
+    if isinstance(value, bool):
+        bad = not value
+    elif isinstance(value, str):
+        bad = ROUTE_ANALYTIC
+    else:
+        bad = value + 1
+    assert not verify_certificate(_with_witness(cert7, **{field: bad}))
 
 
 def test_certify_g_invariance():

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,28 @@ def test_byte_identical_reruns(capsys):
         main(["certify", "--p", "11", "--json"])
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# golden file -> (argv, exit code); the files hold the exact --json stdout
+CLI_GOLDENS = {
+    "setup_p7_q2": (["setup", "--p", "7", "--q", "2"], 0),
+    "periods_p19_q5_full": (["periods", "--p", "19", "--q", "5", "--full"], 0),
+    "identity_p13_q3": (["identity", "--p", "13", "--q", "3"], 0),
+    "certify_p31": (["certify", "--p", "31"], 0),  # forms+index route
+    "certify_p23": (["certify", "--p", "23"], 0),  # periods+forms route
+    "vandiver_p23": (["vandiver", "--p", "23"], 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
+def test_cli_json_matches_golden_bytes(capsys, name):
+    argv, want_code = CLI_GOLDENS[name]
+    code = main(argv + ["--json"])
+    out = capsys.readouterr().out
+    assert code == want_code
+    assert out.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 def test_big_integers_serialized_as_strings(capsys):

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from eigenvanish import CyclotomicSetup, build_field
-from eigenvanish._scan import (
-    HAVE_NUMBA,
-    _scan_python,
-    default_backend,
-    scan_counts,
-)
+from eigenvanish._scan import _scan_python, scan_counts
 from eigenvanish.ffield import generator_recurrence
 
-BACKENDS = ["python", "numpy"] + (["numba"] if HAVE_NUMBA else [])
+BACKENDS = ["python", "numpy"]
 
 
 def _counts(setup, backend):
@@ -32,7 +27,7 @@ def test_backends_bit_identical(pq):
 def test_row_sums_equal_f(pq):
     # each period collects exactly f field elements
     setup = CyclotomicSetup.create(*pq)
-    counts = _counts(setup, default_backend())
+    counts = _counts(setup, "numpy")
     assert counts.shape == (setup.p, setup.q)
     assert all(int(row.sum()) == setup.f for row in counts)
 
@@ -45,18 +40,9 @@ def test_python_reference_direct(f8):
     assert np.array_equal(got, scan_counts(rec, seed, ctx.order, setup.p, setup.q))
 
 
-def test_env_selects_backend(monkeypatch):
-    monkeypatch.setenv("EIGENVANISH_BACKEND", "numpy")
-    assert default_backend() == "numpy"
-    if HAVE_NUMBA:
-        monkeypatch.setenv("EIGENVANISH_BACKEND", "numba")
-        assert default_backend() == "numba"
-    monkeypatch.delenv("EIGENVANISH_BACKEND")
-    assert default_backend() in ("numba", "numpy")
-
-
 def test_unknown_backend_rejected(f8):
     setup, ctx = f8
     rec, seed = generator_recurrence(ctx)
-    with pytest.raises(ValueError):
-        scan_counts(rec, seed, ctx.order, setup.p, setup.q, backend="fortran")
+    for backend in ("fortran", "numba"):
+        with pytest.raises(ValueError):
+            scan_counts(rec, seed, ctx.order, setup.p, setup.q, backend=backend)
