@@ -26,10 +26,10 @@ from .errors import (
     EigenvanishError,
     InternalInvariant,
 )
-from .ffield import CyclotomicSetup, build_field, multiplicative_order
+from .ffield import CyclotomicSetup, build_field, field_from_choice, multiplicative_order
 from .periods import compute_period_table, compute_v
 from .quadforms import class_number, represent_all
-from .units import TRIVIAL, UNKNOWN, index_mod_p, verdict
+from .units import TRIVIAL, UNKNOWN, IndexVector, index_mod_p, index_vector, verdict
 
 DEFAULT_FIELD_CAP = 1 << 27
 DEFAULT_QBOUND = 10_000
@@ -209,10 +209,26 @@ def certify_half_plus(
     )
 
 
+def _field_problems(p: int, w: WitnessRecord, choice: tuple[int, int, int]) -> list[str]:
+    """Check the witness's stored modulus and generator, then recompute its
+    index at r = (p+1)/2 in that field (e = 2 field powers, no field search)."""
+    _, modulus, generator = choice
+    try:
+        setup = CyclotomicSetup.create(p, w.q)
+        ctx = field_from_choice(setup, modulus, generator)
+        i_val = index_vector(ctx, setup).at((p + 1) // 2)
+    except EigenvanishError as exc:
+        return [f"witness q={w.q}: stored field rejected: {exc}"]
+    if i_val != w.i_mod_p:
+        return [f"witness q={w.q}: i={w.i_mod_p} but the stored field gives i = {i_val}"]
+    return []
+
+
 def check_certificate(cert: Certificate) -> list[str]:
     """Re-check every stored identity and recompute every cheap fact (q prime,
-    h(-p), g primitive, v, route); returns problems. The fields themselves are
-    not rebuilt."""
+    h(-p), g primitive, v, route, each stored field's modulus and generator,
+    and i in that field); returns problems. The lexicographically least
+    modulus and generator are not searched for again."""
     problems: list[str] = []
     p = cert.p
     if p <= 3 or p % 4 != 3 or not isprime(p):
@@ -225,6 +241,9 @@ def check_certificate(cert: Certificate) -> list[str]:
         problems.append("Trivial verdict with no witnesses")
     if [c[0] for c in cert.field_choices] != [w.q for w in cert.witnesses]:
         problems.append("field_choices do not list the witnesses' q in order")
+    else:
+        for w, choice in zip(cert.witnesses, cert.field_choices):
+            problems.extend(_field_problems(p, w, choice))
     try:
         h = class_number(p).h
     except EigenvanishError as exc:
@@ -397,7 +416,7 @@ def vandiver_scan(
     if p <= 3 or not isprime(p):
         raise BadPrime(f"p={p} must be an odd prime > 3")
     candidates = _witness_fields(p, qbound, field_cap)
-    contexts: dict[int, tuple] = {}
+    vectors: dict[int, IndexVector] = {}
     scans = []
     for r in range(2, p - 2, 2):
         tried = []
@@ -405,11 +424,10 @@ def vandiver_scan(
         for _, q, n in candidates:
             if len(tried) >= max_witnesses_per_r:
                 break
-            if q not in contexts:
+            if q not in vectors:
                 setup = CyclotomicSetup.create(p, q, g=g)
-                contexts[q] = (setup, build_field(setup))
-            setup, ctx = contexts[q]
-            i_val = index_mod_p(ctx, setup, r)
+                vectors[q] = index_vector(build_field(setup), setup)
+            i_val = vectors[q].at(r)
             tried.append((q, n, i_val))
             if i_val:
                 hit = (q, i_val)

@@ -40,7 +40,7 @@ from .quadforms import (
 from .units import (
     TRIVIAL,
     beta_index_mod_p,
-    index_mod_p,
+    index_vector,
     verify_congruences_ii,
     verify_identity_i,
 )
@@ -161,10 +161,8 @@ def cmd_identity(args):
     ctx = build_field(setup, cap=args.field_cap)
     table = compute_period_table(ctx, setup)
     residual = verify_identity_i(setup, table)
-    indices = {
-        l: index_mod_p(ctx, setup, setup.p - l * setup.n)
-        for l in range(1, setup.e, 2)
-    }
+    vector = index_vector(ctx, setup)
+    indices = {l: vector.at(setup.p - l * setup.n) for l in range(1, setup.e, 2)}
     a0_res, residuals = verify_congruences_ii(setup, table.a, indices)
     params = {"p": setup.p, "q": setup.q, "g": setup.g, "field_cap": args.field_cap}
     result = {

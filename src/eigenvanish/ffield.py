@@ -10,6 +10,7 @@ zeta = alpha^f is the canonical p-th root of unity.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from sympy import factorint, isprime
@@ -204,14 +205,19 @@ def _group_order_primes(q: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Canonical realization of F_{q^n} plus cached trace data."""
+    """Canonical realization of F_{q^n} plus its trace data."""
 
     q: int
     n: int
     modulus: tuple[int, ...]  # non-leading coefficients of the monic modulus
     alpha: tuple[int, ...]
     zeta: tuple[int, ...]
-    basis_traces: tuple[int, ...]
+
+    @cached_property
+    def basis_traces(self) -> tuple[int, ...]:
+        """Tr(x^i) for i < n, computed on first use: only the trace scans and
+        the setup report read it, the unit index never does."""
+        return _basis_traces(self.modulus, self.q)
 
     @property
     def order(self) -> int:
@@ -246,7 +252,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     scan); index-only callers pass None, since building the context costs
     polynomial time in n and log q regardless of q^n.
     """
-    q, n, f = setup.q, setup.n, setup.f
+    q, n = setup.q, setup.n
     size = q**n
     if cap is not None and size > cap:
         raise FieldTooLarge(f"q^n = {size} exceeds cap {cap}")
@@ -261,23 +267,51 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
         raise InternalInvariant("no irreducible polynomial found")
 
     factors = _group_order_primes(q, n)
-    order = size - 1
-    one = (1,) + (0,) * (n - 1)
     alpha = None
     for k in range(q, size):  # constants are never primitive for n >= 2
         cand = _int_to_coeffs(k, n, q)
-        if all(_powmod(cand, order // ell, modulus, q) != one for ell in factors):
+        if _is_primitive(cand, modulus, q, factors):
             alpha = cand
             break
     if alpha is None:
         raise InternalInvariant("no primitive element found")
+    return _field_context(setup, modulus, alpha)
 
-    zeta = _powmod(alpha, f, modulus, q)
-    traces = _basis_traces(modulus, q)
-    ctx = FieldContext(
-        q=q, n=n, modulus=modulus, alpha=alpha, zeta=zeta, basis_traces=traces
-    )
-    if ctx.pow(zeta, setup.p) != one or zeta == one:
+
+def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> FieldContext:
+    """The F_{q^n} that a certificate names by the encodings of its monic
+    modulus and its generator, checked instead of searched for: the modulus
+    must be monic of degree n and irreducible (one Rabin test), the generator
+    a primitive element (one test against the primes of q^n - 1). Whether
+    they are the lexicographically least choices is not checked."""
+    q, n = setup.q, setup.n
+    size = q**n
+    if not size <= modulus < 2 * size:
+        raise BadInput(f"modulus {modulus} does not encode a monic polynomial of degree {n}")
+    if not 0 < generator < size:
+        raise BadInput(f"generator {generator} does not encode a nonzero element of F_{size}")
+    coeffs = _int_to_coeffs(modulus - size, n, q)
+    if not _is_irreducible(coeffs, q):
+        raise BadInput(f"modulus {modulus} is reducible over F_{q}")
+    alpha = _int_to_coeffs(generator, n, q)
+    if not _is_primitive(alpha, coeffs, q, _group_order_primes(q, n)):
+        raise BadInput(f"generator {generator} is not a primitive element")
+    return _field_context(setup, coeffs, alpha)
+
+
+def _is_primitive(x, modulus, q: int, primes) -> bool:
+    """Whether the nonzero residue x generates F_{q^n}^*, given the primes of q^n - 1."""
+    n = len(modulus)
+    order = q**n - 1
+    one = (1,) + (0,) * (n - 1)
+    return all(_powmod(x, order // ell, modulus, q) != one for ell in primes)
+
+
+def _field_context(setup: CyclotomicSetup, modulus, alpha) -> FieldContext:
+    q = setup.q
+    zeta = _powmod(alpha, setup.f, modulus, q)
+    ctx = FieldContext(q=q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta)
+    if ctx.pow(zeta, setup.p) != ctx.one or zeta == ctx.one:
         raise InternalInvariant("zeta is not a primitive p-th root of unity")
     return ctx
 

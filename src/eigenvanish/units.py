@@ -2,9 +2,23 @@
 the period pipeline.
 
 beta_r = prod_{i=1}^{p-1} (1 - zeta_p^i)^(i^(p-1-r)) reduces mod Q to a power
-of alpha; i_r is recovered mod p as the discrete log of beta_r^f inside the
-order-p subgroup. A nonzero i_r certifies that the r-th even eigenspace of the
-p-part of the class group is trivial; i_r = 0 decides nothing.
+of alpha; i_r is the discrete log of beta_r^f inside the order-p subgroup.
+With c_i = dlog_zeta((1 - zeta^i)^f) that log is sum_i c_i i^(-r) mod p.
+
+In characteristic q, (1 - zeta^i)^q = 1 - zeta^(iq), so c_(iq) = q c_i and
+the c_i are fixed by their values on the e = (p-1)/n coset representatives
+g^k of <q> in (Z/p)^*. Summing the coset g^k <q> gives the factor
+sum_(j<n) q^(j(1-r)), which is n when q^(1-r) = 1 and 0 otherwise:
+
+    i_r = n * sum_(k<e) c_(g^k) g^(-kr)  (mod p)   if n | p - r,
+    i_r = 0                                        otherwise.
+
+So a whole field's indices cost e field powers and e discrete logs
+(`index_vector`), after which every r is a sum of e terms mod p. The second
+case is the "admissible orders" obstruction: a witness whose order n does
+not divide p - r can never certify the r-th eigenspace. A nonzero i_r
+certifies that the r-th even eigenspace of the p-part of the class group is
+trivial; i_r = 0 decides nothing.
 """
 
 from dataclasses import dataclass
@@ -28,20 +42,48 @@ def verdict(i_mod_p: int) -> str:
     return TRIVIAL if i_mod_p else UNKNOWN
 
 
-def index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> int:
-    """i_r mod p for any r in [2, p-2], odd r included (used by the congruence
-    checks, where even-order pairs put p - ln at odd values)."""
-    p, q, f = setup.p, setup.q, setup.f
-    if not 2 <= r <= p - 2:
-        raise BadEigenspaceIndex(f"r={r} outside [2, {p - 2}]")
-    exp_mod = ctx.order
-    beta = ctx.one
-    zpow = ctx.one
-    for i in range(1, p):
-        zpow = ctx.mul(zpow, ctx.zeta)  # zeta^i
+@dataclass(frozen=True)
+class IndexVector:
+    """Every unit index of one (p, q) field: c[k] = dlog_zeta((1 - zeta^(g^k))^f)
+    for k < e, with n the order of q mod p."""
+
+    p: int
+    n: int
+    g: int
+    c: tuple[int, ...]
+
+    def at(self, r: int) -> int:
+        """i_r mod p for any r in [2, p-2], odd r included (used by the
+        congruence checks, where even-order pairs put p - ln at odd values)."""
+        p = self.p
+        if not 2 <= r <= p - 2:
+            raise BadEigenspaceIndex(f"r={r} outside [2, {p - 2}]")
+        if (p - r) % self.n:
+            return 0
+        step = pow(self.g, -r, p)
+        total, weight = 0, 1
+        for ck in self.c:
+            total += ck * weight
+            weight = weight * step % p
+        return self.n * total % p
+
+
+def index_vector(ctx: FieldContext, setup: CyclotomicSetup) -> IndexVector:
+    """The field's IndexVector: one power and one discrete log per coset of <q>."""
+    p, q, g = setup.p, setup.q, setup.g
+    c = []
+    gk = 1
+    for _ in range(setup.e):
+        zpow = ctx.pow(ctx.zeta, gk)
         base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
-        beta = ctx.mul(beta, ctx.pow(base, pow(i, p - 1 - r, exp_mod)))
-    return dlog_order_p(ctx, ctx.pow(beta, f), p)
+        c.append(dlog_order_p(ctx, ctx.pow(base, setup.f), p))
+        gk = gk * g % p
+    return IndexVector(p=p, n=setup.n, g=g, c=tuple(c))
+
+
+def index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> int:
+    """i_r mod p for any r in [2, p-2]; read several r from one `index_vector`."""
+    return index_vector(ctx, setup).at(r)
 
 
 def beta_index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> IndexRecord:

@@ -1,6 +1,9 @@
 import dataclasses
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import isprime
 
 from eigenvanish import (
@@ -10,6 +13,7 @@ from eigenvanish import (
     BoundExhausted,
     CyclotomicSetup,
     WitnessRecord,
+    build_field,
     certificate_from_dict,
     certificate_to_dict,
     certify_half_plus,
@@ -210,6 +214,43 @@ def test_verify_checks_field_choice_order(cert7):
     _problems_mention(dataclasses.replace(cert7, field_choices=((3, m, a),)), "field_choices")
 
 
+def _with_field(cert, modulus=None, generator=None):
+    q, m, a = cert.field_choices[-1]
+    choice = (q, m if modulus is None else modulus, a if generator is None else generator)
+    return dataclasses.replace(cert, field_choices=cert.field_choices[:-1] + (choice,))
+
+
+def test_verify_checks_the_stored_modulus(cert7):
+    # F_8 = F_2[x]/(x^3 + x + 1), encoded 11; 999 is no degree-3 monic encoding
+    assert cert7.field_choices == ((2, 11, 2),)
+    _problems_mention(_with_field(cert7, modulus=999), "does not encode a monic")
+    _problems_mention(_with_field(cert7, modulus=7), "does not encode a monic")
+    for reducible in (8, 9, 15):  # x^3, (x + 1)(x^2 + x + 1), (x + 1)^3
+        _problems_mention(_with_field(cert7, modulus=reducible), "reducible")
+
+
+def test_verify_checks_the_stored_generator(cert7):
+    for bad in (0, 8, 9, -1):
+        _problems_mention(_with_field(cert7, generator=bad), "nonzero element")
+    _problems_mention(_with_field(cert7, generator=1), "not a primitive element")
+    cert11 = certify_half_plus(11)  # F_243: the group order 242 = 2 * 11^2
+    setup = CyclotomicSetup.create(11, 3)
+    ctx = build_field(setup)
+    assert cert11.field_choices[-1][1:] == (ctx.modulus_int, ctx.encode(ctx.alpha))
+    square = ctx.encode(ctx.pow(ctx.alpha, 2))
+    _problems_mention(_with_field(cert11, generator=square), "not a primitive element")
+    # alpha^7 is primitive too; zeta becomes zeta^7, and i_r scales by
+    # 7^(r-1) = 7^5 ≡ -1 mod 11 (for alpha^3, a Frobenius conjugate, 3^5 ≡ 1)
+    other = ctx.encode(ctx.pow(ctx.alpha, 7))
+    _problems_mention(_with_field(cert11, generator=other), "the stored field gives i = 1")
+
+
+def test_verify_recomputes_i_in_the_stored_field(cert7):
+    # i = 2 with a1 forged to keep i ≡ a0 * a1; the stored field still gives i = 1
+    forged = _with_witness(cert7, i_mod_p=2, a1_mod_p=5, b=5, a=1, d0=3, d1=-2)
+    _problems_mention(forged, "the stored field gives i = 1")
+
+
 def test_verify_reports_recomputation_errors(cert7):
     # g = p and q = p make multiplicative_order raise; the verifier reports
     # them as problems instead of propagating the error
@@ -229,6 +270,22 @@ def test_verify_rejects_each_tampered_witness_field(cert7, field):
     else:
         bad = value + 1
     assert not verify_certificate(_with_witness(cert7, **{field: bad}))
+
+
+ROUND_TRIP_CASES = [
+    (p, g) for p in (7, 11, 19, 23)
+    for g in range(2, p) if multiplicative_order(g, p) == p - 1
+]
+
+
+@settings(max_examples=len(ROUND_TRIP_CASES), deadline=None)
+@given(case=st.sampled_from(ROUND_TRIP_CASES))
+def test_certificate_json_round_trip(case):
+    p, g = case
+    cert = certify_half_plus(p, g=g)
+    back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+    assert back == cert
+    assert check_certificate(back) == []
 
 
 def test_certify_g_invariance():
@@ -294,6 +351,25 @@ def test_vandiver_tried_witnesses_are_structural():
             assert multiplicative_order(q, 7) == n
             if n % 2 == 0 or (7 - scan.r) % n != 0:
                 assert i == 0
+
+
+# vandiver_scan(43), captured from the per-r index code: every r tries the
+# same five smallest fields, and only q = 79 (order 3) can give i_r != 0
+P43_TRIED_PREFIX = ((2, 14, 0), (257, 2, 0), (7, 6, 0), (601, 2, 0))
+P43_I79 = {4: 4, 10: 37, 16: 16, 22: 42, 28: 38, 34: 15, 40: 33}
+P43_ADMISSIBLE = {4: (3,), 8: (7,), 10: (3,), 16: (3,), 22: (3, 7, 21), 28: (3,),
+                  34: (3,), 36: (7,), 40: (3,)}
+
+
+def test_vandiver_p43_report_unchanged():
+    report = vandiver_scan(43)
+    assert [s.r for s in report.scans] == list(range(2, 41, 2))
+    for s in report.scans:
+        i = P43_I79.get(s.r, 0)
+        assert s.tried == P43_TRIED_PREFIX + ((79, 3, i),), s.r
+        assert s.verdict == ("Trivial" if i else "Unknown")
+        assert (s.witness_q, s.i_mod_p) == ((79, i) if i else (None, None))
+        assert s.admissible_orders == P43_ADMISSIBLE.get(s.r, ())
 
 
 EXPLORE_GOLDENS = {

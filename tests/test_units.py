@@ -3,14 +3,19 @@ import pytest
 from eigenvanish import (
     BadEigenspaceIndex,
     CyclotomicSetup,
+    IndexVector,
     MissingIndex,
     beta_index_mod_p,
     build_field,
     compute_period_table,
     index_mod_p,
+    index_vector,
+    multiplicative_order,
     verify_congruences_ii,
     verify_identity_i,
 )
+from eigenvanish import units
+from eigenvanish.ffield import dlog_order_p
 from eigenvanish.units import TRIVIAL, UNKNOWN, verdict
 
 
@@ -34,6 +39,19 @@ def brute_index(ctx, setup, r):
             return k
         z = ctx.mul(z, ctx.zeta)
     raise AssertionError("beta^f escaped the order-p subgroup")
+
+
+def per_r_index(ctx, setup, r):
+    """Oracle: beta_r built afresh for one r, p - 1 field powers with the
+    exponents i^(p-1-r) reduced mod q^n - 1, then a linear dlog of beta_r^f."""
+    p, q = setup.p, setup.q
+    beta = ctx.one
+    zpow = ctx.one
+    for i in range(1, p):
+        zpow = ctx.mul(zpow, ctx.zeta)
+        base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
+        beta = ctx.mul(beta, ctx.pow(base, pow(i, p - 1 - r, ctx.order)))
+    return dlog_order_p(ctx, ctx.pow(beta, setup.f), p)
 
 
 GOLDEN_INDICES = {
@@ -63,13 +81,70 @@ def test_index_matches_literal_product(pq):
 
 
 def test_structural_vanishing():
-    # i_r = 0 whenever n does not divide p - r, and whenever n is even
-    for p, q in [(11, 2), (13, 5), (19, 2), (23, 3)]:
+    # i_r = 0 whenever n does not divide p - r (for even r, whenever n is
+    # even), whatever the logs are
+    for p, q in [(11, 2), (13, 5), (19, 2), (23, 3), (13, 3), (19, 7), (31, 5), (37, 7)]:
         setup = CyclotomicSetup.create(p, q)
         ctx = build_field(setup)
-        for r in range(2, p - 1, 2):
-            if setup.n % 2 == 0 or (p - r) % setup.n != 0:
-                assert index_mod_p(ctx, setup, r) == 0, (p, q, r)
+        junk = IndexVector(p=p, n=setup.n, g=setup.g, c=tuple(range(1, setup.e + 1)))
+        for r in range(2, p - 1):
+            if (p - r) % setup.n:
+                assert index_mod_p(ctx, setup, r) == 0 == junk.at(r), (p, q, r)
+
+
+# e from 2 to 10, n odd and even, q = 2 included
+ORACLE_PAIRS = [
+    (11, 3), (13, 3), (17, 2), (19, 5), (23, 2), (29, 5), (29, 7),
+    (31, 2), (31, 5), (37, 7), (41, 2),
+]
+
+
+@pytest.mark.parametrize("pq", ORACLE_PAIRS)
+def test_index_vector_matches_per_r_oracle(pq):
+    setup = CyclotomicSetup.create(*pq)
+    ctx = build_field(setup)
+    vector = index_vector(ctx, setup)
+    assert len(vector.c) == setup.e
+    for r in range(2, setup.p - 1):  # odd r included
+        assert vector.at(r) == per_r_index(ctx, setup, r), r
+
+
+def test_index_vector_does_not_depend_on_g():
+    for p, q in [(13, 3), (31, 5), (29, 7)]:
+        roots = [g for g in range(2, p) if multiplicative_order(g, p) == p - 1]
+        values = set()
+        for g in roots:
+            setup = CyclotomicSetup.create(p, q, g=g)
+            vector = index_vector(build_field(setup), setup)
+            values.add(tuple(vector.at(r) for r in range(2, p - 1)))
+        assert len(values) == 1, (p, q)
+
+
+def test_index_vector_takes_one_dlog_per_coset(monkeypatch):
+    calls = []
+
+    def counting(ctx, y, p):
+        calls.append(y)
+        return dlog_order_p(ctx, y, p)
+
+    monkeypatch.setattr(units, "dlog_order_p", counting)
+    setup = CyclotomicSetup.create(31, 5)
+    vector = index_vector(build_field(setup), setup)
+    assert len(calls) == setup.e == 10
+    for r in range(2, 30):
+        vector.at(r)
+    assert len(calls) == 10
+
+
+def test_index_vector_range_check(f8):
+    setup, ctx = f8
+    vector = index_vector(ctx, setup)
+    for bad in (-1, 0, 1, 6, 7, 8):
+        with pytest.raises(BadEigenspaceIndex):
+            vector.at(bad)
+    with pytest.raises(BadEigenspaceIndex):
+        index_mod_p(ctx, setup, 1)
+    assert [vector.at(r) for r in range(2, 6)] == [0, 0, 1, 0]
 
 
 def test_beta_index_record(f8):
