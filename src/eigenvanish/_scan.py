@@ -3,9 +3,9 @@
 
 The trace sequence of powers of a generator satisfies the linear recurrence
 given by the generator's minimal polynomial, so the scan is O(n) per step with
-no polynomial multiplication. The production kernel is the blocked numpy path
-`_scan_blocked`; `_scan_python` is a plain-python oracle that the test suite
-compares it to, bit for bit.
+no polynomial multiplication. The production kernel `_scan_blocked` reads a
+block of terms per matmul from a power table built by doubling and clamped to
+the field; `_scan_python` is the plain-python oracle it must match bit for bit.
 """
 
 import numpy as np
@@ -25,16 +25,22 @@ def _scan_blocked(rec, seed, total, p, q, counts):
     """Numpy path: advance the recurrence state a block at a time.
 
     With state s_k = (t_k .. t_{k+n-1}) and companion matrix C, row j of U is
-    e_0^T C^j, so U @ s_k yields t_k .. t_{k+B-1} in one integer matmul.
+    e_0^T C^j, so U @ s_k yields t_k .. t_{k+B-1} in one integer matmul. U is
+    filled by doubling, U[h:2h] = U[:h] @ C^h; as e_0^T C^j = e_j^T for j < n,
+    its n rows past the block are C^B, the state jump s_{k+B} = C^B s_k.
     """
     n = rec.shape[0]
-    block = max(_BLOCK, n)
-    comp = _companion(rec, q)
-    u = np.zeros((block, n), dtype=np.int64)
+    block = max(n, min(_BLOCK, total))
+    u = np.zeros((block + n, n), dtype=np.int64)
     u[0, 0] = 1
-    for j in range(1, block):
-        u[j] = u[j - 1] @ comp % q
-    cpow = _mat_pow(comp, block, q)  # s_{k+block} = C^block s_k
+    step = _companion(rec, q)  # C^h for the h rows filled so far
+    h = 1
+    while h < len(u):
+        dst = u[h : 2 * h]
+        np.matmul(u[: len(dst)], step, out=dst)
+        np.remainder(dst, q, out=dst)
+        step = step @ step % q
+        h *= 2
 
     state = seed.astype(np.int64).copy()
     offsets = np.arange(block, dtype=np.int64)
@@ -45,21 +51,8 @@ def _scan_blocked(rec, seed, total, p, q, counts):
         tvals = u[:cnt] @ state % q
         idx = (offsets[:cnt] + done) % p * q + tvals
         flat += np.bincount(idx, minlength=p * q)
-        if cnt == block:
-            state = cpow @ state % q
+        state = u[block:] @ state % q
         done += cnt
-
-
-def _mat_pow(mat, exponent, q):
-    n = mat.shape[0]
-    result = np.eye(n, dtype=np.int64)
-    base = mat % q
-    while exponent:
-        if exponent & 1:
-            result = result @ base % q
-        base = base @ base % q
-        exponent >>= 1
-    return result
 
 
 def _scan_python(rec, seed, total, p, q, counts):

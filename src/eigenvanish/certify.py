@@ -16,7 +16,7 @@ record carries the same information either way.
 from dataclasses import dataclass, field
 from math import gcd
 
-from sympy import isprime, primerange
+from sympy import isprime, primefactors, primerange
 
 from .errors import (
     BadEigenspaceIndex,
@@ -40,16 +40,26 @@ ROUTE_FULL = "periods+forms"
 ROUTE_ANALYTIC = "forms+index"
 
 
-def _primes_of_order(p: int, n: int, qbound: int):
+def _prime_orders(p: int, qbound: int):
+    """(q, ord_p(q)) for each prime q <= qbound but the prime p, factoring p - 1 once."""
+    ells = primefactors(p - 1)
     for q in primerange(2, qbound + 1):
-        if q != p and multiplicative_order(q, p) == n:
-            yield q
+        order = p - 1
+        for ell in ells:
+            while order % ell == 0 and pow(q, order // ell, p) == 1:
+                order //= ell
+        if q != p:
+            yield q, order
+
+
+def _primes_of_order(p: int, n: int, qbound: int):
+    return (q for q, order in _prime_orders(p, qbound) if order == n)
 
 
 def find_primes_of_order(p: int, n: int, count: int, qbound: int) -> list[int]:
     """First `count` primes q <= qbound with multiplicative order n mod p."""
-    if n < 2 or (p - 1) % n != 0:
-        raise BadPrime(f"n={n} must divide p-1={p - 1} and be >= 2")
+    if not isprime(p) or n < 2 or (p - 1) % n != 0:
+        raise BadPrime(f"p={p} must be prime and n={n} must divide p-1 and be >= 2")
     found = []
     for q in _primes_of_order(p, n, qbound):
         found.append(q)
@@ -177,7 +187,7 @@ def certify_half_plus(
     backend: str = "numpy",
 ) -> Certificate:
     """Run witnesses of order (p-1)/2 until one shows p ∤ b (verdict Trivial)."""
-    if p <= 3 or p % 4 != 3:
+    if p <= 3 or p % 4 != 3 or not isprime(p):
         raise BadPrime(f"p={p} must be a prime ≡ 3 mod 4, p > 3")
     cn = class_number(p)
     n = (p - 1) // 2
@@ -366,12 +376,9 @@ def certificate_from_dict(data: dict) -> Certificate:
 def _witness_fields(p: int, qbound: int, field_cap: int):
     """(field size, q, n) for every candidate witness prime, smallest fields first."""
     out = []
-    for q in primerange(2, qbound + 1):
-        if q == p or q % p == 1:
-            continue
-        n = multiplicative_order(q, p)
+    for q, n in _prime_orders(p, qbound):
         size = q**n
-        if size <= field_cap:
+        if n > 1 and size <= field_cap:
             out.append((size, q, n))
     out.sort()
     return out
@@ -485,8 +492,8 @@ def remark_explore(
     if which not in _EXPLORE:
         raise BadEigenspaceIndex(f"which={which!r} must be 'e4' or 'e6'")
     e, mod, residue = _EXPLORE[which]
-    if p % mod != residue:
-        raise BadPrime(f"p={p} must be ≡ {residue} mod {mod} for {which}")
+    if p % mod != residue or not isprime(p):
+        raise BadPrime(f"p={p} must be a prime ≡ {residue} mod {mod} for {which}")
     n = (p - 1) // e
     if n < 2:
         raise BadPrime(f"p={p} gives order {n} < 2")

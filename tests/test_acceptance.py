@@ -8,10 +8,12 @@ import subprocess
 import sys
 import time
 from math import gcd
+from pathlib import Path
 
 import pytest
 from sympy import I, expand, im, primerange, re, sqrt
 
+import eigenvanish
 from eigenvanish import (
     CyclotomicSetup,
     beta_index_mod_p,
@@ -306,9 +308,12 @@ def test_criterion_11_invariance():
         if len(seen) != 1:
             bad.append((p, "certificate", seen))
     # byte-identical JSON across repeated CLI runs
+    # run from the directory that holds the imported package, so that the
+    # child finds it with neither PYTHONPATH nor an install
+    root = Path(eigenvanish.__file__).parents[1]
     cmd = [sys.executable, "-m", "eigenvanish.cli", "certify", "--p", "11", "--json"]
-    first = subprocess.run(cmd, capture_output=True, check=True).stdout
-    second = subprocess.run(cmd, capture_output=True, check=True).stdout
+    first = subprocess.run(cmd, capture_output=True, check=True, cwd=root).stdout
+    second = subprocess.run(cmd, capture_output=True, check=True, cwd=root).stdout
     if first != second or json.loads(first)["schema"] != "eigenvanish/1":
         bad.append(("cli", "bytes"))
     ok = not bad

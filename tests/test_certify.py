@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from sympy import isprime
+from sympy import isprime, primerange
 
 from eigenvanish import (
     BadEigenspaceIndex,
@@ -25,7 +25,7 @@ from eigenvanish import (
     vandiver_scan,
     verify_certificate,
 )
-from eigenvanish.certify import ROUTE_ANALYTIC, ROUTE_FULL, _witness_record
+from eigenvanish.certify import ROUTE_ANALYTIC, ROUTE_FULL, _prime_orders, _witness_record
 
 
 def test_find_primes_of_order_goldens():
@@ -40,6 +40,14 @@ def test_find_primes_of_order_guards():
         find_primes_of_order(7, 1, 1, 100)
     with pytest.raises(BoundExhausted):
         find_primes_of_order(11, 5, 50, 100)
+    with pytest.raises(BadPrime):
+        find_primes_of_order(15, 2, 1, 100)  # composite p
+
+
+@pytest.mark.parametrize("p", [7, 23, 43, 61])
+def test_prime_orders_match_multiplicative_order(p):
+    expected = [(q, multiplicative_order(q, p)) for q in primerange(2, 10_001) if q != p]
+    assert list(_prime_orders(p, 10_000)) == expected
 
 
 # frozen witness data for the smallest certifying prime q per p
@@ -86,6 +94,8 @@ def test_certify_rejects_wrong_residue():
         certify_half_plus(13)  # 13 ≡ 1 mod 4
     with pytest.raises(BadPrime):
         certify_half_plus(3)
+    with pytest.raises(BadPrime):
+        certify_half_plus(15)  # composite, 15 ≡ 3 mod 4
 
 
 def test_certificate_roundtrip():
@@ -398,5 +408,7 @@ def test_explore_guards():
         remark_explore(13, "e5")
     with pytest.raises(BadPrime):
         remark_explore(13, "e6")  # 13 ≢ 7 mod 12
+    with pytest.raises(BadPrime):
+        remark_explore(45, "e4")  # composite, 45 ≡ 5 mod 8
     with pytest.raises(BadPrime):
         remark_explore(19, "e4")  # 19 ≢ 5 mod 8
