@@ -7,6 +7,13 @@ little-endian integer encoding of the non-leading coefficients. The generator
 alpha is the lexicographically least primitive element under the same
 encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
+
+The modulus search runs Ben-Or's irreducibility test on each candidate, so a
+reducible one is rejected at the degree of its smallest factor. Every field
+product is one Kronecker-substituted integer multiplication: both operands
+and the modulus are packed into Python ints, and the reduction and the
+unpacking work on slots of that int; powers are taken left to right. All of
+it is exact, so the choices above do not depend on it.
 """
 
 from dataclasses import dataclass
@@ -114,31 +121,48 @@ def _coeffs_to_int(c, q: int) -> int:
 
 
 def _mulmod(a, b, modulus, q: int):
-    """Product of two residues; `modulus` holds the n non-leading coefficients."""
+    """Product of two residues; `modulus` holds the n non-leading coefficients.
+
+    Kronecker substitution: a, b and the monic modulus F become ints with one
+    w-bit slot per coefficient, and a single int product holds every
+    convolution sum. Each high slot i = 2n-2 ... n is then made divisible by q
+    by adding (q - c)·F·X^(i-n), c = slot_i mod q, X = 2^w, which leaves the
+    residue mod (F, q) unchanged; the low n slots mod q are the result. All
+    slots stay nonnegative and below n(q-1)^2 + (n-1)q(q-1) < 2nq^2 < 2^w,
+    so no slot carries into the next.
+    """
     n = len(modulus)
-    res = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % q
-    for i in range(len(res) - 1, n - 1, -1):
-        c = res[i]
+    w = (2 * n * q * q).bit_length()
+    mask = (1 << w) - 1
+    packed_a = packed_b = packed_f = top = 0
+    for x, y, z in zip(a, b, modulus, strict=True):
+        packed_a |= x << top
+        packed_b |= y << top
+        packed_f |= z << top
+        top += w
+    packed_f |= 1 << top  # top = n·w, the slot of the leading 1
+    prod = packed_a * packed_b
+    for shift in range(top - 2 * w, -1, -w):  # slot i = n + shift/w
+        c = ((prod >> (top + shift)) & mask) % q
         if c:
-            res[i] = 0
-            for j in range(n):
-                res[i - n + j] = (res[i - n + j] - c * modulus[j]) % q
-    return tuple(res[:n])
+            prod += ((q - c) * packed_f) << shift
+    out = []
+    for _ in range(n):
+        out.append((prod & mask) % q)
+        prod >>= w
+    return tuple(out)
 
 
 def _powmod(a, exponent: int, modulus, q: int):
-    n = len(modulus)
-    result = (1,) + (0,) * (n - 1)
-    base = tuple(a)
-    while exponent:
-        if exponent & 1:
-            result = _mulmod(result, base, modulus, q)
-        base = _mulmod(base, base, modulus, q)
-        exponent >>= 1
+    """a^exponent by left-to-right binary powering: one squaring per bit
+    below the top one, and one product by a per further set bit."""
+    if not exponent:
+        return (1,) + (0,) * (len(modulus) - 1)
+    result = a = tuple(a)
+    for bit in bin(exponent)[3:]:
+        result = _mulmod(result, result, modulus, q)
+        if bit == "1":
+            result = _mulmod(result, a, modulus, q)
     return result
 
 
@@ -168,21 +192,24 @@ def _gcd_is_one(a, b, q: int) -> bool:
 
 
 def _is_irreducible(coeffs, q: int) -> bool:
-    """Rabin test for the monic polynomial x^n + sum coeffs[i] x^i."""
+    """Ben-Or's test for the monic polynomial f = x^n + sum coeffs[i] x^i.
+
+    f is reducible exactly when it has a factor of degree d <= n/2, that is
+    when gcd(f, x^(q^d) - x) != 1 for some d <= n/2. Testing d = 1, 2, ... in
+    turn rejects a reducible f at the degree of its smallest factor.
+    """
     n = len(coeffs)
     if n == 1:
         return True
     if coeffs[0] == 0:
         return False  # divisible by x
     x = (0, 1) + (0,) * (n - 2)
-    if _powmod(x, q**n, coeffs, q) != x:
-        return False
     full = list(coeffs) + [1]
-    for ell in factorint(n):
-        xp = _powmod(x, q ** (n // ell), coeffs, q)
-        diff = tuple((u - v) % q for u, v in zip(xp, x))
-        if not any(diff):
-            return False
+    frob = x
+    for _ in range(n // 2):
+        frob = _powmod(frob, q, coeffs, q)
+        diff = tuple((u - v) % q for u, v in zip(frob, x))
+        # diff = 0 gives gcd f, so that case is rejected too
         if not _gcd_is_one(full, diff, q):
             return False
     return True
@@ -281,7 +308,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
 def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> FieldContext:
     """The F_{q^n} that a certificate names by the encodings of its monic
     modulus and its generator, checked instead of searched for: the modulus
-    must be monic of degree n and irreducible (one Rabin test), the generator
+    must be monic of degree n and irreducible (one Ben-Or test), the generator
     a primitive element (one test against the primes of q^n - 1). Whether
     they are the lexicographically least choices is not checked."""
     q, n = setup.q, setup.n

@@ -1,6 +1,8 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Poly, Symbol, isprime
+from sympy import Poly, Symbol, factorint, isprime, primerange
 
 from eigenvanish import (
     BadInput,
@@ -9,17 +11,104 @@ from eigenvanish import (
     NotCoprime,
     NotInSubgroup,
     build_field,
+    certify_half_plus,
     least_primitive_root,
     multiplicative_order,
     trace,
+    vandiver_scan,
 )
+from eigenvanish import ffield
 from eigenvanish.ffield import (
     _coeffs_to_int,
+    _gcd_is_one,
+    _group_order_primes,
     _int_to_coeffs,
     _is_irreducible,
+    _mulmod,
+    _powmod,
     dlog_order_p,
     generator_recurrence,
 )
+
+
+# ---------------------------------------------------------------------------
+# oracles: the schoolbook product and Rabin's test, the slow references that
+# the Kronecker product and Ben-Or's test are compared against
+
+
+def schoolbook_mulmod(a, b, modulus, q):
+    """Product of two residues mod the monic x^n + sum modulus[i] x^i, by
+    convolution and then long division from the top coefficient down."""
+    n = len(modulus)
+    res = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % q
+    for i in range(len(res) - 1, n - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for j in range(n):
+                res[i - n + j] = (res[i - n + j] - c * modulus[j]) % q
+    return tuple(res[:n])
+
+
+def schoolbook_powmod(a, exponent, modulus, q):
+    result = (1,) + (0,) * (len(modulus) - 1)
+    base = tuple(a)
+    while exponent:
+        if exponent & 1:
+            result = schoolbook_mulmod(result, base, modulus, q)
+        base = schoolbook_mulmod(base, base, modulus, q)
+        exponent >>= 1
+    return result
+
+
+def rabin_is_irreducible(coeffs, q):
+    """Rabin's test: x^(q^n) = x, and gcd(f, x^(q^(n/l)) - x) = 1 for each
+    prime l | n."""
+    n = len(coeffs)
+    if n == 1:
+        return True
+    if coeffs[0] == 0:
+        return False
+    x = (0, 1) + (0,) * (n - 2)
+    if schoolbook_powmod(x, q**n, coeffs, q) != x:
+        return False
+    full = list(coeffs) + [1]
+    for ell in factorint(n):
+        xp = schoolbook_powmod(x, q ** (n // ell), coeffs, q)
+        diff = tuple((u - v) % q for u, v in zip(xp, x))
+        if not any(diff) or not _gcd_is_one(full, diff, q):
+            return False
+    return True
+
+
+def oracle_field_choice(setup):
+    """(modulus_int, generator encoding) from a lex search with the oracles."""
+    q, n = setup.q, setup.n
+    size = q**n
+    modulus = next(
+        c for c in (_int_to_coeffs(k, n, q) for k in range(size)) if rabin_is_irreducible(c, q)
+    )
+    one = (1,) + (0,) * (n - 1)
+    primes = _group_order_primes(q, n)
+    alpha = next(
+        c
+        for c in (_int_to_coeffs(k, n, q) for k in range(q, size))
+        if all(schoolbook_powmod(c, (size - 1) // ell, modulus, q) != one for ell in primes)
+    )
+    return _coeffs_to_int(modulus, q) + size, _coeffs_to_int(alpha, q)
+
+
+def _poly_mul(g, h, q):
+    """Product of two coefficient lists (little-endian, leading terms included)."""
+    out = [0] * (len(g) + len(h) - 1)
+    for i, gi in enumerate(g):
+        for j, hj in enumerate(h):
+            out[i + j] = (out[i + j] + gi * hj) % q
+    return out
 
 
 def test_multiplicative_order_known():
@@ -171,3 +260,124 @@ def test_modulus_is_lex_least(f8):
     setup, ctx = f8
     for k in range(ctx.modulus_int - 8):
         assert not _is_irreducible(_int_to_coeffs(k, 3, 2), 2)
+
+
+MULMOD_QS = [2, 3, 5, 7, 13, 107]
+
+
+def _residues(q, n):
+    """A residue mod q of length n: zero, all q - 1 (the slot bound), or random."""
+    return st.one_of(
+        st.just((0,) * n),
+        st.just((q - 1,) * n),
+        st.lists(st.integers(0, q - 1), min_size=n, max_size=n).map(tuple),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), q=st.sampled_from(MULMOD_QS), n=st.integers(1, 60))
+def test_mulmod_matches_schoolbook(data, q, n):
+    a = data.draw(_residues(q, n))
+    b = data.draw(_residues(q, n))
+    modulus = data.draw(_residues(q, n))
+    assert _mulmod(a, b, modulus, q) == schoolbook_mulmod(a, b, modulus, q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), q=st.sampled_from(MULMOD_QS), n=st.integers(1, 12), exponent=st.integers(0, 10**6))
+def test_powmod_matches_schoolbook(data, q, n, exponent):
+    a = data.draw(_residues(q, n))
+    modulus = data.draw(_residues(q, n))
+    assert _powmod(a, exponent, modulus, q) == schoolbook_powmod(a, exponent, modulus, q)
+
+
+@pytest.mark.parametrize("q", MULMOD_QS)
+def test_mulmod_at_the_slot_bound(q):
+    # every coefficient q - 1: the convolution sums and the reduction's
+    # additions are as large as they get, for every n
+    for n in range(1, 61):
+        top = (q - 1,) * n
+        zero = (0,) * n
+        for modulus in (top, zero, (1,) + (0,) * (n - 1)):
+            assert _mulmod(top, top, modulus, q) == schoolbook_mulmod(top, top, modulus, q)
+            assert _mulmod(zero, top, modulus, q) == zero
+
+
+@pytest.mark.parametrize("q, max_degree", [(2, 6), (3, 5)])
+def test_ben_or_matches_rabin_exhaustively(q, max_degree):
+    for n in range(1, max_degree + 1):
+        for cand in itertools.product(range(q), repeat=n):
+            assert _is_irreducible(cand, q) == rabin_is_irreducible(cand, q), (q, cand)
+
+
+@pytest.mark.parametrize("q, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
+def test_ben_or_rejects_products_of_two_halves(q, k):
+    # f = g·h with deg g = deg h = n/2 has no factor below degree n/2, so
+    # Ben-Or only rejects it at its last step; g² likewise
+    irreducible = [
+        list(c) + [1]
+        for c in itertools.islice(
+            (c for c in itertools.product(range(q), repeat=k) if rabin_is_irreducible(c, q)), 3
+        )
+    ]
+    for g, h in itertools.combinations_with_replacement(irreducible, 2):
+        f = tuple(_poly_mul(g, h, q)[:-1])
+        assert len(f) == 2 * k
+        assert not _is_irreducible(f, q), (q, g, h)
+        assert not rabin_is_irreducible(f, q)
+
+
+def _grid_setups():
+    """The 44 acceptance-grid pairs: p <= 31, q <= 50, q^n <= 2^24."""
+    out = []
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for q in primerange(2, 51):
+            q = int(q)
+            if q != p and q % p != 1 and q ** multiplicative_order(q, p) <= 1 << 24:
+                out.append(CyclotomicSetup.create(p, q))
+    return out
+
+
+def test_build_field_is_lex_least_on_the_grid():
+    setups = _grid_setups()
+    assert len(setups) == 44
+    for setup in setups:
+        ctx = build_field(setup)
+        got = (ctx.modulus_int, ctx.encode(ctx.alpha))
+        assert got == oracle_field_choice(setup), (setup.p, setup.q)
+
+
+@pytest.mark.parametrize("p", [19, 23, 31, 43, 47, 59])
+def test_certify_witness_fields_are_lex_least(p):
+    cert = certify_half_plus(p)
+    assert cert.field_choices
+    for q, modulus, generator in cert.field_choices:
+        setup = CyclotomicSetup.create(p, q, g=cert.g)
+        assert (modulus, generator) == oracle_field_choice(setup), (p, q)
+
+
+def test_vandiver_witness_fields_are_lex_least():
+    report = vandiver_scan(43)
+    qs = sorted({t[0] for scan in report.scans for t in scan.tried})
+    assert qs
+    for q in qs:
+        setup = CyclotomicSetup.create(43, q)
+        ctx = build_field(setup)
+        assert (ctx.modulus_int, ctx.encode(ctx.alpha)) == oracle_field_choice(setup), q
+
+
+@pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
+def test_build_field_product_count(monkeypatch, p, q):
+    # the whole build (modulus search, generator search, zeta) in field
+    # products: 2,783 and 3,609 here; a full Rabin test per modulus
+    # candidate would take far more than the bound
+    calls = 0
+
+    def counting_mulmod(*args):
+        nonlocal calls
+        calls += 1
+        return _mulmod(*args)
+
+    monkeypatch.setattr(ffield, "_mulmod", counting_mulmod)
+    build_field(CyclotomicSetup.create(p, q))
+    assert 0 < calls <= 8000
