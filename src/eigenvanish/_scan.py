@@ -6,14 +6,17 @@ given by the generator's minimal polynomial, so the scan is O(n) per step with
 no polynomial multiplication. The production kernel `_scan_blocked` reads a
 block of terms per matmul from a power table built by doubling and clamped to
 the field; `_scan_python` is the plain-python oracle it must match bit for bit.
-"""
 
-import numpy as np
+numpy is imported inside the functions that use it, so it loads only when a
+scan runs; importing the package, or a command that never scans, leaves it out.
+"""
 
 _BLOCK = 1 << 16
 
 
 def _companion(rec, q):
+    import numpy as np
+
     n = rec.shape[0]
     mat = np.zeros((n, n), dtype=np.int64)
     mat[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
@@ -29,6 +32,8 @@ def _scan_blocked(rec, seed, total, p, q, counts):
     filled by doubling, U[h:2h] = U[:h] @ C^h; as e_0^T C^j = e_j^T for j < n,
     its n rows past the block are C^B, the state jump s_{k+B} = C^B s_k.
     """
+    import numpy as np
+
     n = rec.shape[0]
     block = max(n, min(_BLOCK, total))
     u = np.zeros((block + n, n), dtype=np.int64)
@@ -74,6 +79,8 @@ def scan_counts(rec, seed, total: int, p: int, q: int, backend: str = "numpy"):
 
     `backend` is "numpy" (production) or "python" (the slow oracle).
     """
+    import numpy as np
+
     rec_arr = np.asarray(rec, dtype=np.int64)
     seed_arr = np.asarray(seed, dtype=np.int64)
     if backend == "numpy":

@@ -16,8 +16,7 @@ record carries the same information either way.
 from dataclasses import dataclass, field
 from math import gcd
 
-from sympy import isprime, primefactors, primerange
-
+from ._nt import factor, is_prime, primes_upto
 from .errors import (
     BadEigenspaceIndex,
     BadInput,
@@ -42,8 +41,8 @@ ROUTE_ANALYTIC = "forms+index"
 
 def _prime_orders(p: int, qbound: int):
     """(q, ord_p(q)) for each prime q <= qbound but the prime p, factoring p - 1 once."""
-    ells = primefactors(p - 1)
-    for q in primerange(2, qbound + 1):
+    ells = factor(p - 1)
+    for q in primes_upto(qbound):
         order = p - 1
         for ell in ells:
             while order % ell == 0 and pow(q, order // ell, p) == 1:
@@ -58,7 +57,7 @@ def _primes_of_order(p: int, n: int, qbound: int):
 
 def find_primes_of_order(p: int, n: int, count: int, qbound: int) -> list[int]:
     """First `count` primes q <= qbound with multiplicative order n mod p."""
-    if not isprime(p) or n < 2 or (p - 1) % n != 0:
+    if not is_prime(p) or n < 2 or (p - 1) % n != 0:
         raise BadPrime(f"p={p} must be prime and n={n} must divide p-1 and be >= 2")
     found = []
     for q in _primes_of_order(p, n, qbound):
@@ -187,7 +186,7 @@ def certify_half_plus(
     backend: str = "numpy",
 ) -> Certificate:
     """Run witnesses of order (p-1)/2 until one shows p ∤ b (verdict Trivial)."""
-    if p <= 3 or p % 4 != 3 or not isprime(p):
+    if p <= 3 or p % 4 != 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be a prime ≡ 3 mod 4, p > 3")
     cn = class_number(p)
     n = (p - 1) // 2
@@ -241,7 +240,7 @@ def check_certificate(cert: Certificate) -> list[str]:
     modulus and generator are not searched for again."""
     problems: list[str] = []
     p = cert.p
-    if p <= 3 or p % 4 != 3 or not isprime(p):
+    if p <= 3 or p % 4 != 3 or not is_prime(p):
         return [f"p={p} is not a prime ≡ 3 mod 4 above 3"]
     if cert.r != (p + 1) // 2:
         problems.append(f"r={cert.r} is not (p+1)/2")
@@ -274,7 +273,7 @@ def check_certificate(cert: Certificate) -> list[str]:
         if order != w.n or w.n != (p - 1) // 2:
             problems.append(f"{tag}: order mismatch")
             continue
-        if not isprime(w.q):
+        if not is_prime(w.q):
             problems.append(f"{tag}: q is not prime")
         if w.h != h:
             problems.append(f"{tag}: h={w.h} but h(-{p}) = {h}")
@@ -420,7 +419,7 @@ def vandiver_scan(
 ) -> VandiverReport:
     """Try to certify every even eigenspace r in [2, p-3] via successive
     witness primes, smallest fields first."""
-    if p <= 3 or not isprime(p):
+    if p <= 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be an odd prime > 3")
     candidates = _witness_fields(p, qbound, field_cap)
     vectors: dict[int, IndexVector] = {}
@@ -492,7 +491,7 @@ def remark_explore(
     if which not in _EXPLORE:
         raise BadEigenspaceIndex(f"which={which!r} must be 'e4' or 'e6'")
     e, mod, residue = _EXPLORE[which]
-    if p % mod != residue or not isprime(p):
+    if p % mod != residue or not is_prime(p):
         raise BadPrime(f"p={p} must be a prime ≡ {residue} mod {mod} for {which}")
     n = (p - 1) // e
     if n < 2:

@@ -14,8 +14,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
-from sympy import isprime
-
+from ._nt import is_prime
 from .certify import (
     DEFAULT_FIELD_CAP,
     DEFAULT_QBOUND,
@@ -293,7 +292,7 @@ def cmd_cornacchia(args):
         ]
         summary = [f"x^2 + {D}y^2 = {N}: {len(sols)} solution(s) {sols}"]
         return _report("cornacchia", params, result, checks), summary, 0
-    if not isprime(N):
+    if not is_prime(N):
         raise BadInput(f"N={N} must be prime (use --all for general N)")
     sol = cornacchia(D, N)
     result = {
@@ -313,7 +312,7 @@ def cmd_cornacchia(args):
 def cmd_stickelberger(args):
     p, q = args.p, args.q
     cn = class_number(p)
-    if not isprime(q) or q == p:
+    if not is_prime(q) or q == p:
         raise BadInput(f"q={q} must be a prime distinct from p")
     target = 4 * q**cn.h
     reps = represent_all(p, target)
@@ -356,7 +355,7 @@ def cmd_stickelberger(args):
 
 def cmd_density(args):
     p = args.p
-    if not isprime(p) or p <= 3:
+    if not is_prime(p) or p <= 3:
         raise BadInput(f"p={p} must be an odd prime > 3")
     base = density_estimate(p, args.bound)
     cube = density_estimate(p**3, args.bound)

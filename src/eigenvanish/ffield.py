@@ -14,15 +14,16 @@ product is one Kronecker-substituted integer multiplication: both operands
 and the modulus are packed into Python ints, and the reduction and the
 unpacking work on slots of that int; powers are taken left to right. All of
 it is exact, so the choices above do not depend on it.
+
+Primality, factoring and the cyclotomic values Phi_d(q) come from the
+private `_nt` module, so building a field loads neither sympy nor numpy.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
 
-from sympy import factorint, isprime
-from sympy.polys.specialpolys import cyclotomic_poly
-
+from ._nt import cyclotomic_value, factor, is_prime
 from .errors import (
     BadInput,
     FactorizationFailure,
@@ -46,10 +47,10 @@ def multiplicative_order(a: int, m: int) -> int:
         raise NotCoprime(f"gcd({a}, {m}) != 1")
     # group exponent divides phi(m); strip each prime as far as possible
     phi = 1
-    for prime, mult in factorint(m).items():
+    for prime, mult in factor(m).items():
         phi *= (prime - 1) * prime ** (mult - 1)
     order = phi
-    for prime in factorint(phi):
+    for prime in factor(phi):
         while order % prime == 0 and pow(a, order // prime, m) == 1:
             order //= prime
     return order
@@ -68,9 +69,9 @@ class CyclotomicSetup:
 
     @classmethod
     def create(cls, p: int, q: int, g: int | None = None) -> "CyclotomicSetup":
-        if p <= 3 or not isprime(p):
+        if p <= 3 or not is_prime(p):
             raise BadInput(f"p={p} must be an odd prime > 3")
-        if not isprime(q) or q == p:
+        if not is_prime(q) or q == p:
             raise BadInput(f"q={q} must be a prime distinct from p")
         if q % p == 1:
             raise BadInput(f"q={q} is 1 mod p={p}; the order n would be 1")
@@ -99,10 +100,16 @@ class CyclotomicSetup:
 
 
 def least_primitive_root(p: int) -> int:
-    for g in range(2, p):
-        if multiplicative_order(g, p) == p - 1:
-            return g
-    raise InternalInvariant(f"no primitive root mod {p}")
+    """Least primitive root mod the prime p: p - 1 is factored once, and g is
+    taken when g^((p-1)/ell) != 1 for every prime ell of p - 1. A composite
+    p >= 4 raises NotCoprime at its least prime factor, as the search by
+    multiplicative order did."""
+    if p < 3:
+        raise InternalInvariant(f"no primitive root mod {p}")
+    if not is_prime(p):
+        raise NotCoprime(f"gcd({min(factor(p))}, {p}) != 1")
+    ells = factor(p - 1)
+    return next(g for g in range(2, p) if all(pow(g, (p - 1) // ell, p) != 1 for ell in ells))
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +228,12 @@ def _group_order_primes(q: int, n: int) -> list[int]:
     for d in range(1, n + 1):
         if n % d:
             continue
-        piece = int(cyclotomic_poly(d, q))
-        if len(str(piece)) > _FACTOR_DIGIT_LIMIT and not isprime(piece):
+        piece = cyclotomic_value(d, q)
+        if len(str(piece)) > _FACTOR_DIGIT_LIMIT and not is_prime(piece):
             raise FactorizationFailure(
                 f"cofactor of q^n - 1 too large to certify primitivity ({len(str(piece))} digits)"
             )
-        primes.update(factorint(piece))
+        primes.update(factor(piece))
     return sorted(primes)
 
 

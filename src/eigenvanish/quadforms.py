@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from sympy import factorint
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
+from ._nt import factor, prime_sieve, primes_upto
 from .errors import (
     BadDiscriminant,
     BadInput,
@@ -156,6 +154,8 @@ def cornacchia(D: int, N: int) -> tuple[int, int] | None:
 
 def _primitive_reps(D: int, M: int) -> set[tuple[int, int]]:
     """All primitive (x, y >= 0) with x^2 + D*y^2 = M, via every root of -D mod M."""
+    from sympy.ntheory.residue_ntheory import sqrt_mod
+
     if M == 1:
         return {(1, 0)}
     reps = set()
@@ -204,7 +204,7 @@ def represent_all(D: int, N: int, method: str = "auto") -> list[tuple[int, int]]
         raise BadInput(f"unknown method {method!r}")
     sols = set()
     square_divs = [1]
-    for prime, mult in factorint(N).items():
+    for prime, mult in factor(N).items():
         square_divs = [d * prime**k for d in square_divs for k in range(mult // 2 + 1)]
     for d in square_divs:
         for x, y in _primitive_reps(D, N // (d * d)):
@@ -250,9 +250,7 @@ def find_good_prime(p: int, qbound: int) -> tuple[int, QfSolution, QfSolution]:
     """Smallest prime q <= qbound represented as u^2 + p w^2 with p dividing
     neither u nor w, lifted to the doubled representation of 4 q^h."""
     h = class_number(p).h
-    from sympy import primerange
-
-    for q in primerange(2, qbound + 1):
+    for q in primes_upto(qbound):
         if q == p:
             continue
         if q % 2 and legendre(-p, q) != 1:
@@ -304,20 +302,11 @@ class DensityEstimate:
         return float(self.ratio)
 
 
-def _prime_sieve(limit: int) -> bytearray:
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit) + 1):
-        if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    return sieve
-
-
 def density_estimate(D: int, X: int) -> DensityEstimate:
     """Among primes N <= X, the fraction representable as x^2 + D*y^2."""
     if X < 100:
         raise BoundTooSmall(f"X={X} < 100 gives meaningless ratios")
-    sieve = _prime_sieve(X)
+    sieve = prime_sieve(X)
     represented = 0
     primes = 0
     for N in range(2, X + 1):
