@@ -1,9 +1,12 @@
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from eigenvanish.cli import SCHEMA, main
+from eigenvanish import cli
+from eigenvanish.cli import SCHEMA, build_parser, main
+from eigenvanish.errors import InternalInvariant
 
 
 def run(capsys, *argv):
@@ -155,24 +158,93 @@ def test_byte_identical_reruns(capsys):
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
-# golden file -> (argv, exit code); the files hold the exact --json stdout
+# golden file -> (argv, exit code); the files hold the exact --json stdout,
+# captured from a run in the golden directory (so `verify` sees a relative path)
 CLI_GOLDENS = {
     "setup_p7_q2": (["setup", "--p", "7", "--q", "2"], 0),
+    "setup_p7_q29": (["setup", "--p", "7", "--q", "29"], 1),  # BadInput report
     "periods_p19_q5_full": (["periods", "--p", "19", "--q", "5", "--full"], 0),
+    "indices_p7_q2_r4": (["indices", "--p", "7", "--q", "2", "--r", "4"], 0),
+    "indices_p7_q2_r2": (["indices", "--p", "7", "--q", "2", "--r", "2"], 2),
     "identity_p13_q3": (["identity", "--p", "13", "--q", "3"], 0),
     "certify_p31": (["certify", "--p", "31"], 0),  # forms+index route
     "certify_p23": (["certify", "--p", "23"], 0),  # periods+forms route
     "vandiver_p23": (["vandiver", "--p", "23"], 2),
+    "classnum_p23": (["classnum", "--p", "23"], 0),
+    "cornacchia_7_11": (["cornacchia", "7", "11"], 0),
+    "cornacchia_7_5": (["cornacchia", "7", "5"], 0),
+    "cornacchia_23_821516_all": (["cornacchia", "23", "821516", "--all"], 0),
+    "stickelberger_p7_q11": (["stickelberger", "--p", "7", "--q", "11"], 0),
+    "density_p11_bound1000": (["density", "--p", "11", "--bound", "1000"], 0),
+    "density_p7_bound50": (["density", "--p", "7", "--bound", "50"], 2),  # ResourceLimit report
+    "explore_e4_p13": (["explore", "e4", "--p", "13"], 0),
+    "verify_certify_p23": (["verify", "certify_p23.json"], 0),
+}
+
+# the stderr line of each golden error report; every other golden run with
+# --json writes nothing to stderr
+CLI_GOLDEN_STDERR = {
+    "setup_p7_q29": "error: q=29 is 1 mod p=7; the order n would be 1\n",
+    "density_p7_bound50": "resource limit: X=50 < 100 gives meaningless ratios\n",
 }
 
 
 @pytest.mark.parametrize("name", sorted(CLI_GOLDENS))
-def test_cli_json_matches_golden_bytes(capsys, name):
+def test_cli_json_matches_golden_bytes(capsys, monkeypatch, name):
     argv, want_code = CLI_GOLDENS[name]
+    monkeypatch.chdir(GOLDEN_DIR)
     code = main(argv + ["--json"])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == want_code
     assert out.encode() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    assert err == CLI_GOLDEN_STDERR.get(name, "")
+
+
+def _subcommands(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_subcommand_has_a_golden():
+    covered = {argv[0] for argv, _ in CLI_GOLDENS.values()}
+    assert sorted(set(_subcommands(build_parser())) - covered) == []
+
+
+def _describe(parser):
+    return {
+        "help": parser.format_help(),
+        "options": [
+            [a.option_strings or [a.dest], getattr(a.type, "__name__", a.type),
+             a.default, a.required, a.choices, a.help]
+            for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+        ],
+    }
+
+
+def test_usage_and_options_match_pins(monkeypatch):
+    """Each subcommand's help text (usage line included) and its options in
+    order, with flags, type, default, required, choices and help."""
+    monkeypatch.setenv("COLUMNS", "80")
+    parser = build_parser()
+    got = {"eigenvanish": parser.format_help()}
+    got.update({name: _describe(sp) for name, sp in _subcommands(parser).items()})
+    want = json.loads((GOLDEN_DIR / "cli_usage.json").read_text(encoding="utf-8"))
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name] == want[name], name
+
+
+def test_internal_invariant_exits_3(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalInvariant("forced")
+
+    monkeypatch.setattr(cli, "build_field", broken)
+    code, report, err = run(capsys, "setup", "--p", "7", "--q", "2", "--json")
+    assert code == 3
+    assert report["result"] is None
+    assert report["error"] == {"type": "InternalInvariant", "message": "forced"}
+    assert err == "internal invariant violated: forced\n"
 
 
 def test_big_integers_serialized_as_strings(capsys):
