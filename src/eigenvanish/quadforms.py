@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, isqrt
 
-from ._nt import factor, prime_sieve, primes_upto
+from ._nt import factor, is_prime, prime_sieve, primes_upto
 from .errors import (
     BadDiscriminant,
     BadInput,
@@ -51,7 +51,7 @@ class ClassNumberData:
 
 def class_number(p: int) -> ClassNumberData:
     """h(-p) = V - R from residue/nonresidue sums over the full range [1, p-1]."""
-    if p <= 3 or p % 4 != 3:
+    if p <= 3 or p % 4 != 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be a prime ≡ 3 mod 4, p > 3")
     res_sum = 0
     nonres_sum = 0

@@ -64,6 +64,9 @@ def test_class_number_guards():
         class_number(13)  # 13 ≡ 1 mod 4
     with pytest.raises(BadPrime):
         class_number(3)
+    for composite in (15, 91):  # both ≡ 3 mod 4; 91 once gave h = 37
+        with pytest.raises(BadPrime):
+            class_number(composite)
 
 
 def test_reduced_forms_match_class_number():
