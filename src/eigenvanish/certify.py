@@ -368,7 +368,7 @@ def certificate_from_dict(data: dict) -> Certificate:
             witnesses=witnesses, g=int(data["g"]),
             field_cap=int(data["field_cap"]), field_choices=choices,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # 1e400 parses as inf
         raise BadInput(f"malformed certificate: {exc}") from None
 
 

@@ -434,7 +434,7 @@ def cmd_verify(args):
             data = json.load(fh)
     except OSError as exc:
         raise BadInput(f"cannot read {args.certificate}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int literal too long to parse
         raise BadInput(f"{args.certificate} is not JSON: {exc}") from None
     if isinstance(data, dict) and "result" in data and isinstance(data["result"], dict):
         data = data["result"].get("certificate", data)
@@ -460,24 +460,58 @@ def cmd_verify(args):
 # --------------------------------------------------------------------------
 
 
-def _add_common(sp):
-    sp.add_argument("--json", action="store_true", help="machine output only")
-    sp.add_argument("--quiet", action="store_true", help="suppress stderr summary")
+# option key -> (flag or positional name, add_argument keywords)
+_OPTIONS = {
+    "p": ("--p", dict(type=int, required=True)),
+    "q": ("--q", dict(type=int, required=True)),
+    "r": ("--r", dict(type=int, required=True)),
+    "full": ("--full", dict(action="store_true", help="include count vectors")),
+    "g": ("--g", dict(type=int, default=None, help="primitive root mod p (default: least)")),
+    "max_witnesses": ("--max-witnesses", dict(type=int)),
+    "max_q": ("--max-q", dict(type=int, default=DEFAULT_QBOUND,
+                              help="largest witness prime to try")),
+    "field_cap": ("--field-cap", dict(type=int, default=DEFAULT_FIELD_CAP,
+                                      help="largest field size q^n to enumerate")),
+    "bound": ("--bound", dict(type=int, default=100_000)),
+    "D": ("D", dict(type=int)),
+    "N": ("N", dict(type=int)),
+    "all": ("--all", dict(action="store_true",
+                          help="every solution for general N (not only prime)")),
+    "which": ("which", dict(choices=["e4", "e6"])),
+    "certificate": ("certificate", dict(help="path to a certificate or run-report JSON")),
+    "json": ("--json", dict(action="store_true", help="machine output only")),
+    "quiet": ("--quiet", dict(action="store_true", help="suppress stderr summary")),
+}
 
+# subcommand -> (handler, help, option keys in usage order); a key may carry
+# keywords that override its declaration for that subcommand
+_COMMANDS = {
+    "setup": (cmd_setup, "field and order bookkeeping for (p, q)", ("p", "q", "g")),
+    "periods": (cmd_periods, "Gaussian periods, v, d, a", ("p", "q", "full", "g", "field_cap")),
+    "indices": (cmd_indices, "cyclotomic-unit index i_r mod p", ("p", "q", "r", "g")),
+    "identity": (cmd_identity, "square identity and product congruences",
+                 ("p", "q", "g", "field_cap")),
+    "certify": (cmd_certify, "certificate for r = (p+1)/2",
+                ("p", ("max_witnesses", {"default": 8}), "g", "max_q", "field_cap")),
+    "vandiver": (cmd_vandiver, "scan all even eigenspaces",
+                 ("p", ("max_witnesses", {"default": 5, "help": "witnesses per eigenspace"}),
+                  "g", "max_q", "field_cap")),
+    "classnum": (cmd_classnum, "h(-p) via residue sums and forms", ("p",)),
+    "cornacchia": (cmd_cornacchia, "solve x^2 + D y^2 = N", ("D", "N", "all")),
+    "stickelberger": (cmd_stickelberger, "signed representation of 4q^h and its congruence",
+                      ("p", "q")),
+    "density": (cmd_density, "prime densities for x^2+py^2, x^2+p^3y^2", ("p", "bound")),
+    "explore": (cmd_explore, "order-(p-1)/4 and (p-1)/6 identity data",
+                ("which", "p", "g", "max_q", "field_cap")),
+    "verify": (cmd_verify, "re-check a stored certificate", ("certificate",)),
+}
 
-def _add_g(sp):
-    sp.add_argument("--g", type=int, default=None,
-                    help="primitive root mod p (default: least)")
-
-
-def _add_cap(sp):
-    sp.add_argument("--field-cap", type=int, default=DEFAULT_FIELD_CAP,
-                    help="largest field size q^n to enumerate")
-
-
-def _add_maxq(sp):
-    sp.add_argument("--max-q", type=int, default=DEFAULT_QBOUND,
-                    help="largest witness prime to try")
+# exit code and stderr prefix of a failed run: the first class that matches
+_FAILURES = (
+    (BadInput, 1, "error"),
+    (ResourceLimit, 2, "resource limit"),
+    (EigenvanishError, 3, "internal invariant violated"),
+)
 
 
 def build_parser() -> _Parser:
@@ -485,96 +519,14 @@ def build_parser() -> _Parser:
                      description="Eigenspace-vanishing certificates for the "
                                  "p-part of cyclotomic class groups")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("setup", help="field and order bookkeeping for (p, q)")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    _add_g(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_setup)
-
-    sp = sub.add_parser("periods", help="Gaussian periods, v, d, a")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--full", action="store_true", help="include count vectors")
-    _add_g(sp), _add_cap(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_periods)
-
-    sp = sub.add_parser("indices", help="cyclotomic-unit index i_r mod p")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    sp.add_argument("--r", type=int, required=True)
-    _add_g(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_indices)
-
-    sp = sub.add_parser("identity", help="square identity and product congruences")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    _add_g(sp), _add_cap(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_identity)
-
-    sp = sub.add_parser("certify", help="certificate for r = (p+1)/2")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--max-witnesses", type=int, default=8)
-    _add_g(sp), _add_maxq(sp), _add_cap(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_certify)
-
-    sp = sub.add_parser("vandiver", help="scan all even eigenspaces")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--max-witnesses", type=int, default=5,
-                    help="witnesses per eigenspace")
-    _add_g(sp), _add_maxq(sp), _add_cap(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_vandiver)
-
-    sp = sub.add_parser("classnum", help="h(-p) via residue sums and forms")
-    sp.add_argument("--p", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_classnum)
-
-    sp = sub.add_parser("cornacchia", help="solve x^2 + D y^2 = N")
-    sp.add_argument("D", type=int)
-    sp.add_argument("N", type=int)
-    sp.add_argument("--all", action="store_true",
-                    help="every solution for general N (not only prime)")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_cornacchia)
-
-    sp = sub.add_parser("stickelberger",
-                        help="signed representation of 4q^h and its congruence")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_stickelberger)
-
-    sp = sub.add_parser("density", help="prime densities for x^2+py^2, x^2+p^3y^2")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--bound", type=int, default=100_000)
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_density)
-
-    sp = sub.add_parser("explore", help="order-(p-1)/4 and (p-1)/6 identity data")
-    sp.add_argument("which", choices=["e4", "e6"])
-    sp.add_argument("--p", type=int, required=True)
-    _add_g(sp), _add_maxq(sp), _add_cap(sp), _add_common(sp)
-    sp.set_defaults(handler=cmd_explore)
-
-    sp = sub.add_parser("verify", help="re-check a stored certificate")
-    sp.add_argument("certificate", help="path to a certificate or run-report JSON")
-    _add_common(sp)
-    sp.set_defaults(handler=cmd_verify)
-
+    for command, (handler, help_line, keys) in _COMMANDS.items():
+        sp = sub.add_parser(command, help=help_line)
+        for key in keys + ("json", "quiet"):
+            key, override = (key, {}) if isinstance(key, str) else key
+            flag, kwargs = _OPTIONS[key]
+            sp.add_argument(flag, **{**kwargs, **override})
+        sp.set_defaults(handler=handler)
     return parser
-
-
-def _error_report(command: str, exc: EigenvanishError) -> dict:
-    return {
-        "schema": SCHEMA,
-        "command": command,
-        "params": {},
-        "result": None,
-        "error": {"type": type(exc).__name__, "message": str(exc)},
-        "checks": [],
-        "timing": None,
-    }
 
 
 def main(argv=None) -> int:
@@ -582,18 +534,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, summary, code = args.handler(args)
-    except BadInput as exc:
-        print(json.dumps(_error_report(args.command, exc), indent=2, sort_keys=True))
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceLimit as exc:
-        print(json.dumps(_error_report(args.command, exc), indent=2, sort_keys=True))
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return 2
-    except EigenvanishError as exc:  # InternalInvariant and anything unforeseen
-        print(json.dumps(_error_report(args.command, exc), indent=2, sort_keys=True))
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
+    except EigenvanishError as exc:
+        code, prefix = next((c, pre) for cls, c, pre in _FAILURES if isinstance(exc, cls))
+        report = _report(args.command, {}, None, [])
+        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps(report, indent=2, sort_keys=True))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
     if any(not c["ok"] for c in report["checks"]):
         code = max(code, 2)
     print(json.dumps(report, indent=2, sort_keys=True))

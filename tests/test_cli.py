@@ -90,6 +90,31 @@ def test_certify_roundtrip_through_verify(capsys, tmp_path):
     assert any(not c["ok"] for c in report3["checks"])
 
 
+@pytest.mark.parametrize("payload", [
+    b'\xff\xfe{"p": 7}',  # not UTF-8
+    b'{"p": ' + b"1" * 5000 + b"}",  # int literal past the 4,300-digit limit
+    b'{"p": 1e400, "r": 4, "verdict": "Trivial", "witnesses": [], "g": 3, "field_cap": 8}',
+], ids=["not-utf8", "long-int", "float-overflow"])
+def test_verify_malformed_document_exits_1(capsys, tmp_path, payload):
+    path = tmp_path / "cert.json"
+    path.write_bytes(payload)
+    code, report, err = run(capsys, "verify", str(path), "--json")
+    assert code == 1
+    assert report["error"]["type"] == "BadInput"
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classnum", "--p", "91"],
+    ["classnum", "--p", "15"],
+    ["stickelberger", "--p", "15", "--q", "7"],
+], ids=["classnum-91", "classnum-15", "stickelberger-15"])
+def test_composite_p_exits_1(capsys, argv):
+    code, report, err = run(capsys, *argv, "--json")
+    assert code == 1
+    assert report["error"]["type"] == "BadPrime"
+
+
 def test_certify_inconclusive_small_bound(capsys):
     code, report, err = run(capsys, "certify", "--p", "13")
     assert code == 1  # 13 ≡ 1 mod 4 is rejected outright
