@@ -251,7 +251,7 @@ class FieldContext:
     def basis_traces(self) -> tuple[int, ...]:
         """Tr(x^i) for i < n, computed on first use: only the trace scans and
         the setup report read it, the unit index never does."""
-        return _basis_traces(self.modulus, self.q)
+        return _power_sums(self.modulus, self.q)
 
     @property
     def order(self) -> int:
@@ -350,23 +350,17 @@ def _field_context(setup: CyclotomicSetup, modulus, alpha) -> FieldContext:
     return ctx
 
 
-def _basis_traces(modulus, q: int) -> tuple[int, ...]:
-    """t_i = Tr(x^i) for i < n, via summing Frobenius powers."""
-    n = len(modulus)
-    x = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
-    acc = [[0] * n for _ in range(n)]
-    for j in range(n):
-        frob = _powmod(x, q**j, modulus, q)
-        power = (1,) + (0,) * (n - 1)
-        for i in range(n):
-            acc[i] = [(u + v) % q for u, v in zip(acc[i], power)]
-            power = _mulmod(power, frob, modulus, q)
-    traces = []
-    for i, row in enumerate(acc):
-        if any(row[1:]):
-            raise InternalInvariant(f"trace of x^{i} not in the prime field")
-        traces.append(row[0])
-    return tuple(traces)
+def _power_sums(coeffs, q: int) -> tuple[int, ...]:
+    """s_k mod q for k < n: the k-th power sums of the roots of the monic
+    x^n + sum coeffs[i] x^i, by Newton's identities: s_0 = n and
+    s_k = -(k·c_{n-k} + sum_{j=1}^{k-1} c_{n-j}·s_{k-j}). For an irreducible
+    polynomial the roots are the Frobenius conjugates of x, so s_k = Tr(x^k)."""
+    n = len(coeffs)
+    sums = [n % q]
+    for k in range(1, n):
+        s = k * coeffs[n - k] + sum(coeffs[n - j] * sums[k - j] for j in range(1, k))
+        sums.append(-s % q)
+    return tuple(sums)
 
 
 def trace(ctx: FieldContext, x) -> int:
@@ -411,9 +405,4 @@ def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int,
         if any(c[1:]):
             raise InternalInvariant("minimal polynomial coefficient outside F_q")
         rec.append(c[0])
-    seed = []
-    power = ctx.one
-    for _ in range(n):
-        seed.append(trace(ctx, power))
-        power = ctx.mul(power, ctx.alpha)
-    return tuple(rec), tuple(seed)
+    return tuple(rec), _power_sums(rec, q)

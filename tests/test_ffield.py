@@ -32,8 +32,25 @@ from eigenvanish.ffield import (
 
 
 # ---------------------------------------------------------------------------
-# oracles: the schoolbook product and Rabin's test, the slow references that
-# the Kronecker product and Ben-Or's test are compared against
+# oracles: the Frobenius trace sum, the schoolbook product and Rabin's test,
+# the slow references that the power sums, the Kronecker product and Ben-Or's
+# test are compared against
+
+
+def frobenius_traces(modulus, q):
+    """t_i = Tr(x^i) for i < n in F_q[x]/(x^n + sum modulus[i] x^i), as the
+    sum of the Frobenius powers (x^(q^j))^i: the oracle for `_power_sums`."""
+    n = len(modulus)
+    x = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
+    acc = [[0] * n for _ in range(n)]
+    for j in range(n):
+        frob = _powmod(x, q**j, modulus, q)
+        power = (1,) + (0,) * (n - 1)
+        for i in range(n):
+            acc[i] = [(u + v) % q for u, v in zip(acc[i], power)]
+            power = _mulmod(power, frob, modulus, q)
+    assert all(not any(row[1:]) for row in acc), "a trace outside the prime field"
+    return tuple(row[0] for row in acc)
 
 
 def schoolbook_mulmod(a, b, modulus, q):
@@ -364,6 +381,24 @@ def test_vandiver_witness_fields_are_lex_least():
         setup = CyclotomicSetup.create(43, q)
         ctx = build_field(setup)
         assert (ctx.modulus_int, ctx.encode(ctx.alpha)) == oracle_field_choice(setup), q
+
+
+def test_power_sums_match_frobenius_traces():
+    """Basis traces from the modulus and the recurrence seed from the minimal
+    polynomial of alpha, on the grid, every witness field of the two tests
+    above, and (67, 2) with n = 66."""
+    setups = _grid_setups()
+    for p in (19, 23, 31, 43, 47, 59):
+        cert = certify_half_plus(p)
+        setups += [CyclotomicSetup.create(p, q) for q, _, _ in cert.field_choices]
+    report = vandiver_scan(43)
+    setups += [CyclotomicSetup.create(43, q) for q in {t[0] for s in report.scans for t in s.tried}]
+    setups.append(CyclotomicSetup.create(67, 2))
+    for setup in setups:
+        ctx = build_field(setup)
+        rec, seed = generator_recurrence(ctx)
+        assert ctx.basis_traces == frobenius_traces(ctx.modulus, ctx.q), (setup.p, setup.q)
+        assert seed == frobenius_traces(rec, ctx.q), (setup.p, setup.q)
 
 
 @pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
