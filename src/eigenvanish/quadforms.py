@@ -126,6 +126,22 @@ def _sqrt_mod_prime(a: int, p: int) -> int | None:
     return x
 
 
+def _descend(D: int, M: int, root: int) -> tuple[int, int] | None:
+    """Cornacchia's descent from a root of -D mod M: Euclid on (M, root) down
+    to the first remainder x <= sqrt(M), then (x, y) if x^2 + D*y^2 = M has
+    an integer y, else None."""
+    a, b = M, root
+    limit = isqrt(M)
+    while b > limit:
+        a, b = b, a % b
+    rem = M - b * b
+    if rem % D:
+        return None
+    y2 = rem // D
+    y = isqrt(y2)
+    return (b, y) if y * y == y2 else None
+
+
 def cornacchia(D: int, N: int) -> tuple[int, int] | None:
     """The solution of x^2 + D*y^2 = N for prime N, or None. Deterministic:
     descends from the root of -D in (N/2, N)."""
@@ -138,18 +154,7 @@ def cornacchia(D: int, N: int) -> tuple[int, int] | None:
         return None
     if 2 * root < N:
         root = N - root
-    a, b = N, root
-    limit = isqrt(N)
-    while b > limit:
-        a, b = b, a % b
-    rem = N - b * b
-    if rem % D:
-        return None
-    y2 = rem // D
-    y = isqrt(y2)
-    if y * y != y2:
-        return None
-    return (b, y)
+    return _descend(D, N, root)
 
 
 def _primitive_reps(D: int, M: int) -> set[tuple[int, int]]:
@@ -159,19 +164,10 @@ def _primitive_reps(D: int, M: int) -> set[tuple[int, int]]:
     if M == 1:
         return {(1, 0)}
     reps = set()
-    roots = sqrt_mod(-D, M, all_roots=True) or []
-    limit = isqrt(M)
-    for root in set(roots):
-        a, b = M, root
-        while b > limit:
-            a, b = b, a % b
-        rem = M - b * b
-        if rem % D:
-            continue
-        y2 = rem // D
-        y = isqrt(y2)
-        if y * y == y2 and gcd(b, y) == 1:
-            reps.add((b, y))
+    for root in set(sqrt_mod(-D, M, all_roots=True) or []):
+        rep = _descend(D, M, root)
+        if rep is not None and gcd(*rep) == 1:
+            reps.add(rep)
     return reps
 
 
