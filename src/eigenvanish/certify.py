@@ -10,10 +10,12 @@ Witnesses whose field q^n fits under the cap get the full period pipeline and
 the form representation, cross-checked against each other. Beyond the cap the
 period scan is skipped; the representation of 4q^h (unique up to sign with
 p not dividing a) plus the index pin down signed a, b, d0, d1 exactly, so the
-record carries the same information either way.
+record carries the same information either way. The verifier rebuilds each
+record in its stored field with the same function and compares the two.
 """
 
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from math import gcd
 
 from ._nt import factor, is_prime, primes_upto
@@ -25,9 +27,15 @@ from .errors import (
     EigenvanishError,
     InternalInvariant,
 )
-from .ffield import CyclotomicSetup, build_field, field_from_choice, multiplicative_order
+from .ffield import (
+    CyclotomicSetup,
+    FieldContext,
+    build_field,
+    field_from_choice,
+    multiplicative_order,
+)
 from .periods import compute_period_table, compute_v
-from .quadforms import class_number, represent_all
+from .quadforms import ClassNumberData, class_number, represent_all
 from .units import TRIVIAL, UNKNOWN, IndexVector, index_mod_p, index_vector, verdict
 
 DEFAULT_FIELD_CAP = 1 << 27
@@ -59,6 +67,8 @@ def find_primes_of_order(p: int, n: int, count: int, qbound: int) -> list[int]:
     """First `count` primes q <= qbound with multiplicative order n mod p."""
     if not is_prime(p) or n < 2 or (p - 1) % n != 0:
         raise BadPrime(f"p={p} must be prime and n={n} must divide p-1 and be >= 2")
+    if count < 1:
+        raise BadInput(f"count={count} must be at least 1")
     found = []
     for q in _primes_of_order(p, n, qbound):
         found.append(q)
@@ -98,12 +108,21 @@ class Certificate:
     field_choices: tuple[tuple[int, int, int], ...] = field(default=())
 
 
-def _signed_representation(
-    p: int, q: int, n: int, v: int, h: int, i_val: int
-) -> tuple[int, int]:
-    """Signed (a, b) with 4q^h = a^2 + p b^2: |a|,|b| from the unique
-    representation with gcd(a, b) | 2 (a pure prime-power ideal generator,
-    possibly half-integral), signs from a0 ≡ -1 and i ≡ a0*a1 mod p."""
+def _witness_record(
+    setup: CyclotomicSetup, ctx: FieldContext, cn: ClassNumberData, field_cap: int
+) -> WitnessRecord:
+    """The witness record of setup's q in the field ctx; the producer and the
+    verifier both build their records here. |a|, |b| come from the unique
+    representation 4q^h = a^2 + p b^2 with gcd(a, b) | 2 (a pure prime-power
+    ideal generator, possibly half-integral); the signs from a0 ≡ -1 and
+    i ≡ a0*a1 mod p, with b >= 0 when i ≡ 0."""
+    p, q, n, h = setup.p, setup.q, setup.n, cn.h
+    v = compute_v(p, q, setup.g)
+    if v != cn.R:
+        raise InternalInvariant(f"v={v} != R={cn.R} for order-(p-1)/2 witness q={q}")
+    if n - 2 * v != h:
+        raise InternalInvariant(f"n - 2v = {n - 2 * v} != h = {h}")
+    i_val = index_mod_p(ctx, setup, (p + 1) // 2)
     all_reps = represent_all(p, 4 * q**h)
     if any(x % p == 0 for x, _ in all_reps):
         raise InternalInvariant(f"a representation of 4*{q}^{h} has p | a")
@@ -114,67 +133,21 @@ def _signed_representation(
         )
     absa, absb = reps[0]
     lead = n * pow(q, v, p) % p
-    if (lead * absa + 1) % p == 0:
-        a = absa
-    elif (lead * absa - 1) % p == 0:
-        a = -absa
-    else:
+    # a0 = lead*a ≡ -1, so i ≡ a0*a1 = lead*a * lead*b holds iff lead*b ≡ -i
+    a = next((s * absa for s in (1, -1) if lead * s * absa % p == p - 1), None)
+    if a is None:
         raise InternalInvariant(f"neither sign of a={absa} gives a0 ≡ -1 mod {p}")
-    if i_val % p == 0:
-        if absb % p:
-            raise InternalInvariant(f"i ≡ 0 but p={p} does not divide b={absb}")
-        return a, absb
-    target = i_val * pow(lead * lead * a, -1, p) % p
-    if absb % p == target:
-        return a, absb
-    if (-absb) % p == target:
-        return a, -absb
-    raise InternalInvariant(f"neither sign of b={absb} matches i={i_val} mod {p}")
-
-
-def _witness_record(
-    setup: CyclotomicSetup,
-    h: int,
-    R: int,
-    field_cap: int,
-    backend: str,
-) -> tuple[WitnessRecord, tuple[int, int, int]]:
-    p, q, n = setup.p, setup.q, setup.n
-    v = compute_v(p, q, setup.g)
-    if v != R:
-        raise InternalInvariant(f"v={v} != R={R} for order-(p-1)/2 witness q={q}")
-    if n - 2 * v != h:
-        raise InternalInvariant(f"n - 2v = {n - 2 * v} != h = {h}")
-    ctx = build_field(setup)
-    i_val = index_mod_p(ctx, setup, (p + 1) // 2)
-    a, b = _signed_representation(p, q, n, v, h, i_val)
+    b = next((s * absb for s in (1, -1) if lead * s * absb % p == -i_val % p), None)
+    if b is None:
+        raise InternalInvariant(f"neither sign of b={absb} matches i={i_val} mod {p}")
     if (a + b) % 2:
         raise InternalInvariant(f"a={a}, b={b} have different parity")
-    d0, d1 = (a + b) // 2, (a - b) // 2
-    lead = n * pow(q, v, p) % p
-    a0m, a1m = lead * a % p, lead * b % p
-    if a0m != p - 1:
-        raise InternalInvariant(f"a0 ≡ {a0m}, expected -1 mod {p}")
-    if (a0m * a1m - i_val) % p:
-        raise InternalInvariant("i ≢ a0*a1 mod p")
-    route = ROUTE_ANALYTIC
-    if setup.field_size() <= field_cap:
-        table = compute_period_table(ctx, setup, backend=backend)
-        if table.d != (d0, d1):
-            raise InternalInvariant(
-                f"period route d={table.d} disagrees with form route {(d0, d1)}"
-            )
-        if table.a[0] % p != a0m or table.a[1] % p != a1m:
-            raise InternalInvariant("period-route a_k disagree mod p")
-        route = ROUTE_FULL
-    rec = WitnessRecord(
-        q=q, n=n, v=v, h=h, d0=d0, d1=d1, a=a, b=b,
-        a0_mod_p=a0m, a1_mod_p=a1m, i_mod_p=i_val,
+    return WitnessRecord(
+        q=q, n=n, v=v, h=h, d0=(a + b) // 2, d1=(a - b) // 2, a=a, b=b,
+        a0_mod_p=p - 1, a1_mod_p=lead * b % p, i_mod_p=i_val,
         qf_identity_ok=(4 * q**h == a * a + p * b * b),
-        route=route,
+        route=ROUTE_FULL if setup.field_size() <= field_cap else ROUTE_ANALYTIC,
     )
-    choices = (q, ctx.modulus_int, ctx.encode(ctx.alpha))
-    return rec, choices
 
 
 def certify_half_plus(
@@ -185,59 +158,59 @@ def certify_half_plus(
     g: int | None = None,
     backend: str = "numpy",
 ) -> Certificate:
-    """Run witnesses of order (p-1)/2 until one shows p ∤ b (verdict Trivial)."""
+    """Run witnesses of order (p-1)/2 until one shows p ∤ b (verdict Trivial).
+    A witness whose field fits under the cap also has its periods scanned
+    and compared with the record."""
     if p <= 3 or p % 4 != 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be a prime ≡ 3 mod 4, p > 3")
+    if max_witnesses < 1:
+        raise BadInput(f"max_witnesses={max_witnesses} must be at least 1")
     cn = class_number(p)
     n = (p - 1) // 2
     records: list[WitnessRecord] = []
     choices: list[tuple[int, int, int]] = []
-    tried = 0
-    the_g = None
     for q in _primes_of_order(p, n, qbound):
-        if tried >= max_witnesses:
-            break
-        tried += 1
         setup = CyclotomicSetup.create(p, q, g=g)
-        the_g = setup.g
-        rec, choice = _witness_record(setup, cn.h, cn.R, field_cap, backend)
+        ctx = build_field(setup)
+        rec = _witness_record(setup, ctx, cn, field_cap)
+        if rec.route == ROUTE_FULL:
+            table = compute_period_table(ctx, setup, backend=backend)
+            if table.d != (rec.d0, rec.d1):
+                raise InternalInvariant(
+                    f"period route d={table.d} disagrees with form route {(rec.d0, rec.d1)}"
+                )
+            if (table.a[0] % p, table.a[1] % p) != (rec.a0_mod_p, rec.a1_mod_p):
+                raise InternalInvariant("period-route a_k disagree mod p")
         records.append(rec)
-        choices.append(choice)
-        if rec.b % p:
-            return Certificate(
-                p=p, r=(p + 1) // 2, verdict=TRIVIAL,
-                witnesses=tuple(records), g=setup.g, field_cap=field_cap,
-                field_choices=tuple(choices),
-            )
+        choices.append((q, ctx.modulus_int, ctx.encode(ctx.alpha)))
+        if rec.b % p or len(records) == max_witnesses:
+            break
     if not records:
         raise BoundExhausted(f"no primes of order {n} mod {p} below {qbound}")
     return Certificate(
-        p=p, r=(p + 1) // 2, verdict=INCONCLUSIVE,
-        witnesses=tuple(records), g=the_g, field_cap=field_cap,
+        p=p, r=(p + 1) // 2, verdict=TRIVIAL if records[-1].b % p else INCONCLUSIVE,
+        witnesses=tuple(records), g=setup.g, field_cap=field_cap,
         field_choices=tuple(choices),
     )
 
 
-def _field_problems(p: int, w: WitnessRecord, choice: tuple[int, int, int]) -> list[str]:
-    """Check the witness's stored modulus and generator, then recompute its
-    index at r = (p+1)/2 in that field (e = 2 field powers, no field search)."""
-    _, modulus, generator = choice
-    try:
-        setup = CyclotomicSetup.create(p, w.q)
-        ctx = field_from_choice(setup, modulus, generator)
-        i_val = index_vector(ctx, setup).at((p + 1) // 2)
-    except EigenvanishError as exc:
-        return [f"witness q={w.q}: stored field rejected: {exc}"]
-    if i_val != w.i_mod_p:
-        return [f"witness q={w.q}: i={w.i_mod_p} but the stored field gives i = {i_val}"]
-    return []
+def _record_problems(tag: str, stored: WitnessRecord, want: WitnessRecord) -> list[str]:
+    problems = []
+    for name in (f.name for f in fields(WitnessRecord)):
+        got, exp = getattr(stored, name), getattr(want, name)
+        if got != exp:
+            label = name.removesuffix("_mod_p")
+            source = "the stored field gives" if label == "i" else "recomputed"
+            problems.append(f"{tag}: {label}={got!r} but {source} {label} = {exp!r}")
+    return problems
 
 
 def check_certificate(cert: Certificate) -> list[str]:
-    """Re-check every stored identity and recompute every cheap fact (q prime,
-    h(-p), g primitive, v, route, each stored field's modulus and generator,
-    and i in that field); returns problems. The lexicographically least
-    modulus and generator are not searched for again."""
+    """Recompute every witness record in its stored field, with the function
+    that made it, and compare it with the stored one field by field; also
+    check p, r, the verdict, h(-p), g and each q. The stored modulus and
+    generator are checked (irreducible, primitive), not searched for again;
+    returns the problems found."""
     problems: list[str] = []
     p = cert.p
     if p <= 3 or p % 4 != 3 or not is_prime(p):
@@ -248,13 +221,12 @@ def check_certificate(cert: Certificate) -> list[str]:
         problems.append(f"unknown verdict {cert.verdict!r}")
     if cert.verdict == TRIVIAL and not cert.witnesses:
         problems.append("Trivial verdict with no witnesses")
-    if [c[0] for c in cert.field_choices] != [w.q for w in cert.witnesses]:
+    choices = cert.field_choices
+    if [c[0] for c in choices] != [w.q for w in cert.witnesses]:
         problems.append("field_choices do not list the witnesses' q in order")
-    else:
-        for w, choice in zip(cert.witnesses, cert.field_choices):
-            problems.extend(_field_problems(p, w, choice))
+        choices = (None,) * len(cert.witnesses)
     try:
-        h = class_number(p).h
+        cn = class_number(p)
     except EigenvanishError as exc:
         return problems + [f"cannot recompute h(-{p}): {exc}"]
     try:
@@ -263,51 +235,28 @@ def check_certificate(cert: Certificate) -> list[str]:
         g_ok = False
     if not g_ok:
         problems.append(f"g={cert.g} is not a primitive root mod {p}")
-    saw_nontrivial_b = False
-    for w in cert.witnesses:
+    for w, choice in zip(cert.witnesses, choices):
         tag = f"witness q={w.q}"
         try:
             order = multiplicative_order(w.q, p)
         except EigenvanishError:
             order = None
-        if order != w.n or w.n != (p - 1) // 2:
+        if order != (p - 1) // 2:
             problems.append(f"{tag}: order mismatch")
-            continue
-        if not is_prime(w.q):
+        elif not is_prime(w.q):
             problems.append(f"{tag}: q is not prime")
-        if w.h != h:
-            problems.append(f"{tag}: h={w.h} but h(-{p}) = {h}")
-            continue
-        if g_ok:
+        elif w.h != cn.h:
+            problems.append(f"{tag}: h={w.h} but h(-{p}) = {cn.h}")
+        elif g_ok and choice:
             try:
-                v = compute_v(p, w.q, cert.g)
-                if w.v != v:
-                    problems.append(f"{tag}: v={w.v} but recomputed v = {v}")
+                setup = CyclotomicSetup.create(p, w.q, g=cert.g)
+                ctx = field_from_choice(setup, *choice[1:])
+                want = _witness_record(setup, ctx, cn, cert.field_cap)
             except EigenvanishError as exc:
-                problems.append(f"{tag}: cannot recompute v: {exc}")
-        want_route = ROUTE_FULL if w.q**w.n <= cert.field_cap else ROUTE_ANALYTIC
-        if w.route != want_route:
-            problems.append(f"{tag}: route {w.route!r} but the field cap gives {want_route!r}")
-        if w.n - 2 * w.v != w.h:
-            problems.append(f"{tag}: n - 2v != h")
-        if 4 * w.q**w.h != w.a * w.a + p * w.b * w.b:
-            problems.append(f"{tag}: 4q^h != a^2 + p b^2")
-        if not w.qf_identity_ok:
-            problems.append(f"{tag}: qf_identity_ok is false")
-        if (w.d0 + w.d1, w.d0 - w.d1) != (w.a, w.b):
-            problems.append(f"{tag}: (d0, d1) inconsistent with (a, b)")
-        lead = w.n * pow(w.q, w.v, p) % p
-        if lead * w.a % p != w.a0_mod_p or w.a0_mod_p != p - 1:
-            problems.append(f"{tag}: a0 ≢ -1 mod p")
-        if lead * w.b % p != w.a1_mod_p:
-            problems.append(f"{tag}: a1 ≢ n q^v b mod p")
-        if (w.a0_mod_p * w.a1_mod_p - w.i_mod_p) % p:
-            problems.append(f"{tag}: i ≢ a0*a1 mod p")
-        if (w.i_mod_p % p == 0) != (w.b % p == 0):
-            problems.append(f"{tag}: (i ≡ 0) and (p | b) disagree")
-        if w.b % p:
-            saw_nontrivial_b = True
-    expected = TRIVIAL if saw_nontrivial_b else INCONCLUSIVE
+                problems.append(f"{tag}: cannot recompute the record: {exc}")
+            else:
+                problems.extend(_record_problems(tag, w, want))
+    expected = TRIVIAL if any(w.b % p for w in cert.witnesses) else INCONCLUSIVE
     if cert.verdict != expected:
         problems.append(f"verdict {cert.verdict!r} but witnesses say {expected!r}")
     return problems
@@ -346,29 +295,42 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
+def _int(value) -> int:
+    """A JSON int (not a bool) or a decimal string, as certificate_to_dict writes them."""
+    if type(value) is int or (isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)):
+        return int(value)
+    raise TypeError(f"{value!r} is neither an integer nor a decimal string")
+
+
+def _of(kind: type, value):
+    if not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not a {kind.__name__}")
+    return value
+
+
 def certificate_from_dict(data: dict) -> Certificate:
     try:
         witnesses = tuple(
             WitnessRecord(
-                q=int(w["q"]), n=int(w["n"]), v=int(w["v"]), h=int(w["h"]),
-                d0=int(w["d0"]), d1=int(w["d1"]), a=int(w["a"]), b=int(w["b"]),
-                a0_mod_p=int(w["a0_mod_p"]), a1_mod_p=int(w["a1_mod_p"]),
-                i_mod_p=int(w["i_mod_p"]),
-                qf_identity_ok=bool(w["qf_identity_ok"]),
-                route=str(w.get("route", "unknown")),
+                q=_int(w["q"]), n=_int(w["n"]), v=_int(w["v"]), h=_int(w["h"]),
+                d0=_int(w["d0"]), d1=_int(w["d1"]), a=_int(w["a"]), b=_int(w["b"]),
+                a0_mod_p=_int(w["a0_mod_p"]), a1_mod_p=_int(w["a1_mod_p"]),
+                i_mod_p=_int(w["i_mod_p"]),
+                qf_identity_ok=_of(bool, w["qf_identity_ok"]),
+                route=_of(str, w.get("route", "unknown")),
             )
             for w in data["witnesses"]
         )
         choices = tuple(
-            (int(c["q"]), int(c["modulus"]), int(c["generator"]))
+            (_int(c["q"]), _int(c["modulus"]), _int(c["generator"]))
             for c in data.get("field_choices", [])
         )
         return Certificate(
-            p=int(data["p"]), r=int(data["r"]), verdict=str(data["verdict"]),
-            witnesses=witnesses, g=int(data["g"]),
-            field_cap=int(data["field_cap"]), field_choices=choices,
+            p=_int(data["p"]), r=_int(data["r"]), verdict=_of(str, data["verdict"]),
+            witnesses=witnesses, g=_int(data["g"]),
+            field_cap=_int(data["field_cap"]), field_choices=choices,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # 1e400 parses as inf
+    except (KeyError, TypeError, ValueError) as exc:
         raise BadInput(f"malformed certificate: {exc}") from None
 
 
@@ -421,6 +383,8 @@ def vandiver_scan(
     witness primes, smallest fields first."""
     if p <= 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be an odd prime > 3")
+    if max_witnesses_per_r < 1:
+        raise BadInput(f"max_witnesses_per_r={max_witnesses_per_r} must be at least 1")
     candidates = _witness_fields(p, qbound, field_cap)
     vectors: dict[int, IndexVector] = {}
     scans = []

@@ -35,6 +35,7 @@ from .quadforms import (
     reduced_forms_count,
     represent_all,
     stickelberger_sign,
+    stickelberger_target,
 )
 from .units import (
     TRIVIAL,
@@ -330,7 +331,7 @@ def cmd_stickelberger(args):
     if len(good) == 1:
         absC, absD = good[0]
         sign = stickelberger_sign(p, q, cn.R, absC)
-        tgt = 2 * pow(pow(-q % p, cn.R, p), -1, p) % p
+        tgt = stickelberger_target(p, q, cn.R)
         checks.append(
             _check("sign-congruence", sign is not None,
                    f"2(-q)^-R ≡ {tgt} mod {p}; C = ±{absC}")

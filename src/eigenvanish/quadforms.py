@@ -266,9 +266,14 @@ def find_good_prime(p: int, qbound: int) -> tuple[int, QfSolution, QfSolution]:
     raise NoWitnessFound(f"no represented prime q <= {qbound} for p={p}")
 
 
+def stickelberger_target(p: int, q: int, R: int) -> int:
+    """2(-q)^(-R) mod p, the residue that the signed C must meet."""
+    return 2 * pow(pow(-q % p, R, p), -1, p) % p
+
+
 def stickelberger_sign(p: int, q: int, R: int, C: int) -> int | None:
-    """Which of ±C satisfies C ≡ 2(-q)^(-R) mod p; None if neither."""
-    target = 2 * pow(pow(-q % p, R, p), -1, p) % p
+    """Which of ±C satisfies C ≡ stickelberger_target(p, q, R) mod p; None if neither."""
+    target = stickelberger_target(p, q, R)
     if C % p == target:
         return 1
     if (-C) % p == target:

@@ -1,8 +1,42 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from eigenvanish import CyclotomicSetup, build_field
 
 _acceptance_lines: dict[int, str] = {}
+
+GOLDEN_CERTIFY_P23 = Path(__file__).parent / "golden" / "certify_p23.json"
+
+# values of the wrong JSON type, each at (path in the certificate, value); the
+# first three used to be read as valid ones: 2.9 -> 2, 23.5 -> 23, "false" -> True
+WRONG_TYPES = {
+    "q-float": (("witnesses", 0, "q"), 2.9),
+    "p-float": (("p",), 23.5),
+    "qf-string": (("witnesses", 0, "qf_identity_ok"), "false"),
+    "qf-int": (("witnesses", 0, "qf_identity_ok"), 1),
+    "g-bool": (("g",), True),
+    "b-underscored": (("witnesses", 0, "b"), "-1_0"),
+    "route-int": (("witnesses", 0, "route"), 0),
+    "verdict-list": (("verdict",), ["Trivial"]),
+}
+
+
+def golden_certificate() -> dict:
+    """The certificate that `certify --p 23` writes, as pinned in the golden."""
+    return json.loads(GOLDEN_CERTIFY_P23.read_text())["result"]["certificate"]
+
+
+def forged_golden_certificate(case: str) -> dict:
+    """golden_certificate() with the value of one WRONG_TYPES case swapped in."""
+    data = golden_certificate()
+    path, value = WRONG_TYPES[case]
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
 
 
 def record_acceptance(num: int, ok: bool, detail: str) -> None:

@@ -1,9 +1,11 @@
 import dataclasses
 import json
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import WRONG_TYPES, forged_golden_certificate, golden_certificate
 from sympy import isprime, primerange
 
 from eigenvanish import (
@@ -11,6 +13,7 @@ from eigenvanish import (
     BadInput,
     BadPrime,
     BoundExhausted,
+    Certificate,
     CyclotomicSetup,
     WitnessRecord,
     build_field,
@@ -22,10 +25,17 @@ from eigenvanish import (
     find_primes_of_order,
     multiplicative_order,
     remark_explore,
+    represent_all,
     vandiver_scan,
     verify_certificate,
 )
-from eigenvanish.certify import ROUTE_ANALYTIC, ROUTE_FULL, _prime_orders, _witness_record
+from eigenvanish.certify import (
+    DEFAULT_FIELD_CAP,
+    ROUTE_ANALYTIC,
+    ROUTE_FULL,
+    _prime_orders,
+    _witness_record,
+)
 
 
 def test_find_primes_of_order_goldens():
@@ -125,6 +135,30 @@ def test_certificate_from_dict_rejects_garbage():
         certificate_from_dict(data)
 
 
+def test_golden_certificate_reads_back():
+    data = golden_certificate()
+    assert check_certificate(certificate_from_dict(data)) == []
+    data["witnesses"][0]["q"] = "2"  # a decimal string is as good as a JSON int
+    assert check_certificate(certificate_from_dict(data)) == []
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_certificate_from_dict_rejects_wrong_types(case):
+    with pytest.raises(BadInput):
+        certificate_from_dict(forged_golden_certificate(case))
+
+
+def test_witness_counts_below_one_are_bad_input():
+    for count in (0, -1):
+        with pytest.raises(BadInput):
+            certify_half_plus(7, max_witnesses=count)
+        with pytest.raises(BadInput):
+            vandiver_scan(7, max_witnesses_per_r=count)
+        with pytest.raises(BadInput):
+            find_primes_of_order(7, 3, count, 100)
+    assert len(certify_half_plus(23, max_witnesses=1).witnesses) == 1
+
+
 def test_verify_rejects_tampering():
     cert = certify_half_plus(7)
     assert check_certificate(cert) == []
@@ -207,10 +241,10 @@ def test_verify_rejects_wrong_route(cert7):
 
 
 def test_verify_checks_field_choice_order(cert7):
-    cn = class_number(7)
-    other, other_choice = _witness_record(
-        CyclotomicSetup.create(7, 11), cn.h, cn.R, cert7.field_cap, "numpy"
-    )
+    setup = CyclotomicSetup.create(7, 11)
+    ctx = build_field(setup)
+    other = _witness_record(setup, ctx, class_number(7), cert7.field_cap)
+    other_choice = (11, ctx.modulus_int, ctx.encode(ctx.alpha))
     two = dataclasses.replace(
         cert7,
         witnesses=(other,) + cert7.witnesses,
@@ -280,6 +314,49 @@ def test_verify_rejects_each_tampered_witness_field(cert7, field):
     else:
         bad = value + 1
     assert not verify_certificate(_with_witness(cert7, **{field: bad}))
+
+
+def _single_witness_certificate(p, q):
+    setup = CyclotomicSetup.create(p, q)
+    ctx = build_field(setup)
+    rec = _witness_record(setup, ctx, class_number(p), DEFAULT_FIELD_CAP)
+    verdict = "Trivial" if rec.b % p else "Inconclusive"
+    return Certificate(
+        p=p, r=(p + 1) // 2, verdict=verdict, witnesses=(rec,), g=setup.g,
+        field_cap=DEFAULT_FIELD_CAP,
+        field_choices=((q, ctx.modulus_int, ctx.encode(ctx.alpha)),),
+    )
+
+
+# (23, 71) and (31, 1051) have i ≡ 0, so only the record's rule b >= 0 fixes b's sign
+SIGNED_REP_CASES = (
+    [pytest.param(partial(certify_half_plus, p), id=f"certify-{p}")
+     for p in (19, 23, 31, 43, 47, 59)]
+    + [pytest.param(partial(_single_witness_certificate, p, q), id=f"{p}-{q}")
+       for p, q in ((23, 71), (31, 1051))]
+)
+
+
+@pytest.mark.parametrize("make", SIGNED_REP_CASES)
+def test_verify_rejects_every_other_signed_representation(make):
+    cert = make()
+    assert check_certificate(cert) == []
+    p = cert.p
+    for k, w in enumerate(cert.witnesses):
+        lead = w.n * pow(w.q, w.v, p) % p
+        signed = {
+            (sx * x, sy * y)
+            for x, y in represent_all(p, 4 * w.q**w.h)
+            for sx in (1, -1) for sy in (1, -1)
+        }
+        assert (w.a, w.b) in signed
+        for a, b in signed - {(w.a, w.b)}:
+            forged = dataclasses.replace(
+                w, a=a, b=b, d0=(a + b) // 2, d1=(a - b) // 2, a1_mod_p=lead * b % p
+            )
+            witnesses = cert.witnesses[:k] + (forged,) + cert.witnesses[k + 1:]
+            problems = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
+            assert problems, (p, w.q, a, b)
 
 
 ROUND_TRIP_CASES = [

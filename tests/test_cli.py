@@ -3,6 +3,7 @@ import json
 from pathlib import Path
 
 import pytest
+from conftest import WRONG_TYPES, forged_golden_certificate
 
 from eigenvanish import cli
 from eigenvanish.cli import SCHEMA, build_parser, main
@@ -102,6 +103,26 @@ def test_verify_malformed_document_exits_1(capsys, tmp_path, payload):
     assert code == 1
     assert report["error"]["type"] == "BadInput"
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_verify_wrong_types_exit_1(capsys, tmp_path, case):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(forged_golden_certificate(case)))
+    code, report, err = run(capsys, "verify", str(path), "--json")
+    assert code == 1
+    assert report["error"]["type"] == "BadInput"
+    assert err.startswith("error: malformed certificate: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--p", "7", "--max-witnesses", "0"],
+    ["vandiver", "--p", "7", "--max-witnesses", "-1"],
+], ids=["certify-0", "vandiver-minus-1"])
+def test_witness_count_below_one_exits_1(capsys, argv):
+    code, report, err = run(capsys, *argv, "--json")
+    assert code == 1
+    assert report["error"]["type"] == "BadInput"
 
 
 @pytest.mark.parametrize("argv", [
