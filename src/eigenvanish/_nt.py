@@ -24,7 +24,6 @@ from math import gcd, isqrt, log2
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_EXACT_BELOW = 3317044064679887385961981
 _RHO_BUDGET = 1 << 20  # rho iterations per cofactor, over all constants
-_RHO_BATCH = 128  # differences multiplied together per gcd
 
 
 def prime_sieve(limit: int) -> bytearray:
@@ -90,30 +89,20 @@ def is_prime(n: int) -> bool:
 
 def _rho(n: int) -> int | None:
     """A proper factor of the odd composite n by Pollard-Brent rho on
-    y -> y^2 + c, c = 1, 2, ...; None when the budget runs out."""
+    y -> y^2 + c, c = 1, 2, ..., one gcd per step; None when the budget runs out."""
     spent, c = 0, 0
     while spent < _RHO_BUDGET:
         c += 1
-        y, r, acc, g = 2, 1, 1, 1
+        y, r, g = 2, 1, 1
         while g == 1 and spent < _RHO_BUDGET:
-            x = y
+            x = y  # compared with the next r terms, then moved on to the last
             for _ in range(r):
                 y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(_RHO_BATCH, r - k)):
-                    y = (y * y + c) % n
-                    acc = acc * (x - y) % n
-                g = gcd(acc, n)
-                k += _RHO_BATCH
-            spent += 2 * r
+                g = gcd(x - y, n)
+                if g != 1:
+                    break
+            spent += r
             r *= 2
-        if g == n:  # the batch overshot: step through it one term at a time
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
         if 1 < g < n:
             return g
     return None

@@ -31,12 +31,15 @@ from .ffield import (
     CyclotomicSetup,
     FieldContext,
     build_field,
+    check_modulus_length,
     field_from_choice,
     multiplicative_order,
+    order_dividing,
 )
 from .periods import compute_period_table, compute_v
 from .quadforms import ClassNumberData, class_number, represent_all
 from .units import TRIVIAL, UNKNOWN, IndexVector, index_mod_p, index_vector, verdict
+from .units import verify_identity_i
 
 DEFAULT_FIELD_CAP = 1 << 27
 DEFAULT_QBOUND = 10_000
@@ -51,12 +54,8 @@ def _prime_orders(p: int, qbound: int):
     """(q, ord_p(q)) for each prime q <= qbound but the prime p, factoring p - 1 once."""
     ells = factor(p - 1)
     for q in primes_upto(qbound):
-        order = p - 1
-        for ell in ells:
-            while order % ell == 0 and pow(q, order // ell, p) == 1:
-                order //= ell
         if q != p:
-            yield q, order
+            yield q, order_dividing(q, p, p - 1, ells)
 
 
 def _primes_of_order(p: int, n: int, qbound: int):
@@ -106,6 +105,10 @@ class Certificate:
     field_cap: int
     # (q, modulus encoding, generator encoding) per witness, little-endian base q
     field_choices: tuple[tuple[int, int, int], ...] = field(default=())
+
+
+def _verdict(p: int, witnesses) -> str:
+    return TRIVIAL if any(w.b % p for w in witnesses) else INCONCLUSIVE
 
 
 def _witness_record(
@@ -188,7 +191,7 @@ def certify_half_plus(
     if not records:
         raise BoundExhausted(f"no primes of order {n} mod {p} below {qbound}")
     return Certificate(
-        p=p, r=(p + 1) // 2, verdict=TRIVIAL if records[-1].b % p else INCONCLUSIVE,
+        p=p, r=(p + 1) // 2, verdict=_verdict(p, records),
         witnesses=tuple(records), g=setup.g, field_cap=field_cap,
         field_choices=tuple(choices),
     )
@@ -210,7 +213,7 @@ def check_certificate(cert: Certificate) -> list[str]:
     that made it, and compare it with the stored one field by field; also
     check p, r, the verdict, h(-p), g and each q. The stored modulus and
     generator are checked (irreducible, primitive), not searched for again;
-    returns the problems found."""
+    h(-p) waits for a modulus long enough for degree (p-1)/2. Returns problems."""
     problems: list[str] = []
     p = cert.p
     if p <= 3 or p % 4 != 3 or not is_prime(p):
@@ -219,22 +222,19 @@ def check_certificate(cert: Certificate) -> list[str]:
         problems.append(f"r={cert.r} is not (p+1)/2")
     if cert.verdict not in (TRIVIAL, INCONCLUSIVE):
         problems.append(f"unknown verdict {cert.verdict!r}")
-    if cert.verdict == TRIVIAL and not cert.witnesses:
-        problems.append("Trivial verdict with no witnesses")
+    if not cert.witnesses:
+        problems.append("the certificate has no witnesses")
     choices = cert.field_choices
     if [c[0] for c in choices] != [w.q for w in cert.witnesses]:
         problems.append("field_choices do not list the witnesses' q in order")
         choices = (None,) * len(cert.witnesses)
-    try:
-        cn = class_number(p)
-    except EigenvanishError as exc:
-        return problems + [f"cannot recompute h(-{p}): {exc}"]
     try:
         g_ok = multiplicative_order(cert.g, p) == p - 1
     except EigenvanishError:
         g_ok = False
     if not g_ok:
         problems.append(f"g={cert.g} is not a primitive root mod {p}")
+    cn = None
     for w, choice in zip(cert.witnesses, choices):
         tag = f"witness q={w.q}"
         try:
@@ -245,18 +245,20 @@ def check_certificate(cert: Certificate) -> list[str]:
             problems.append(f"{tag}: order mismatch")
         elif not is_prime(w.q):
             problems.append(f"{tag}: q is not prime")
-        elif w.h != cn.h:
-            problems.append(f"{tag}: h={w.h} but h(-{p}) = {cn.h}")
-        elif g_ok and choice:
+        elif choice:
             try:
-                setup = CyclotomicSetup.create(p, w.q, g=cert.g)
-                ctx = field_from_choice(setup, *choice[1:])
-                want = _witness_record(setup, ctx, cn, cert.field_cap)
+                check_modulus_length(w.q, order, choice[1])
+                cn = cn or class_number(p)
+                if w.h != cn.h:
+                    problems.append(f"{tag}: h={w.h} but h(-{p}) = {cn.h}")
+                elif g_ok:
+                    setup = CyclotomicSetup.create(p, w.q, g=cert.g)
+                    ctx = field_from_choice(setup, *choice[1:])
+                    want = _witness_record(setup, ctx, cn, cert.field_cap)
+                    problems.extend(_record_problems(tag, w, want))
             except EigenvanishError as exc:
                 problems.append(f"{tag}: cannot recompute the record: {exc}")
-            else:
-                problems.extend(_record_problems(tag, w, want))
-    expected = TRIVIAL if any(w.b % p for w in cert.witnesses) else INCONCLUSIVE
+    expected = _verdict(p, cert.witnesses)
     if cert.verdict != expected:
         problems.append(f"verdict {cert.verdict!r} but witnesses say {expected!r}")
     return problems
@@ -447,7 +449,6 @@ def remark_explore(
     qbound: int = DEFAULT_QBOUND,
     field_cap: int = DEFAULT_FIELD_CAP,
     g: int | None = None,
-    backend: str = "numpy",
 ) -> ExploreReport:
     """Order-(p-1)/4 and order-(p-1)/6 analogues of the witness identity:
     e^2 q^(n-2v) = (Σd)^2 + p(e Σd^2 - (Σd)^2), plus the index at the
@@ -465,13 +466,12 @@ def remark_explore(
         if q**n > field_cap:
             continue
         setup = CyclotomicSetup.create(p, q, g=g)
-        ctx = build_field(setup, cap=field_cap)
-        table = compute_period_table(ctx, setup, backend=backend)
+        ctx = build_field(setup)
+        table = compute_period_table(ctx, setup)
         s1 = sum(table.d)
-        s2 = sum(x * x for x in table.d)
-        spread = e * s2 - s1 * s1
-        lhs = e * e * q ** (n - 2 * table.v)
+        spread = e * sum(x * x for x in table.d) - s1 * s1
         rhs = s1 * s1 + p * spread
+        lhs = rhs + verify_identity_i(setup, table)
         if lhs != rhs:
             raise InternalInvariant(f"identity fails for p={p}, q={q}: {lhs} != {rhs}")
         i_val = index_mod_p(ctx, setup, r)

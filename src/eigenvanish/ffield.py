@@ -36,6 +36,7 @@ from .errors import (
 # Primitivity certification refuses composite cofactors above this size; at
 # supported field sizes the cyclotomic split keeps pieces far below it.
 _FACTOR_DIGIT_LIMIT = 80
+_NOT_MONIC = "modulus {} does not encode a monic polynomial of degree {}"
 
 
 def multiplicative_order(a: int, m: int) -> int:
@@ -45,15 +46,18 @@ def multiplicative_order(a: int, m: int) -> int:
     a %= m
     if gcd(a, m) != 1:
         raise NotCoprime(f"gcd({a}, {m}) != 1")
-    # group exponent divides phi(m); strip each prime as far as possible
     phi = 1
     for prime, mult in factor(m).items():
         phi *= (prime - 1) * prime ** (mult - 1)
-    order = phi
-    for prime in factor(phi):
-        while order % prime == 0 and pow(a, order // prime, m) == 1:
-            order //= prime
-    return order
+    return order_dividing(a, m, phi, factor(phi))
+
+
+def order_dividing(a: int, m: int, exponent: int, primes) -> int:
+    """ord_m(a), given a^exponent ≡ 1 mod m: strip each of exponent's primes in turn."""
+    for prime in primes:
+        while exponent % prime == 0 and pow(a, exponent // prime, m) == 1:
+            exponent //= prime
+    return exponent
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,7 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     q, n = setup.q, setup.n
     size = q**n
     if not size <= modulus < 2 * size:
-        raise BadInput(f"modulus {modulus} does not encode a monic polynomial of degree {n}")
+        raise BadInput(_NOT_MONIC.format(modulus, n))
     if not 0 < generator < size:
         raise BadInput(f"generator {generator} does not encode a nonzero element of F_{size}")
     coeffs = _int_to_coeffs(modulus - size, n, q)
@@ -331,6 +335,13 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     if not _is_primitive(alpha, coeffs, q, _group_order_primes(q, n)):
         raise BadInput(f"generator {generator} is not a primitive element")
     return _field_context(setup, coeffs, alpha)
+
+
+def check_modulus_length(q: int, n: int, modulus: int) -> None:
+    """Refuse, from bit lengths alone, a modulus below 2^(n(b-1)) <= q^n (b the
+    bit length of q): it cannot encode a monic polynomial of degree n over F_q."""
+    if modulus.bit_length() <= n * (q.bit_length() - 1):
+        raise BadInput(_NOT_MONIC.format(modulus, n))
 
 
 def _is_primitive(x, modulus, q: int, primes) -> bool:
@@ -370,14 +381,12 @@ def trace(ctx: FieldContext, x) -> int:
 
 def dlog_order_p(ctx: FieldContext, y, p: int) -> int:
     """Discrete log of y in the order-p subgroup <zeta>: the k with zeta^k = y."""
-    if ctx.pow(y, p) != ctx.one:
-        raise NotInSubgroup("element is not a p-th root of unity")
     z = ctx.one
     for k in range(p):
         if z == y:
             return k
         z = ctx.mul(z, ctx.zeta)
-    raise NotInSubgroup("p-th root of unity outside <zeta>")  # unreachable
+    raise NotInSubgroup("element is not a p-th root of unity")
 
 
 def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int, ...]]:

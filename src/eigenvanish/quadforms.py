@@ -50,21 +50,17 @@ class ClassNumberData:
 
 
 def class_number(p: int) -> ClassNumberData:
-    """h(-p) = V - R from residue/nonresidue sums over the full range [1, p-1]."""
+    """h(-p) = V - R, where pR sums the quadratic residues x^2 mod p for
+    1 <= x <= (p-1)/2 and pV the nonresidues, so that V = (p-1)/2 - R."""
     if p <= 3 or p % 4 != 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be a prime ≡ 3 mod 4, p > 3")
-    res_sum = 0
-    nonres_sum = 0
-    for x in range(1, p):
-        if legendre(x, p) == 1:
-            res_sum += x
-        else:
-            nonres_sum += x
-    if res_sum % p or nonres_sum % p:
-        raise InternalInvariant("residue sums not divisible by p")
-    R, V = res_sum // p, nonres_sum // p
-    if V + R != (p - 1) // 2:
-        raise InternalInvariant("V + R != (p-1)/2")
+    half = (p - 1) // 2
+    residues = {x * x % p for x in range(1, half + 1)}
+    res_sum = sum(residues)
+    if len(residues) != half or res_sum % p:
+        raise InternalInvariant("the squares mod p are not (p-1)/2 residues summing to 0 mod p")
+    R = res_sum // p
+    V = half - R
     h = V - R
     if h < 1 or h % 2 == 0:
         raise InternalInvariant(f"h = {h} is not a positive odd integer")

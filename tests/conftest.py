@@ -39,6 +39,20 @@ def forged_golden_certificate(case: str) -> dict:
     return data
 
 
+def unencodable_certificates(p: int, q: int = 2, modulus: str = "999") -> dict:
+    """Two certificate documents for p whose checks must not cost O(p): one
+    with no witnesses, and one whose only witness q stores `modulus` (too
+    short to encode F_{q^((p-1)/2)} once p is large)."""
+    empty = {"p": p, "r": (p + 1) // 2, "verdict": "Inconclusive", "witnesses": [],
+             "g": 5, "field_cap": 1 << 27}
+    witness = {"q": q, "n": (p - 1) // 2, "v": 0, "h": 1, "d0": "1", "d1": "0",
+               "a": "1", "b": "1", "a0_mod_p": p - 1, "a1_mod_p": 0, "i_mod_p": 0,
+               "qf_identity_ok": True, "route": "forms+index"}
+    one = dict(empty, witnesses=[witness],
+               field_choices=[{"q": q, "modulus": modulus, "generator": "2"}])
+    return {"no-witnesses": empty, "short-modulus": one}
+
+
 def record_acceptance(num: int, ok: bool, detail: str) -> None:
     """Collect one pass/fail line per acceptance criterion; printed in the
     terminal summary so the verdicts survive output capturing."""

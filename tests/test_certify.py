@@ -1,12 +1,18 @@
 import dataclasses
 import json
+import time
 from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from conftest import WRONG_TYPES, forged_golden_certificate, golden_certificate
-from sympy import isprime, primerange
+from conftest import (
+    WRONG_TYPES,
+    forged_golden_certificate,
+    golden_certificate,
+    unencodable_certificates,
+)
+from sympy import isprime, nextprime, primerange
 
 from eigenvanish import (
     BadEigenspaceIndex,
@@ -34,6 +40,7 @@ from eigenvanish.certify import (
     ROUTE_ANALYTIC,
     ROUTE_FULL,
     _prime_orders,
+    _primes_of_order,
     _witness_record,
 )
 
@@ -179,6 +186,43 @@ def test_verify_rejects_empty_trivial():
     assert not verify_certificate(bad)
     problems = check_certificate(bad)
     assert problems
+
+
+def _timed_problems(data):
+    start = time.process_time()
+    problems = check_certificate(certificate_from_dict(data))
+    return problems, time.process_time() - start
+
+
+@pytest.mark.parametrize("kind", ["no-witnesses", "short-modulus"])
+def test_verify_cost_is_bounded_by_the_document(kind):
+    # p = 10^9 + 7: h(-p) alone would take minutes; 2 has order (p-1)/2, so
+    # the short modulus is the first thing the witness fails on
+    problems, cpu = _timed_problems(unencodable_certificates(1_000_000_007)[kind])
+    want = "no witnesses" if kind == "no-witnesses" else "does not encode a monic"
+    assert any(want in msg for msg in problems), problems
+    assert cpu < 1.0
+
+
+@st.composite
+def _primes_3_mod_4(draw):
+    p = nextprime(draw(st.integers(6, 10**12)))
+    while p % 4 != 3:
+        p = nextprime(p)
+    return int(p)
+
+
+@settings(max_examples=30, deadline=None)
+@given(p=_primes_3_mod_4(), kind=st.sampled_from(["no-witnesses", "short-modulus"]))
+def test_verify_cost_on_large_p(p, kind):
+    q = next(_primes_of_order(p, (p - 1) // 2, 1000), None)
+    problems, cpu = _timed_problems(unencodable_certificates(p, q or 2, modulus="7")[kind])
+    if kind == "no-witnesses":
+        assert "the certificate has no witnesses" in problems
+    elif q is not None:  # 7 is too short for any degree (p-1)/2 >= 3
+        assert any("does not encode a monic" in msg for msg in problems), problems
+    assert problems
+    assert cpu < 1.0
 
 
 def test_verify_rejects_wrong_verdict():

@@ -1,9 +1,10 @@
 import argparse
 import json
+import time
 from pathlib import Path
 
 import pytest
-from conftest import WRONG_TYPES, forged_golden_certificate
+from conftest import WRONG_TYPES, forged_golden_certificate, unencodable_certificates
 
 from eigenvanish import cli
 from eigenvanish.cli import SCHEMA, build_parser, main
@@ -103,6 +104,17 @@ def test_verify_malformed_document_exits_1(capsys, tmp_path, payload):
     assert code == 1
     assert report["error"]["type"] == "BadInput"
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("kind", ["no-witnesses", "short-modulus"])
+def test_verify_large_p_exits_2_quickly(capsys, tmp_path, kind):
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(unencodable_certificates(1_000_000_007)[kind]))
+    start = time.process_time()
+    code, report, err = run(capsys, "verify", str(path), "--json")
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert report["result"]["problems"]
 
 
 @pytest.mark.parametrize("case", sorted(WRONG_TYPES))

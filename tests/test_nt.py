@@ -131,6 +131,24 @@ def test_factor_matches_sympy(n):
     assert _nt.factor(n) == factorint(n)
 
 
+PRIMES_NEAR_2_20 = tuple(primerange((1 << 20) - 120, (1 << 20) + 120))
+
+
+def test_rho_splits_products_of_two_primes_near_2_20():
+    # factor hands rho the cofactors left after trial division; in certify
+    # they are about 40 bits, two primes near 2^20
+    assert len(PRIMES_NEAR_2_20) >= 10
+    for i, a in enumerate(PRIMES_NEAR_2_20):
+        for b in PRIMES_NEAR_2_20[i + 1:]:
+            d = _nt._rho(a * b)
+            assert d in (a, b), (a, b, d)
+
+
+def test_rho_returns_none_when_the_budget_runs_out(monkeypatch):
+    monkeypatch.setattr(_nt, "_RHO_BUDGET", 4)
+    assert _nt._rho(999983 * 1000003) is None
+
+
 def test_factor_hands_an_unsplit_cofactor_to_sympy(monkeypatch, fallbacks):
     monkeypatch.setattr(_nt, "_RHO_BUDGET", 4)
     n = 12 * 999983 * 1000003

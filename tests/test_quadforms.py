@@ -59,6 +59,28 @@ def test_class_number_goldens(p, h):
     assert data.h % 2 == 1
 
 
+def euler_class_number(p):
+    """(R, V, h) from the residue and nonresidue sums over [1, p-1], each x
+    classed by Euler's criterion: the loop `class_number` used to run, kept
+    as its oracle."""
+    res_sum = nonres_sum = 0
+    for x in range(1, p):
+        if legendre(x, p) == 1:
+            res_sum += x
+        else:
+            nonres_sum += x
+    assert res_sum % p == 0 and nonres_sum % p == 0
+    R, V = res_sum // p, nonres_sum // p
+    return R, V, V - R
+
+
+def test_class_number_matches_euler_sums():
+    for p in primerange(7, 3000):
+        if p % 4 == 3:
+            data = class_number(p)
+            assert (data.R, data.V, data.h) == euler_class_number(p), p
+
+
 def test_class_number_guards():
     with pytest.raises(BadPrime):
         class_number(13)  # 13 ≡ 1 mod 4
