@@ -159,7 +159,6 @@ def certify_half_plus(
     qbound: int = DEFAULT_QBOUND,
     field_cap: int = DEFAULT_FIELD_CAP,
     g: int | None = None,
-    backend: str = "numpy",
 ) -> Certificate:
     """Run witnesses of order (p-1)/2 until one shows p ∤ b (verdict Trivial).
     A witness whose field fits under the cap also has its periods scanned
@@ -177,7 +176,7 @@ def certify_half_plus(
         ctx = build_field(setup)
         rec = _witness_record(setup, ctx, cn, field_cap)
         if rec.route == ROUTE_FULL:
-            table = compute_period_table(ctx, setup, backend=backend)
+            table = compute_period_table(ctx, setup)
             if table.d != (rec.d0, rec.d1):
                 raise InternalInvariant(
                     f"period route d={table.d} disagrees with form route {(rec.d0, rec.d1)}"
@@ -212,12 +211,15 @@ def check_certificate(cert: Certificate) -> list[str]:
     """Recompute every witness record in its stored field, with the function
     that made it, and compare it with the stored one field by field; also
     check p, r, the verdict, h(-p), g and each q. The stored modulus and
-    generator are checked (irreducible, primitive), not searched for again;
-    h(-p) waits for a modulus long enough for degree (p-1)/2. Returns problems."""
+    generator are checked (irreducible, primitive), not searched for again.
+    Before a witness's modulus is long enough for degree n = (p-1)/2, only
+    checks that factor nothing run (q prime, q^n ≡ 1 mod p); the orders of
+    q and g, which factor p - 1, and h(-p) wait for it. Returns problems."""
     problems: list[str] = []
     p = cert.p
     if p <= 3 or p % 4 != 3 or not is_prime(p):
         return [f"p={p} is not a prime ≡ 3 mod 4 above 3"]
+    n = (p - 1) // 2
     if cert.r != (p + 1) // 2:
         problems.append(f"r={cert.r} is not (p+1)/2")
     if cert.verdict not in (TRIVIAL, INCONCLUSIVE):
@@ -228,26 +230,23 @@ def check_certificate(cert: Certificate) -> list[str]:
     if [c[0] for c in choices] != [w.q for w in cert.witnesses]:
         problems.append("field_choices do not list the witnesses' q in order")
         choices = (None,) * len(cert.witnesses)
-    try:
-        g_ok = multiplicative_order(cert.g, p) == p - 1
-    except EigenvanishError:
-        g_ok = False
-    if not g_ok:
-        problems.append(f"g={cert.g} is not a primitive root mod {p}")
-    cn = None
+    g_ok = cn = None
     for w, choice in zip(cert.witnesses, choices):
         tag = f"witness q={w.q}"
-        try:
-            order = multiplicative_order(w.q, p)
-        except EigenvanishError:
-            order = None
-        if order != (p - 1) // 2:
+        if gcd(w.q, p) != 1 or pow(w.q, n, p) != 1:
             problems.append(f"{tag}: order mismatch")
         elif not is_prime(w.q):
             problems.append(f"{tag}: q is not prime")
         elif choice:
             try:
-                check_modulus_length(w.q, order, choice[1])
+                check_modulus_length(w.q, n, choice[1])  # p is bounded from here on
+                if multiplicative_order(w.q, p) != n:
+                    problems.append(f"{tag}: order mismatch")
+                    continue
+                if g_ok is None:
+                    g_ok = gcd(cert.g, p) == 1 and multiplicative_order(cert.g, p) == p - 1
+                    if not g_ok:
+                        problems.append(f"g={cert.g} is not a primitive root mod {p}")
                 cn = cn or class_number(p)
                 if w.h != cn.h:
                     problems.append(f"{tag}: h={w.h} but h(-{p}) = {cn.h}")

@@ -120,7 +120,7 @@ def cmd_periods(args):
         "a": [str(x) for x in table.a],
     }
     if args.full:
-        result["eta_counts"] = [[str(c) for c in x.counts] for x in table.eta]
+        result["eta_counts"] = [[str(c) for c in row] for row in table.counts]
     checks = [
         _check("eta-count-sums", True, f"every eta holds f={setup.f} terms"),
         _check("eta-rational", True, "all periods are rational integers"),

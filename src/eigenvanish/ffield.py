@@ -227,18 +227,15 @@ def _is_irreducible(coeffs, q: int) -> bool:
 
 
 def _group_order_primes(q: int, n: int) -> list[int]:
-    """Prime factors of q^n - 1, split along cyclotomic polynomial values."""
-    primes: set[int] = set()
-    for d in range(1, n + 1):
-        if n % d:
-            continue
-        piece = cyclotomic_value(d, q)
+    """Prime factors of q^n - 1, split along cyclotomic polynomial values.
+    Every piece's size is checked before any piece is factored."""
+    pieces = [cyclotomic_value(d, q) for d in range(1, n + 1) if n % d == 0]
+    for piece in pieces:
         if len(str(piece)) > _FACTOR_DIGIT_LIMIT and not is_prime(piece):
             raise FactorizationFailure(
                 f"cofactor of q^n - 1 too large to certify primitivity ({len(str(piece))} digits)"
             )
-        primes.update(factor(piece))
-    return sorted(primes)
+    return sorted({prime for piece in pieces for prime in factor(piece)})
 
 
 @dataclass(frozen=True)
@@ -294,6 +291,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     size = q**n
     if cap is not None and size > cap:
         raise FieldTooLarge(f"q^n = {size} exceeds cap {cap}")
+    factors = _group_order_primes(q, n)  # refuses an uncertifiable q^n - 1 first
 
     modulus = None
     for k in range(size):
@@ -304,7 +302,6 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     if modulus is None:
         raise InternalInvariant("no irreducible polynomial found")
 
-    factors = _group_order_primes(q, n)
     alpha = None
     for k in range(q, size):  # constants are never primitive for n >= 2
         cand = _int_to_coeffs(k, n, q)

@@ -1,9 +1,10 @@
 """Gaussian periods, the valuation v, and the derived integer sequences d and a.
 
 For m in [0, p): eta_m = sum over k ≡ m (mod p), k < q^n - 1, of zeta_q^Tr(alpha^k),
-held as a count vector over the q-th roots of unity. Every eta_m here is a
-rational integer; v is the minimal coset digit-sum valuation; d_i are the
-scaled period differences and a_k their exact character-twisted sums.
+counted as a row over the q-th roots of unity. Every eta_m here is a rational
+integer, so each row has equal entries off trace 0. v is the minimal coset
+digit-sum valuation; d_i are the scaled period differences and a_k their
+exact character-twisted sums.
 """
 
 from dataclasses import dataclass
@@ -14,50 +15,15 @@ from ._scan import scan_counts
 
 
 @dataclass(frozen=True)
-class CycIntQ:
-    """Integer combination sum_t counts[t] * zeta_q^t.
-
-    Since the q-th roots of unity sum to zero, equality ignores addition of a
-    constant to every count.
-    """
-
-    counts: tuple[int, ...]
-
-    def normalized(self) -> tuple[int, ...]:
-        base = min(self.counts)
-        return tuple(c - base for c in self.counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycIntQ):
-            return NotImplemented
-        return self.normalized() == other.normalized()
-
-    def __hash__(self):
-        return hash(self.normalized())
-
-    @property
-    def is_rational(self) -> bool:
-        tail = self.counts[1:]
-        return all(c == tail[0] for c in tail) if tail else True
-
-    @property
-    def rational_value(self) -> int:
-        if not self.is_rational:
-            raise NonIntegralPeriod(f"counts {self.counts} are not Galois-fixed")
-        return self.counts[0] - (self.counts[1] if len(self.counts) > 1 else 0)
-
-
-@dataclass(frozen=True)
 class PeriodTable:
-    setup: CyclotomicSetup
-    eta: tuple[CycIntQ, ...]
+    """counts[m][t] is how many k ≡ m (mod p), k < q^n - 1, have Tr(alpha^k) = t;
+    eta_values[m] = counts[m][0] - counts[m][1], the integer eta_m."""
+
+    counts: tuple[tuple[int, ...], ...]
+    eta_values: tuple[int, ...]
     v: int
     d: tuple[int, ...]
     a: tuple[int, ...]
-
-    @property
-    def eta_values(self) -> tuple[int, ...]:
-        return tuple(x.rational_value for x in self.eta)
 
 
 def compute_v(p: int, q: int, g: int) -> int:
@@ -101,16 +67,14 @@ def compute_period_table(
     p, q, f = setup.p, setup.q, setup.f
     rec, seed = generator_recurrence(ctx)
     counts = scan_counts(rec, seed, ctx.order, p, q, backend=backend)
-
-    eta = []
-    for m in range(p):
-        row = CycIntQ(tuple(int(c) for c in counts[m]))
-        if sum(row.counts) != f:
-            raise InternalInvariant(f"eta_{m} count total {sum(row.counts)} != f = {f}")
-        if not row.is_rational:
-            raise NonIntegralPeriod(f"eta_{m} counts {row.counts} not Galois-fixed")
-        eta.append(row)
-    values = [x.rational_value for x in eta]
+    rows = tuple(tuple(int(c) for c in row) for row in counts)
+    values = []
+    for m, row in enumerate(rows):
+        if sum(row) != f:
+            raise InternalInvariant(f"eta_{m} count total {sum(row)} != f = {f}")
+        if any(c != row[1] for c in row[2:]):
+            raise NonIntegralPeriod(f"eta_{m} counts {row} not Galois-fixed")
+        values.append(row[0] - row[1])
     if sum(values) != -1:
         raise InternalInvariant(f"sum of periods is {sum(values)}, expected -1")
     if any((val - f) % q for val in values):
@@ -121,4 +85,4 @@ def compute_period_table(
         raise InternalInvariant(f"n - 2v = {setup.n - 2 * v} < 0")
     d = compute_d(setup, values, v)
     a = compute_a(setup, d, v)
-    return PeriodTable(setup=setup, eta=tuple(eta), v=v, d=d, a=a)
+    return PeriodTable(counts=rows, eta_values=tuple(values), v=v, d=d, a=a)

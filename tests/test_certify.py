@@ -194,11 +194,23 @@ def _timed_problems(data):
     return problems, time.process_time() - start
 
 
-@pytest.mark.parametrize("kind", ["no-witnesses", "short-modulus"])
-def test_verify_cost_is_bounded_by_the_document(kind):
-    # p = 10^9 + 7: h(-p) alone would take minutes; 2 has order (p-1)/2, so
-    # the short modulus is the first thing the witness fails on
-    problems, cpu = _timed_problems(unencodable_certificates(1_000_000_007)[kind])
+# p - 1 = 2 * P1 * P2 with P1 ≈ 10^27 and P2 ≈ 7 * 10^30 prime: factoring it
+# runs past rho's budget into sympy for far longer than a second
+P59 = 14000000000000000000000173324954000000000000000000234631567
+
+
+@pytest.mark.parametrize("p, kind, modulus", [
+    pytest.param(1_000_000_007, "no-witnesses", "999", id="no-witnesses"),
+    pytest.param(1_000_000_007, "short-modulus", "999", id="short-modulus"),
+    pytest.param(P59, "no-witnesses", "999", id="p59-no-witnesses"),
+    pytest.param(P59, "short-modulus", "7", id="p59-short-modulus"),
+])
+def test_verify_cost_is_bounded_by_the_document(p, kind, modulus):
+    # p = 10^9 + 7: h(-p) alone would take minutes. 2 has order (p-1)/2 mod
+    # 10^9 + 7 and 2^((p-1)/2) ≡ 1 mod P59, so the short modulus is the first
+    # thing the witness fails on; the orders of 2 and g, which factor p - 1,
+    # are never taken
+    problems, cpu = _timed_problems(unencodable_certificates(p, modulus=modulus)[kind])
     want = "no witnesses" if kind == "no-witnesses" else "does not encode a monic"
     assert any(want in msg for msg in problems), problems
     assert cpu < 1.0

@@ -4,6 +4,7 @@ path it buys: the CLI loads neither sympy nor numpy unless a case needs them."""
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,20 @@ def test_group_order_refusal_is_unchanged():
         _group_order_primes(2, 271)
     assert str(err.value) == (
         "cofactor of q^n - 1 too large to certify primitivity (82 digits)"
+    )
+
+
+@pytest.mark.parametrize("p, digits", [(163, 88), (223, 93)])
+def test_certify_refuses_an_oversized_piece_first(p, digits):
+    # Phi_81(41) and Phi_111(19): every piece's size is checked before the
+    # modulus search and before any piece is factored (a 44-digit cofactor
+    # of Phi_37(19) for p = 223), so the refusal costs no search or factoring
+    start = time.process_time()
+    with pytest.raises(FactorizationFailure) as err:
+        certify_half_plus(p)
+    assert time.process_time() - start < 0.5
+    assert str(err.value) == (
+        f"cofactor of q^n - 1 too large to certify primitivity ({digits} digits)"
     )
 
 

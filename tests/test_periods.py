@@ -3,13 +3,16 @@ from fractions import Fraction
 import pytest
 
 from eigenvanish import (
-    CycIntQ,
     CyclotomicSetup,
+    InternalInvariant,
+    NonIntegralPeriod,
     build_field,
     compute_period_table,
     compute_v,
+    periods,
     trace,
 )
+from eigenvanish._scan import scan_counts
 
 
 def period_counts_by_walk(setup, ctx):
@@ -53,29 +56,51 @@ def test_counts_match_element_walk(pq):
     table = compute_period_table(ctx, setup)
     walked = period_counts_by_walk(setup, ctx)
     for m in range(setup.p):
-        assert list(table.eta[m].counts) == walked[m]
+        assert list(table.counts[m]) == walked[m]
 
 
 def test_eta_invariants(f27):
     setup, ctx = f27
     table = compute_period_table(ctx, setup)
-    for eta in table.eta:
-        assert sum(eta.counts) == setup.f
-        assert eta.is_rational
-        assert eta.rational_value % setup.q == setup.f % setup.q
+    for row, eta in zip(table.counts, table.eta_values):
+        assert sum(row) == setup.f
+        assert row[1] == row[2]
+        assert eta == row[0] - row[1]
+        assert eta % setup.q == setup.f % setup.q
 
 
-def test_cycintq_shift_equality():
-    a = CycIntQ((3, 1, 1))
-    b = CycIntQ((5, 3, 3))  # a + 2*(1+z+z^2), same element since 1+z+z^2 = 0
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != CycIntQ((3, 1, 2))
+def _forge(m, row):
+    """scan_counts with row m of its result replaced by `row`."""
+    def scan(*args, **kwargs):
+        counts = [list(r) for r in scan_counts(*args, **kwargs)]
+        counts[m] = list(row)
+        return counts
+    return scan
 
 
-def test_cycintq_rational():
-    assert CycIntQ((4, 1, 1)).rational_value == 3
-    assert not CycIntQ((0, 1, 2)).is_rational
+# F_8 = (7, 2, f = 1) has rows (0, 1) and (1, 0), eta = -1 and 1; F_27 =
+# (13, 3, f = 2) has rows (2, 0, 0) and (0, 1, 1), eta = 2 and -1
+FORGED_ROWS = [
+    pytest.param("f27", 1, (0, 2, 0), NonIntegralPeriod,
+                 "eta_1 counts (0, 2, 0) not Galois-fixed", id="not-rational"),
+    pytest.param("f8", 2, (1, 1), InternalInvariant,
+                 "eta_2 count total 2 != f = 1", id="count-total"),
+    pytest.param("f8", 0, (1, 0), InternalInvariant,
+                 "sum of periods is 1, expected -1", id="sum"),
+    # a row that sums to f with equal entries off 0 has eta = f - q*row[1] ≡ f
+    # (mod q), so an eta of 0 ≢ f breaks the count total first
+    pytest.param("f27", 0, (0, 0, 0), InternalInvariant,
+                 "eta_0 count total 0 != f = 2", id="mod-q"),
+]
+
+
+@pytest.mark.parametrize("field, m, row, error, message", FORGED_ROWS)
+def test_forged_rows_break_the_invariants(request, monkeypatch, field, m, row, error, message):
+    setup, ctx = request.getfixturevalue(field)
+    monkeypatch.setattr(periods, "scan_counts", _forge(m, row))
+    with pytest.raises(error) as err:
+        compute_period_table(ctx, setup)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
