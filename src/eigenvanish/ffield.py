@@ -396,7 +396,7 @@ def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int,
     """
     q, n = ctx.q, ctx.n
     zero = (0,) * n
-    # product of (y - alpha^(q^j)) with coefficients in the field
+    # product of the n monic factors (y - alpha^(q^j)), so monic of degree n
     poly = [ctx.one]
     conj = ctx.alpha
     for _ in range(n):
@@ -404,8 +404,6 @@ def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int,
         scaled = [ctx.mul(conj, c) for c in poly] + [zero]
         poly = [tuple((u - v) % q for u, v in zip(a, b)) for a, b in zip(shifted, scaled)]
         conj = ctx.pow(conj, q)
-    if len(poly) != n + 1 or poly[-1] != ctx.one:
-        raise InternalInvariant("minimal polynomial of alpha is not monic of degree n")
     rec = []
     for c in poly[:-1]:
         if any(c[1:]):

@@ -77,8 +77,6 @@ def compute_period_table(
         values.append(row[0] - row[1])
     if sum(values) != -1:
         raise InternalInvariant(f"sum of periods is {sum(values)}, expected -1")
-    if any((val - f) % q for val in values):
-        raise InternalInvariant("some period is not congruent to f mod q")
 
     v = compute_v(p, q, setup.g)
     if setup.n - 2 * v < 0:

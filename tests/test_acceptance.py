@@ -234,7 +234,7 @@ def test_criterion_08_power_representation_random():
         assert got.xval**2 + p * got.yval**2 == (u * u + p * w * w) ** s
         checked += 1
     record_acceptance(
-        8, True, f"recursion = closed form = symbolic expansion on {checked} samples"
+        8, True, f"recursion = symbolic expansion on {checked} samples"
     )
 
 

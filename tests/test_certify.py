@@ -13,6 +13,7 @@ from conftest import (
     unencodable_certificates,
 )
 from sympy import isprime, nextprime, primerange
+from sympy.ntheory import is_primitive_root
 
 from eigenvanish import (
     BadEigenspaceIndex,
@@ -241,6 +242,7 @@ def test_verify_rejects_wrong_verdict():
     cert = certify_half_plus(7)
     bad = dataclasses.replace(cert, verdict="Inconclusive")
     assert not verify_certificate(bad)
+    _problems_mention(dataclasses.replace(cert, verdict="Maybe"), "unknown verdict 'Maybe'")
 
 
 @pytest.fixture(scope="module")
@@ -413,6 +415,80 @@ def test_verify_rejects_every_other_signed_representation(make):
             witnesses = cert.witnesses[:k] + (forged,) + cert.witnesses[k + 1:]
             problems = check_certificate(dataclasses.replace(cert, witnesses=witnesses))
             assert problems, (p, w.q, a, b)
+
+
+def test_verify_reports_an_order_below_n():
+    # 2 has order 5 mod 31, and 5 divides n = 15, so 2^15 ≡ 1 passes the
+    # check before the length bound; 2^15 encodes x^15, long enough for n
+    assert pow(2, 15, 31) == 1 and multiplicative_order(2, 31) == 5
+    w = WitnessRecord(q=2, n=15, v=0, h=3, d0=1, d1=0, a=1, b=1, a0_mod_p=30,
+                      a1_mod_p=0, i_mod_p=0, qf_identity_ok=True, route=ROUTE_ANALYTIC)
+    cert = Certificate(p=31, r=16, verdict="Trivial", witnesses=(w,), g=3,
+                       field_cap=DEFAULT_FIELD_CAP, field_choices=((2, 2**15, 2),))
+    assert check_certificate(cert) == ["witness q=2: order mismatch"]
+
+
+def _nudged(value, p):
+    """+1, -1, +p, *2 and negation of an integer, without the ones that change nothing."""
+    return {value + 1, value - 1, value + p, 2 * value, -value} - {value}
+
+
+def _mutants(doc):
+    """(field, new value, document) for each single-field mutation of a
+    certificate document; decimal strings stay strings."""
+    p = doc["p"]
+    for key in ("p", "r", "g", "field_cap"):
+        for new in _nudged(doc[key], p):
+            yield key, new, dict(doc, **{key: new})
+    swap = {"Trivial": "Inconclusive", "Inconclusive": "Trivial"}
+    yield "verdict", swap[doc["verdict"]], dict(doc, verdict=swap[doc["verdict"]])
+    for k, w in enumerate(doc["witnesses"]):
+        for key, value in w.items():
+            if isinstance(value, bool):
+                news = [not value]
+            elif key == "route":
+                news = [ROUTE_ANALYTIC if value == ROUTE_FULL else ROUTE_FULL]
+            else:
+                news = [type(value)(x) for x in _nudged(int(value), p)]
+            for new in news:
+                witnesses = list(doc["witnesses"])
+                witnesses[k] = dict(w, **{key: new})
+                yield key, new, dict(doc, witnesses=witnesses)
+
+
+def _true_certificate(doc, key, new):
+    """Mutations that leave a valid certificate: g ≡ another primitive root
+    mod p, or a field_cap under which every witness keeps its route."""
+    p = doc["p"]
+    if key == "g":
+        return new % p != 0 and is_primitive_root(new % p, p)
+    if key == "field_cap":
+        return all((w["q"] ** w["n"] <= new) == (w["route"] == ROUTE_FULL)
+                   for w in doc["witnesses"])
+    return False
+
+
+def _rejected(doc):
+    try:
+        cert = certificate_from_dict(doc)
+    except BadInput:
+        return True
+    return not verify_certificate(cert)
+
+
+@pytest.mark.parametrize("p, route", [(23, ROUTE_FULL), (31, ROUTE_ANALYTIC)])
+def test_verify_rejects_every_single_field_mutation(p, route):
+    doc = json.loads(json.dumps(certificate_to_dict(certify_half_plus(p))))
+    assert [w["route"] for w in doc["witnesses"]] == [route]
+    accepted, worst = [], 0.0
+    for key, new, mutant in _mutants(doc):
+        start = time.process_time()
+        rejected = _rejected(mutant)
+        worst = max(worst, time.process_time() - start)
+        if not rejected and not _true_certificate(doc, key, new):
+            accepted.append((key, new))
+    assert accepted == []
+    assert worst < 1.0
 
 
 ROUND_TRIP_CASES = [

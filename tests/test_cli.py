@@ -1,4 +1,5 @@
 import argparse
+import inspect
 import json
 import time
 from pathlib import Path
@@ -96,7 +97,8 @@ def test_certify_roundtrip_through_verify(capsys, tmp_path):
     b'\xff\xfe{"p": 7}',  # not UTF-8
     b'{"p": ' + b"1" * 5000 + b"}",  # int literal past the 4,300-digit limit
     b'{"p": 1e400, "r": 4, "verdict": "Trivial", "witnesses": [], "g": 3, "field_cap": 8}',
-], ids=["not-utf8", "long-int", "float-overflow"])
+    b"[]",  # JSON, but not an object
+], ids=["not-utf8", "long-int", "float-overflow", "array"])
 def test_verify_malformed_document_exits_1(capsys, tmp_path, payload):
     path = tmp_path / "cert.json"
     path.write_bytes(payload)
@@ -146,6 +148,39 @@ def test_composite_p_exits_1(capsys, argv):
     code, report, err = run(capsys, *argv, "--json")
     assert code == 1
     assert report["error"]["type"] == "BadPrime"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{tmp}/missing.json"], "cannot read"),
+    (["stickelberger", "--p", "7", "--q", "9"], "q=9 must be a prime"),
+    (["density", "--p", "9"], "p=9 must be an odd prime"),
+], ids=["verify-missing", "stickelberger-q9", "density-p9"])
+def test_handler_bad_input_exits_1(capsys, tmp_path, argv, message):
+    code, report, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 1
+    assert report["error"]["type"] == "BadInput"
+    assert message in report["error"]["message"]
+    assert err.startswith("error:")
+
+
+def test_failing_check_exits_2_without_a_handler_code(capsys, monkeypatch):
+    # the handler returns 0; the failed sign-congruence check alone gives 2
+    monkeypatch.setattr(cli, "stickelberger_sign", lambda *args: None)
+    code, report, err = run(capsys, "stickelberger", "--p", "7", "--q", "11", "--json")
+    assert code == 2
+    assert report["result"]["signed_C"] is None
+    assert [c["ok"] for c in report["checks"]] == [True, False]
+
+
+def test_every_error_class_is_exported_with_an_exit_code():
+    import eigenvanish
+    from eigenvanish import errors
+
+    for name, cls in inspect.getmembers(errors, inspect.isclass):
+        if issubclass(cls, errors.EigenvanishError):
+            assert name in eigenvanish.__all__ and getattr(eigenvanish, name) is cls, name
+            code = next(c for base, c, _ in cli._FAILURES if issubclass(cls, base))
+            assert code in (1, 2, 3), name
 
 
 def test_certify_inconclusive_small_bound(capsys):
