@@ -386,6 +386,30 @@ def dlog_order_p(ctx: FieldContext, y, p: int) -> int:
     raise NotInSubgroup("element is not a p-th root of unity")
 
 
+def characteristic_polynomial(x, modulus, q: int) -> tuple[int, ...]:
+    """The n non-leading coefficients of prod_{i<n} (y - x^(q^i)), the
+    characteristic polynomial over F_q of the residue x mod the monic degree-n
+    `modulus` (x's minimal polynomial when x has degree n). Raises
+    InternalInvariant if a coefficient falls outside F_q, which an irreducible
+    modulus rules out."""
+    n = len(modulus)
+    zero = (0,) * n
+    # product of the n monic factors (y - x^(q^i)), so monic of degree n
+    poly = [(1,) + zero[1:]]
+    conj = tuple(x)
+    for _ in range(n):
+        shifted = [zero] + poly
+        scaled = [_mulmod(conj, c, modulus, q) for c in poly] + [zero]
+        poly = [tuple((u - v) % q for u, v in zip(a, b)) for a, b in zip(shifted, scaled)]
+        conj = _powmod(conj, q, modulus, q)
+    coeffs = []
+    for c in poly[:-1]:
+        if any(c[1:]):
+            raise InternalInvariant("characteristic polynomial coefficient outside F_q")
+        coeffs.append(c[0])
+    return tuple(coeffs)
+
+
 def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Seed data for the trace-sequence scan of powers of alpha.
 
@@ -394,19 +418,5 @@ def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int,
     seed[k] = Tr(alpha^k) for k < n. The full sequence t_k = Tr(alpha^k) then
     follows t_{k+n} = -sum_j rec[j] * t_{k+j} mod q.
     """
-    q, n = ctx.q, ctx.n
-    zero = (0,) * n
-    # product of the n monic factors (y - alpha^(q^j)), so monic of degree n
-    poly = [ctx.one]
-    conj = ctx.alpha
-    for _ in range(n):
-        shifted = [zero] + poly
-        scaled = [ctx.mul(conj, c) for c in poly] + [zero]
-        poly = [tuple((u - v) % q for u, v in zip(a, b)) for a, b in zip(shifted, scaled)]
-        conj = ctx.pow(conj, q)
-    rec = []
-    for c in poly[:-1]:
-        if any(c[1:]):
-            raise InternalInvariant("minimal polynomial coefficient outside F_q")
-        rec.append(c[0])
-    return tuple(rec), _power_sums(rec, q)
+    rec = characteristic_polynomial(ctx.alpha, ctx.modulus, ctx.q)
+    return rec, _power_sums(rec, ctx.q)

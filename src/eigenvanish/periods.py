@@ -5,6 +5,11 @@ counted as a row over the q-th roots of unity. Every eta_m here is a rational
 integer, so each row has equal entries off trace 0. v is the minimal coset
 digit-sum valuation; d_i are the scaled period differences and a_k their
 exact character-twisted sums.
+
+The rows come from `_scan.scan_counts`, which counts one row per coset of
+<q> mod p from a decimated, projective trace sequence of (q^n - 1)/(p(q - 1))
+terms; `compute_period_table` still checks every row's count sum, its
+rationality and the sum of the periods.
 """
 
 from dataclasses import dataclass

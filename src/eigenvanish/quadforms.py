@@ -219,21 +219,21 @@ class QfSolution:
 
 
 def power_representation(u: int, w: int, s: int, p: int) -> QfSolution:
-    """(u + w sqrt(-p))^s = X + Y sqrt(-p) by exact recursion: X^2 + p Y^2 = (u^2+p w^2)^s."""
+    """(u + w sqrt(-p))^s = X + Y sqrt(-p) by exact recursion. Each step
+    multiplies by u + w sqrt(-p), and the norm is multiplicative, so
+    X^2 + p Y^2 = (u^2+p w^2)^s holds without a check."""
     if s < 1 or s % 2 == 0:
         raise EvenExponent(f"s={s} must be odd and positive")
     x, y = u, w
     for _ in range(s - 1):
         x, y = u * x - p * w * y, w * x + u * y
-    norm = (u * u + p * w * w) ** s
-    sol = QfSolution(D=p, N=norm, xval=x, yval=y)
-    sol.check()
-    return sol
+    return QfSolution(D=p, N=(u * u + p * w * w) ** s, xval=x, yval=y)
 
 
 def find_good_prime(p: int, qbound: int) -> tuple[int, QfSolution, QfSolution]:
     """Smallest prime q <= qbound represented as u^2 + p w^2 with p dividing
-    neither u nor w, lifted to the doubled representation of 4 q^h."""
+    neither u nor w, lifted to the doubled representation of 4 q^h. The lift's
+    Y ≡ h·u^(h-1)·w (mod p) with h = h(-p) < p, so p does not divide it."""
     h = class_number(p).h
     for q in primes_upto(qbound):
         if q == p:
@@ -247,8 +247,6 @@ def find_good_prime(p: int, qbound: int) -> tuple[int, QfSolution, QfSolution]:
         if u == 0 or w == 0 or u % p == 0 or w % p == 0:
             continue
         lift = power_representation(u, w, h, p)
-        if lift.yval % p == 0:
-            raise InternalInvariant("lifted yval divisible by p despite p∤u, p∤w")
         doubled = QfSolution(D=p, N=4 * q**h, xval=2 * lift.xval, yval=2 * lift.yval)
         return q, QfSolution(D=p, N=q, xval=u, yval=w), doubled
     raise NoWitnessFound(f"no represented prime q <= {qbound} for p={p}")

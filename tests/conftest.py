@@ -2,8 +2,9 @@ import json
 from pathlib import Path
 
 import pytest
+from sympy import primerange
 
-from eigenvanish import CyclotomicSetup, build_field
+from eigenvanish import CyclotomicSetup, build_field, multiplicative_order
 
 _acceptance_lines: dict[int, str] = {}
 
@@ -51,6 +52,17 @@ def unencodable_certificates(p: int, q: int = 2, modulus: str = "999") -> dict:
     one = dict(empty, witnesses=[witness],
                field_choices=[{"q": q, "modulus": modulus, "generator": "2"}])
     return {"no-witnesses": empty, "short-modulus": one}
+
+
+def grid_setups() -> list[CyclotomicSetup]:
+    """The 44 acceptance-grid pairs: p <= 31, q <= 50, q^n <= 2^24."""
+    out = []
+    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for q in primerange(2, 51):
+            q = int(q)
+            if q != p and q % p != 1 and q ** multiplicative_order(q, p) <= 1 << 24:
+                out.append(CyclotomicSetup.create(p, q))
+    return out
 
 
 def record_acceptance(num: int, ok: bool, detail: str) -> None:

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import Poly, Symbol, factorint, isprime, primerange
+from conftest import grid_setups
+from sympy import Poly, Symbol, factorint, isprime
 
 from eigenvanish import (
     BadInput,
@@ -344,19 +345,8 @@ def test_ben_or_rejects_products_of_two_halves(q, k):
         assert not rabin_is_irreducible(f, q)
 
 
-def _grid_setups():
-    """The 44 acceptance-grid pairs: p <= 31, q <= 50, q^n <= 2^24."""
-    out = []
-    for p in (5, 7, 11, 13, 17, 19, 23, 29, 31):
-        for q in primerange(2, 51):
-            q = int(q)
-            if q != p and q % p != 1 and q ** multiplicative_order(q, p) <= 1 << 24:
-                out.append(CyclotomicSetup.create(p, q))
-    return out
-
-
 def test_build_field_is_lex_least_on_the_grid():
-    setups = _grid_setups()
+    setups = grid_setups()
     assert len(setups) == 44
     for setup in setups:
         ctx = build_field(setup)
@@ -387,7 +377,7 @@ def test_power_sums_match_frobenius_traces():
     """Basis traces from the modulus and the recurrence seed from the minimal
     polynomial of alpha, on the grid, every witness field of the two tests
     above, and (67, 2) with n = 66."""
-    setups = _grid_setups()
+    setups = grid_setups()
     for p in (19, 23, 31, 43, 47, 59):
         cert = certify_half_plus(p)
         setups += [CyclotomicSetup.create(p, q) for q, _, _ in cert.field_choices]

@@ -3,10 +3,12 @@ from functools import cache
 
 import numpy as np
 import pytest
+from conftest import grid_setups
 
-from eigenvanish import CyclotomicSetup, _scan, build_field
+from eigenvanish import CyclotomicSetup, InternalInvariant, _scan, build_field, certify_half_plus
 from eigenvanish._scan import _scan_python, scan_counts
-from eigenvanish.ffield import generator_recurrence
+from eigenvanish.certify import DEFAULT_FIELD_CAP
+from eigenvanish.ffield import _power_sums, characteristic_polynomial, generator_recurrence
 
 BACKENDS = ["python", "numpy"]
 FIELDS = [(7, 2), (13, 3), (11, 3), (19, 5)]
@@ -24,6 +26,76 @@ def _oracle_counts(pq):
     return _counts(CyclotomicSetup.create(*pq), "python")
 
 
+# ---------------------------------------------------------------------------
+# oracle: the full histogram over all q^n - 1 powers of alpha, blocked in numpy
+# as production scanned before the projective scan, so that it stays fast
+# enough for every production field
+
+
+def _histogram_oracle(rec, seed, total, p, q):
+    """Histogram of (k mod p, Tr(alpha^k)), k < total: a block of terms per
+    matmul of the power table U[j] = e_0^T C^j with the state, then one
+    `bincount` of the (k mod p, t_k) pairs."""
+    rec, seed = np.asarray(rec, dtype=np.int64), np.asarray(seed, dtype=np.int64)
+    n = rec.shape[0]
+    companion = np.zeros((n, n), dtype=np.int64)
+    companion[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
+    companion[-1] = (-rec) % q
+    block = max(n, min(1 << 16, total))
+    u = np.zeros((block + n, n), dtype=np.int64)
+    u[0, 0] = 1
+    step, h = companion, 1
+    while h < len(u):
+        dst = u[h : 2 * h]
+        np.matmul(u[: len(dst)], step, out=dst)
+        np.remainder(dst, q, out=dst)
+        step = step @ step % q
+        h *= 2
+    counts = np.zeros(p * q, dtype=np.int64)
+    state, offsets, done = seed, np.arange(block, dtype=np.int64), 0
+    while done < total:
+        cnt = min(block, total - done)
+        idx = (offsets[:cnt] + done) % p * q + u[:cnt] @ state % q
+        counts += np.bincount(idx, minlength=p * q)
+        state = u[block:] @ state % q
+        done += cnt
+    return counts.reshape(p, q)
+
+
+@cache
+def _production_fields():
+    """{(p, q): (rec, seed)} for the 44 grid fields and every `certify`
+    witness field under DEFAULT_FIELD_CAP for p = 19, 23 and 47."""
+    setups = {(s.p, s.q): s for s in grid_setups()}
+    for p in (19, 23, 47):
+        for q, _, _ in certify_half_plus(p).field_choices:
+            setup = CyclotomicSetup.create(p, q)
+            if setup.field_size() <= DEFAULT_FIELD_CAP:
+                setups.setdefault((p, q), setup)
+    return {
+        pq: generator_recurrence(build_field(setup, cap=DEFAULT_FIELD_CAP))
+        for pq, setup in setups.items()
+    }
+
+
+@cache
+def _full_histogram(p, q):
+    rec, seed = _production_fields()[p, q]
+    return _histogram_oracle(rec, seed, q ** len(rec) - 1, p, q)
+
+
+@pytest.mark.parametrize("block", [None, 16])
+def test_projective_scan_matches_full_histogram(monkeypatch, block):
+    # a 16-row block makes the state jump of every column cross many times
+    if block is not None:
+        monkeypatch.setattr(_scan, "_BLOCK", block)
+    fields = _production_fields()
+    assert len(fields) == 45  # of the witness fields only (47, 2) is off the grid
+    for (p, q), (rec, seed) in fields.items():
+        got = scan_counts(rec, seed, q ** len(rec) - 1, p, q)
+        assert np.array_equal(got, _full_histogram(p, q)), (p, q)
+
+
 @pytest.mark.parametrize("pq", FIELDS)
 def test_backends_bit_identical(pq):
     setup = CyclotomicSetup.create(*pq)
@@ -31,6 +103,15 @@ def test_backends_bit_identical(pq):
     for backend in BACKENDS[1:]:
         got = _counts(setup, backend)
         assert np.array_equal(ref, got), backend
+
+
+def _python_zeros(rec, column, total, q):
+    n = len(rec)
+    window, zeros = [int(t) for t in column], 0
+    for k in range(total):
+        zeros += window[k % n] == 0
+        window[k % n] = -sum(int(rec[j]) * window[(k + j) % n] for j in range(n)) % q
+    return zeros
 
 
 @pytest.mark.parametrize("block", [4, 8, 16])
@@ -43,11 +124,11 @@ def test_multi_block_matches_python(monkeypatch, block):
         assert np.array_equal(got, _oracle_counts(pq)), pq
     rng = np.random.default_rng(block)
     for n in (3, block + 3):
-        rec, seed = rng.integers(0, 5, n), rng.integers(0, 5, n)
+        rec, seeds = rng.integers(0, 5, n), rng.integers(0, 5, (n, 4))
         for total in (block - 1, block, block + 1, 2 * block + 1):
-            ref = scan_counts(rec, seed, total, 7, 5, backend="python")
-            got = scan_counts(rec, seed, total, 7, 5, backend="numpy")
-            assert np.array_equal(ref, got), (n, total)
+            ref = [_python_zeros(rec, seeds[:, c], total, 5) for c in range(4)]
+            got = _scan._count_zeros(rec, seeds, total, 5)
+            assert got.tolist() == ref, (n, total)
 
 
 def test_tiny_field_scan_allocates_little(f8):
@@ -86,3 +167,28 @@ def test_unknown_backend_rejected(f8):
     for backend in ("fortran", "numba"):
         with pytest.raises(ValueError):
             scan_counts(rec, seed, ctx.order, setup.p, setup.q, backend=backend)
+
+
+def test_projective_scan_needs_the_whole_group(f8):
+    setup, ctx = f8
+    rec, seed = generator_recurrence(ctx)
+    with pytest.raises(ValueError):
+        scan_counts(rec, seed, ctx.order - 1, setup.p, setup.q)
+    got = scan_counts(rec, seed, ctx.order - 1, setup.p, setup.q, backend="python")
+    assert int(got.sum()) == ctx.order - 1
+
+
+def test_norm_must_generate_the_prime_field():
+    # alpha^2 in F_81 has norm alpha^80 = 1, which does not generate F_3^*
+    setup = CyclotomicSetup.create(5, 3)
+    ctx = build_field(setup)
+    rec = characteristic_polynomial(ctx.pow(ctx.alpha, 2), ctx.modulus, 3)
+    with pytest.raises(InternalInvariant, match="does not generate"):
+        scan_counts(rec, _power_sums(rec, 3), ctx.order, setup.p, setup.q)
+
+
+def test_characteristic_polynomial_outside_prime_field():
+    # mod the reducible y^2 over F_3, y's conjugates are y and 0, and
+    # (Y - y)·Y has the coefficient -y, which is not in F_3
+    with pytest.raises(InternalInvariant, match="outside F_q"):
+        characteristic_polynomial((0, 1), (0, 0), 3)
