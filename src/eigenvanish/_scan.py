@@ -27,7 +27,7 @@ scan runs; importing the package, or a command that never scans, leaves it out.
 """
 
 from .errors import InternalInvariant
-from .ffield import _mulmod, _powmod, characteristic_polynomial, multiplicative_order
+from .ffield import _Kronecker, characteristic_polynomial, multiplicative_order
 
 _BLOCK = 1 << 16
 
@@ -98,22 +98,23 @@ def _projective_counts(rec, seed, p: int, q: int):
 
     n = len(rec)
     span = (q**n - 1) // (q - 1) // p  # N/p terms per column
-    y = (0, 1) + (0,) * (n - 2)  # alpha in F_q[y]/(rec)
-    norm = _powmod(y, span * p, rec, q)
+    form = _Kronecker(rec, q)
+    y = form.pack((0, 1) + (0,) * (n - 2))  # alpha in F_q[y]/(rec)
+    norm = form.unpack(form.pow(y, span * p))
     if any(norm[1:]) or not norm[0] or multiplicative_order(norm[0], q) != q - 1:
         raise InternalInvariant(f"alpha^N = {norm} does not generate F_{q}^*")
-    beta = _powmod(y, p, rec, q)
-    beta_rec = characteristic_polynomial(beta, rec, q)
+    beta = form.pow(y, p)
+    beta_rec = characteristic_polynomial(form.unpack(beta), rec, q)
 
     owner = _coset_owners(p, q)
     reps = sorted(set(owner))
     seeds = []
     for m in reps:
-        x = _powmod(y, m, rec, q)
+        x = form.pow(y, m)
         column = []
         for _ in range(n):
-            column.append(sum(a * t for a, t in zip(x, seed)) % q)
-            x = _mulmod(x, beta, rec, q)
+            column.append(sum(a * t for a, t in zip(form.unpack(x), seed)) % q)
+            x = form.mul(x, beta)
         seeds.append(column)
     zeros = _count_zeros(np.array(beta_rec, dtype=np.int64), np.array(seeds).T, span, q)
 

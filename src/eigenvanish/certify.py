@@ -331,9 +331,10 @@ def _witness_fields(p: int, qbound: int, field_cap: int):
     """(field size, q, n) for every candidate witness prime, smallest fields first."""
     out = []
     for q, n in _prime_orders(p, qbound):
-        size = q**n
-        if n > 1 and size <= field_cap:
-            out.append((size, q, n))
+        if 1 < n < field_cap.bit_length():  # else q^n >= 2^n > field_cap
+            size = q**n
+            if size <= field_cap:
+                out.append((size, q, n))
     out.sort()
     return out
 

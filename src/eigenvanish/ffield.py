@@ -9,11 +9,14 @@ encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 
 The modulus search runs Ben-Or's irreducibility test on each candidate, so a
-reducible one is rejected at the degree of its smallest factor. Every field
-product is one Kronecker-substituted integer multiplication: both operands
-and the modulus are packed into Python ints, and the reduction and the
-unpacking work on slots of that int; powers are taken left to right. All of
-it is exact, so the choices above do not depend on it.
+reducible one is rejected at the degree of its smallest factor. Inside a
+chain of field products a residue is a packed int (`_Kronecker`), one slot
+per coefficient. Each product is one integer multiplication, a slot-by-slot
+reduction of the high slots from the top, and a fold that takes all n low
+slots mod q at once by a multiply-and-shift division; a power (left to
+right) or a discrete-log walk packs once and unpacks once. Tuples stay the
+element type at every public boundary. All of it is exact, so the choices
+above do not depend on it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
@@ -131,50 +134,94 @@ def _coeffs_to_int(c, q: int) -> int:
     return k
 
 
+class _Kronecker:
+    """Residues mod (F, q) as packed ints, the working form of every chain of
+    field products; F is the monic x^n + sum modulus[i] x^i.
+
+    Kronecker substitution: a residue becomes an int with one w-bit slot per
+    coefficient (slot i holds the coefficient of x^i), so a single int
+    product holds every convolution sum. The slot width, the masks and the
+    packed F are computed once per form, and a power or a walk packs its
+    operands once, multiplies packed ints only and unpacks once at the end.
+
+    Slot bound: a product leaves every slot below 2nq^2 < 2^b, b the bit
+    length of 2nq^2. The fold divides all low slots by q at once: with
+    k = b + (bit length of q) and m = ceil(2^k / q), floor(x·m / 2^k) =
+    floor(x / q) for every x < 2^b, since x·m / 2^k exceeds x / q by
+    x·(mq - 2^k) / (q·2^k) < 2^b·q / (q·2^k) <= 1/q; and x·m < 2^(b+k).
+    So slots of w = b + k bits never carry into each other.
+    """
+
+    __slots__ = ("q", "n", "w", "mask", "top", "f", "high", "low", "k", "m", "quotients")
+
+    def __init__(self, modulus, q: int):
+        n = len(modulus)
+        b = (2 * n * q * q).bit_length()
+        self.k = b + q.bit_length()
+        self.m = -(-(1 << self.k) // q)
+        w = b + self.k
+        self.q, self.n, self.w, self.mask = q, n, w, (1 << w) - 1
+        self.top = n * w  # the offset of slot n, F's leading 1
+        # offsets of slots 2n-2 ... n, less `top`
+        self.high = tuple(range(self.top - 2 * w, -1, -w))
+        self.low = (1 << self.top) - 1  # slots n-1 ... 0
+        # the low w - k bits of each low slot: where x·m >> k leaves x // q
+        self.quotients = self.low // self.mask * ((1 << (w - self.k)) - 1)
+        self.f = self.pack(modulus) | 1 << self.top
+
+    def pack(self, a) -> int:
+        w, packed = self.w, 0
+        for c in reversed(a):
+            packed = packed << w | c
+        return packed
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        mask = self.mask
+        return tuple((x >> shift) & mask for shift in range(0, self.top, self.w))
+
+    def mul(self, x: int, y: int) -> int:
+        """Packed product of two packed residues, the one product kernel.
+
+        Each high slot i = 2n-2 ... n of x·y is made divisible by q by adding
+        (q - c)·F·X^(i-n), c = slot_i mod q, X = 2^w, which leaves the residue
+        mod (F, q) unchanged. All slots stay nonnegative and below
+        n(q-1)^2 + (n-1)q(q-1) < 2nq^2, so no slot carries into the next. The
+        n low slots, each taken mod q by the fold, are the packed result.
+        """
+        q, mask, top, f = self.q, self.mask, self.top, self.f
+        prod = x * y
+        for shift in self.high:
+            c = ((prod >> (top + shift)) & mask) % q
+            if c:
+                prod += ((q - c) * f) << shift
+        low = prod & self.low
+        return low - q * ((low * self.m >> self.k) & self.quotients)
+
+    def pow(self, x: int, exponent: int) -> int:
+        """x^exponent by left-to-right binary powering: one squaring per bit
+        below the top one, and one product by x per further set bit."""
+        if not exponent:
+            return 1
+        result = x
+        for bit in bin(exponent)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, x)
+        return result
+
+
 def _mulmod(a, b, modulus, q: int):
     """Product of two residues; `modulus` holds the n non-leading coefficients.
-
-    Kronecker substitution: a, b and the monic modulus F become ints with one
-    w-bit slot per coefficient, and a single int product holds every
-    convolution sum. Each high slot i = 2n-2 ... n is then made divisible by q
-    by adding (q - c)·F·X^(i-n), c = slot_i mod q, X = 2^w, which leaves the
-    residue mod (F, q) unchanged; the low n slots mod q are the result. All
-    slots stay nonnegative and below n(q-1)^2 + (n-1)q(q-1) < 2nq^2 < 2^w,
-    so no slot carries into the next.
-    """
-    n = len(modulus)
-    w = (2 * n * q * q).bit_length()
-    mask = (1 << w) - 1
-    packed_a = packed_b = packed_f = top = 0
-    for x, y, z in zip(a, b, modulus, strict=True):
-        packed_a |= x << top
-        packed_b |= y << top
-        packed_f |= z << top
-        top += w
-    packed_f |= 1 << top  # top = n·w, the slot of the leading 1
-    prod = packed_a * packed_b
-    for shift in range(top - 2 * w, -1, -w):  # slot i = n + shift/w
-        c = ((prod >> (top + shift)) & mask) % q
-        if c:
-            prod += ((q - c) * packed_f) << shift
-    out = []
-    for _ in range(n):
-        out.append((prod & mask) % q)
-        prod >>= w
-    return tuple(out)
+    Packs both, takes the one packed product and unpacks it."""
+    form = _Kronecker(modulus, q)
+    return form.unpack(form.mul(form.pack(a), form.pack(b)))
 
 
 def _powmod(a, exponent: int, modulus, q: int):
-    """a^exponent by left-to-right binary powering: one squaring per bit
-    below the top one, and one product by a per further set bit."""
-    if not exponent:
-        return (1,) + (0,) * (len(modulus) - 1)
-    result = a = tuple(a)
-    for bit in bin(exponent)[3:]:
-        result = _mulmod(result, result, modulus, q)
-        if bit == "1":
-            result = _mulmod(result, a, modulus, q)
-    return result
+    """a^exponent: a is packed once, every squaring and multiply is a packed
+    product, and the result is unpacked once."""
+    form = _Kronecker(modulus, q)
+    return form.unpack(form.pow(form.pack(a), exponent))
 
 
 def _poly_deg(c) -> int:
@@ -214,12 +261,13 @@ def _is_irreducible(coeffs, q: int) -> bool:
         return True
     if coeffs[0] == 0:
         return False  # divisible by x
+    form = _Kronecker(coeffs, q)
     x = (0, 1) + (0,) * (n - 2)
     full = list(coeffs) + [1]
-    frob = x
+    frob = form.pack(x)
     for _ in range(n // 2):
-        frob = _powmod(frob, q, coeffs, q)
-        diff = tuple((u - v) % q for u, v in zip(frob, x))
+        frob = form.pow(frob, q)
+        diff = tuple((u - v) % q for u, v in zip(form.unpack(frob), x))
         # diff = 0 gives gcd f, so that case is rejected too
         if not _gcd_is_one(full, diff, q):
             return False
@@ -254,6 +302,11 @@ class FieldContext:
         the setup report read it, the unit index never does."""
         return _power_sums(self.modulus, self.q)
 
+    @cached_property
+    def kronecker(self) -> _Kronecker:
+        """The packed form of this field's residues, built on first use."""
+        return _Kronecker(self.modulus, self.q)
+
     @property
     def order(self) -> int:
         return self.q**self.n - 1
@@ -263,12 +316,14 @@ class FieldContext:
         return (1,) + (0,) * (self.n - 1)
 
     def mul(self, a, b):
-        return _mulmod(a, b, self.modulus, self.q)
+        form = self.kronecker
+        return form.unpack(form.mul(form.pack(a), form.pack(b)))
 
     def pow(self, a, exponent: int):
         if exponent < 0:
             raise BadInput("negative exponent")
-        return _powmod(a, exponent, self.modulus, self.q)
+        form = self.kronecker
+        return form.unpack(form.pow(form.pack(a), exponent))
 
     def encode(self, x) -> int:
         """Element as a base-q integer (little-endian coefficients)."""
@@ -303,9 +358,10 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
         raise InternalInvariant("no irreducible polynomial found")
 
     alpha = None
+    form = _Kronecker(modulus, q)
     for k in range(q, size):  # constants are never primitive for n >= 2
         cand = _int_to_coeffs(k, n, q)
-        if _is_primitive(cand, modulus, q, factors):
+        if _is_primitive(cand, form, factors):
             alpha = cand
             break
     if alpha is None:
@@ -329,7 +385,7 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     if not _is_irreducible(coeffs, q):
         raise BadInput(f"modulus {modulus} is reducible over F_{q}")
     alpha = _int_to_coeffs(generator, n, q)
-    if not _is_primitive(alpha, coeffs, q, _group_order_primes(q, n)):
+    if not _is_primitive(alpha, _Kronecker(coeffs, q), _group_order_primes(q, n)):
         raise BadInput(f"generator {generator} is not a primitive element")
     return _field_context(setup, coeffs, alpha)
 
@@ -341,12 +397,12 @@ def check_modulus_length(q: int, n: int, modulus: int) -> None:
         raise BadInput(_NOT_MONIC.format(modulus, n))
 
 
-def _is_primitive(x, modulus, q: int, primes) -> bool:
-    """Whether the nonzero residue x generates F_{q^n}^*, given the primes of q^n - 1."""
-    n = len(modulus)
-    order = q**n - 1
-    one = (1,) + (0,) * (n - 1)
-    return all(_powmod(x, order // ell, modulus, q) != one for ell in primes)
+def _is_primitive(x, form: _Kronecker, primes) -> bool:
+    """Whether the nonzero residue x generates F_{q^n}^*, given the packed
+    form of F_{q^n} and the primes of q^n - 1."""
+    order = form.q**form.n - 1
+    packed = form.pack(x)
+    return all(form.pow(packed, order // ell) != 1 for ell in primes)
 
 
 def _field_context(setup: CyclotomicSetup, modulus, alpha) -> FieldContext:
@@ -377,12 +433,18 @@ def trace(ctx: FieldContext, x) -> int:
 
 
 def dlog_order_p(ctx: FieldContext, y, p: int) -> int:
-    """Discrete log of y in the order-p subgroup <zeta>: the k with zeta^k = y."""
-    z = ctx.one
-    for k in range(p):
-        if z == y:
-            return k
-        z = ctx.mul(z, ctx.zeta)
+    """Discrete log of y in the order-p subgroup <zeta>: the k with zeta^k = y.
+    zeta and y are packed once and the walk compares packed ints; a packed
+    residue is canonical (every slot below q), so equal ints are equal
+    residues."""
+    form = ctx.kronecker
+    target, zeta = form.pack(y), form.pack(ctx.zeta)
+    if form.unpack(target) == tuple(y):  # else y is no residue of length n
+        z = 1
+        for k in range(p):
+            if z == target:
+                return k
+            z = form.mul(z, zeta)
     raise NotInSubgroup("element is not a p-th root of unity")
 
 
@@ -393,15 +455,16 @@ def characteristic_polynomial(x, modulus, q: int) -> tuple[int, ...]:
     InternalInvariant if a coefficient falls outside F_q, which an irreducible
     modulus rules out."""
     n = len(modulus)
+    form = _Kronecker(modulus, q)
     zero = (0,) * n
     # product of the n monic factors (y - x^(q^i)), so monic of degree n
     poly = [(1,) + zero[1:]]
-    conj = tuple(x)
+    conj = form.pack(x)
     for _ in range(n):
         shifted = [zero] + poly
-        scaled = [_mulmod(conj, c, modulus, q) for c in poly] + [zero]
+        scaled = [form.unpack(form.mul(conj, form.pack(c))) for c in poly] + [zero]
         poly = [tuple((u - v) % q for u, v in zip(a, b)) for a, b in zip(shifted, scaled)]
-        conj = _powmod(conj, q, modulus, q)
+        conj = form.pow(conj, q)
     coeffs = []
     for c in poly[:-1]:
         if any(c[1:]):

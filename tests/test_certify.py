@@ -12,7 +12,9 @@ from conftest import (
     golden_certificate,
     unencodable_certificates,
 )
-from sympy import isprime, nextprime, primerange
+from sympy import factorint, isprime, nextprime, primerange
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 from sympy.ntheory import is_primitive_root
 
 from eigenvanish import (
@@ -44,6 +46,7 @@ from eigenvanish.certify import (
     _primes_of_order,
     _witness_record,
 )
+from eigenvanish.ffield import field_from_choice
 
 
 def test_find_primes_of_order_goldens():
@@ -428,9 +431,9 @@ def test_verify_reports_an_order_below_n():
     assert check_certificate(cert) == ["witness q=2: order mismatch"]
 
 
-def _nudged(value, p):
-    """+1, -1, +p, *2 and negation of an integer, without the ones that change nothing."""
-    return {value + 1, value - 1, value + p, 2 * value, -value} - {value}
+def _nudged(value, step):
+    """+1, -1, +step, *2 and negation of an integer, without the ones that change nothing."""
+    return {value + 1, value - 1, value + step, 2 * value, -value} - {value}
 
 
 def _mutants(doc):
@@ -454,12 +457,53 @@ def _mutants(doc):
                 witnesses = list(doc["witnesses"])
                 witnesses[k] = dict(w, **{key: new})
                 yield key, new, dict(doc, witnesses=witnesses)
+    for k, c in enumerate(doc["field_choices"]):
+        q, modulus, generator = int(c["q"]), int(c["modulus"]), int(c["generator"])
+        for key in ("modulus", "generator"):
+            for new in _nudged(int(c[key]), q ** doc["witnesses"][k]["n"]):
+                choice = {"modulus": modulus, "generator": generator, key: new}
+                choices = list(doc["field_choices"])
+                choices[k] = dict(c, **{key: str(new)})
+                yield key, (k, q, choice["modulus"], choice["generator"]), dict(
+                    doc, field_choices=choices)
+
+
+def _base_q_digits(value, q):
+    """Big-endian base-q digits, the coefficient lists of sympy's galoistools."""
+    digits = []
+    while value:
+        value, d = divmod(value, q)
+        digits.append(d)
+    return digits[::-1]
+
+
+def _names_an_equal_field(doc, k, q, modulus, generator):
+    """Whether a field choice names an irreducible monic modulus of degree n
+    and a primitive generator, by sympy's own tests, in which witness k's
+    record is rebuilt unchanged."""
+    p, n = doc["p"], doc["witnesses"][k]["n"]
+    size = q**n
+    if not (size <= modulus < 2 * size and 0 < generator < size):
+        return False
+    f = _base_q_digits(modulus, q)
+    if not gf_irreducible_p(f, q, ZZ):
+        return False
+    x = _base_q_digits(generator, q)
+    if any(gf_pow_mod(x, (size - 1) // ell, f, q, ZZ) == [1] for ell in factorint(size - 1)):
+        return False
+    setup = CyclotomicSetup.create(p, q, g=doc["g"])
+    ctx = field_from_choice(setup, modulus, generator)
+    rebuilt = _witness_record(setup, ctx, class_number(p), doc["field_cap"])
+    return rebuilt == certificate_from_dict(doc).witnesses[k]
 
 
 def _true_certificate(doc, key, new):
     """Mutations that leave a valid certificate: g ≡ another primitive root
-    mod p, or a field_cap under which every witness keeps its route."""
+    mod p, a field_cap under which every witness keeps its route, or a field
+    choice that names an equal field."""
     p = doc["p"]
+    if key in ("modulus", "generator"):
+        return _names_an_equal_field(doc, *new)
     if key == "g":
         return new % p != 0 and is_primitive_root(new % p, p)
     if key == "field_cap":

@@ -273,6 +273,33 @@ def test_dlog_order_p(f27):
         dlog_order_p(ctx, ctx.alpha, 13)  # alpha has order 26, not in <zeta>
 
 
+def tuple_dlog(ctx, y, p):
+    """The walk over coefficient tuples with the schoolbook product: the
+    oracle for `dlog_order_p`'s walk over packed residues."""
+    z = ctx.one
+    for k in range(p):
+        if z == y:
+            return k
+        z = schoolbook_mulmod(z, ctx.zeta, ctx.modulus, ctx.q)
+    raise NotInSubgroup("element is not a p-th root of unity")
+
+
+@pytest.mark.parametrize("p, q", [(19, 2), (43, 13), (17, 47), (5, 107)])
+def test_dlog_order_p_matches_the_tuple_walk(p, q):
+    # n = 18, 21, 4 and 4: the widest and the largest-q fields the benchmark builds
+    ctx = build_field(CyclotomicSetup.create(p, q))
+    for j in range(p):
+        y = ctx.pow(ctx.zeta, j)
+        assert dlog_order_p(ctx, y, p) == tuple_dlog(ctx, y, p) == j
+    # alpha generates F_{q^n}^*, so it is no p-th root of unity; nor is an
+    # encoding of 1 with a coefficient q, or one of the wrong length
+    for y in (ctx.alpha, (q,) + ctx.one[1:], ctx.one + (0,)):
+        with pytest.raises(NotInSubgroup):
+            tuple_dlog(ctx, y, p)
+        with pytest.raises(NotInSubgroup):
+            dlog_order_p(ctx, y, p)
+
+
 def test_modulus_is_lex_least(f8):
     # every smaller monic cubic over F_2 must be reducible
     setup, ctx = f8
@@ -302,8 +329,11 @@ def test_mulmod_matches_schoolbook(data, q, n):
 
 
 @settings(max_examples=100, deadline=None)
-@given(data=st.data(), q=st.sampled_from(MULMOD_QS), n=st.integers(1, 12), exponent=st.integers(0, 10**6))
-def test_powmod_matches_schoolbook(data, q, n, exponent):
+@given(data=st.data(), q=st.sampled_from(MULMOD_QS), n=st.integers(1, 60))
+def test_powmod_matches_schoolbook(data, q, n):
+    # every slot width the fields use; the schoolbook power costs n^2 per
+    # product, so wide residues get shorter exponents
+    exponent = data.draw(st.integers(0, 10**6 if n <= 12 else 10**3))
     a = data.draw(_residues(q, n))
     modulus = data.draw(_residues(q, n))
     assert _powmod(a, exponent, modulus, q) == schoolbook_powmod(a, exponent, modulus, q)
@@ -393,16 +423,17 @@ def test_power_sums_match_frobenius_traces():
 
 @pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
 def test_build_field_product_count(monkeypatch, p, q):
-    # the whole build (modulus search, generator search, zeta) in field
-    # products: 2,783 and 3,609 here; a full Rabin test per modulus
+    # the whole build (modulus search, generator search, zeta) in packed
+    # field products: 2,783 and 3,609 here; a full Rabin test per modulus
     # candidate would take far more than the bound
     calls = 0
+    packed_mul = ffield._Kronecker.mul
 
-    def counting_mulmod(*args):
+    def counting_mul(*args):
         nonlocal calls
         calls += 1
-        return _mulmod(*args)
+        return packed_mul(*args)
 
-    monkeypatch.setattr(ffield, "_mulmod", counting_mulmod)
+    monkeypatch.setattr(ffield._Kronecker, "mul", counting_mul)
     build_field(CyclotomicSetup.create(p, q))
     assert 0 < calls <= 8000
