@@ -10,74 +10,63 @@ the q^n - 1 trace terms of the full scan to N/p per column, in e + 1 columns:
   the residue m to qm mod p, so row m equals row qm. Only m = 0 and the least
   element of each coset of <q> in (Z/p)^* are counted.
 - Decimation. The terms with k ≡ m (mod p) are t_j = Tr(alpha^m·beta^j),
-  beta = alpha^p. That sequence follows the recurrence of beta's
-  characteristic polynomial, the product of (Y - beta^(q^i)) over i < n.
+  beta = alpha^p. With M the matrix of multiplication by beta on the basis
+  y^i, t_j = seed·M^j·s_m, s_m the coefficients of y^m.
 - Projective step. p divides N, and c = alpha^N, the norm of alpha,
   generates F_q^*, so t_{j+N/p} = c·t_j. With Z_m zeros among the first N/p
   terms, row m holds (q-1)·Z_m at trace 0 and N/p - Z_m at each nonzero
   trace.
 
 The zero counter `_count_zeros` reads a block of terms of every column per
-matmul from a power table built by doubling and clamped to the sequence.
-`_scan_python` is the full plain-python scan over all q^n - 1 powers, the
-oracle the production path must match bit for bit.
+matmul from a power table built by doubling. `_scan_python` is the full
+plain-python scan over all q^n - 1 powers, the oracle the production path
+must match bit for bit.
 
 numpy is imported inside the functions that use it, so it loads only when a
 scan runs; importing the package, or a command that never scans, leaves it out.
 """
 
 from .errors import InternalInvariant
-from .ffield import _Kronecker, characteristic_polynomial, multiplicative_order
+from .ffield import _Kronecker, multiplicative_order
 
 _BLOCK = 1 << 16
 
 
-def _companion(rec, q):
-    import numpy as np
+def _count_zeros(mult, trace, states, total, q):
+    """Zeros among the terms trace·M^j·s, j < `total`, for each column s of
+    `states`, M = `mult` an n×n matrix and `trace` a row of n, all over F_q.
 
-    n = rec.shape[0]
-    mat = np.zeros((n, n), dtype=np.int64)
-    mat[:-1, 1:] = np.eye(n - 1, dtype=np.int64)
-    mat[-1] = (-rec) % q
-    return mat
-
-
-def _count_zeros(rec, seeds, total, q):
-    """Zeros among the first `total` terms of each column's sequence, every
-    column following t_{k+n} = -sum_j rec[j]·t_{k+j} from its n seed terms.
-
-    With state s_k = (t_k .. t_{k+n-1}) and companion matrix C, row j of U is
-    e_0^T C^j, so U @ S yields terms k .. k+B-1 of every column of the state
-    matrix S in one integer matmul. U is filled by doubling,
-    U[h:2h] = U[:h] @ C^h; as e_0^T C^j = e_j^T for j < n, its n rows past the
-    block are C^B, the state jump S_{k+B} = C^B S_k.
+    Row j of the power table U is trace·M^j, so U @ S yields terms k .. k+B-1
+    of every column at once when S holds the columns' states M^k·s. U is
+    filled by doubling, U[h:2h] = U[:h] @ M^h. Its height B is the greatest
+    power of two up to min(_BLOCK, total), so the doubling's last squaring is
+    M^B, the state jump S_{k+B} = M^B S_k.
     """
     import numpy as np
 
-    n = rec.shape[0]
-    block = max(n, min(_BLOCK, total))
-    u = np.zeros((block + n, n), dtype=np.int64)
-    u[0, 0] = 1
-    step = _companion(rec, q)  # C^h for the h rows filled so far
+    height = 1 << min(_BLOCK, total).bit_length() - 1
+    u = np.empty((height, len(trace)), dtype=np.int64)
+    u[0] = trace
+    step = np.asarray(mult, dtype=np.int64)  # M^h for the h rows filled so far
     h = 1
-    while h < len(u):
+    while h < height:
         dst = u[h : 2 * h]
-        np.matmul(u[: len(dst)], step, out=dst)
+        np.matmul(u[:h], step, out=dst)
         np.remainder(dst, q, out=dst)
         step = step @ step % q
         h *= 2
 
-    state = seeds.astype(np.int64)
+    state = np.asarray(states, dtype=np.int64)
     zeros = np.zeros(state.shape[1], dtype=np.int64)
-    terms = np.empty((block, state.shape[1]), dtype=np.int64)
+    terms = np.empty((height, state.shape[1]), dtype=np.int64)
     done = 0
     while done < total:
-        cnt = min(block, total - done)
+        cnt = min(height, total - done)
         out = terms[:cnt]
         np.matmul(u[:cnt], state, out=out)
         np.remainder(out, q, out=out)
         zeros += cnt - np.count_nonzero(out, axis=0)
-        state = u[block:] @ state % q
+        state = step @ state % q
         done += cnt
     return zeros
 
@@ -104,19 +93,12 @@ def _projective_counts(rec, seed, p: int, q: int):
     if any(norm[1:]) or not norm[0] or multiplicative_order(norm[0], q) != q - 1:
         raise InternalInvariant(f"alpha^N = {norm} does not generate F_{q}^*")
     beta = form.pow(y, p)
-    beta_rec = characteristic_polynomial(form.unpack(beta), rec, q)
-
+    # column i of M is beta·y^i; y^i packed is a 1 in slot i
+    mult = [form.unpack(form.mul(beta, 1 << i * form.w)) for i in range(n)]
     owner = _coset_owners(p, q)
     reps = sorted(set(owner))
-    seeds = []
-    for m in reps:
-        x = form.pow(y, m)
-        column = []
-        for _ in range(n):
-            column.append(sum(a * t for a, t in zip(form.unpack(x), seed)) % q)
-            x = form.mul(x, beta)
-        seeds.append(column)
-    zeros = _count_zeros(np.array(beta_rec, dtype=np.int64), np.array(seeds).T, span, q)
+    states = [form.unpack(form.pow(y, m)) for m in reps]
+    zeros = _count_zeros(np.array(mult).T, seed, np.array(states).T, span, q)
 
     rows = np.empty((p, q), dtype=np.int64)
     zeros_of = dict(zip(reps, zeros.tolist()))

@@ -32,6 +32,7 @@ from .ffield import (
     FieldContext,
     build_field,
     check_modulus_length,
+    check_primitive_root,
     field_from_choice,
     multiplicative_order,
     order_dividing,
@@ -165,6 +166,7 @@ def certify_half_plus(
         raise BadPrime(f"p={p} must be a prime ≡ 3 mod 4, p > 3")
     if max_witnesses < 1:
         raise BadInput(f"max_witnesses={max_witnesses} must be at least 1")
+    check_primitive_root(p, g)
     cn = class_number(p)
     n = (p - 1) // 2
     records: list[WitnessRecord] = []
@@ -379,6 +381,7 @@ def vandiver_scan(
         raise BadPrime(f"p={p} must be an odd prime > 3")
     if max_witnesses_per_r < 1:
         raise BadInput(f"max_witnesses_per_r={max_witnesses_per_r} must be at least 1")
+    check_primitive_root(p, g)
     candidates = _witness_fields(p, qbound, field_cap)
     vectors: dict[int, IndexVector] = {}
     scans = []
@@ -453,6 +456,7 @@ def remark_explore(
     n = (p - 1) // e
     if n < 2:
         raise BadPrime(f"p={p} gives order {n} < 2")
+    check_primitive_root(p, g)
     r = ((e - 1) * p + 1) // e
     for q in _primes_of_order(p, n, qbound):
         if q**n > field_cap:

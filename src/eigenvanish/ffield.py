@@ -82,28 +82,24 @@ class CyclotomicSetup:
             raise BadInput(f"q={q} must be a prime distinct from p")
         if q % p == 1:
             raise BadInput(f"q={q} is 1 mod p={p}; the order n would be 1")
+        # n >= 2 is the least order, n | p - 1, and p(q - 1) | q^n - 1 as
+        # p | q^n - 1 with gcd(p, q - 1) = 1
         n = multiplicative_order(q, p)
         e = (p - 1) // n
         f = (q**n - 1) // p
+        check_primitive_root(p, g)
         if g is None:
             g = least_primitive_root(p)
-        elif multiplicative_order(g % p, p) != p - 1:
-            raise BadInput(f"g={g} is not a primitive root mod {p}")
-        setup = cls(p=p, q=q, n=n, e=e, f=f, g=g % p)
-        setup.check()
-        return setup
+        return cls(p=p, q=q, n=n, e=e, f=f, g=g % p)
 
     def field_size(self) -> int:
         return self.q**self.n
 
-    def check(self) -> None:
-        p, q, n, e, f = self.p, self.q, self.n, self.e, self.f
-        if pow(q, n, p) != 1 or any(pow(q, m, p) == 1 for m in range(1, n)):
-            raise InternalInvariant("n is not the order of q mod p")
-        if n < 2 or (p - 1) % n or e * n != p - 1 or p * f != q**n - 1:
-            raise InternalInvariant("order bookkeeping failed")
-        if (q**n - 1) % (p * (q - 1)):
-            raise InternalInvariant("p(q-1) does not divide q^n - 1")
+
+def check_primitive_root(p: int, g: int | None) -> None:
+    """Raise BadInput unless g is None or a primitive root mod the prime p."""
+    if g is not None and multiplicative_order(g % p, p) != p - 1:
+        raise BadInput(f"g={g} is not a primitive root mod {p}")
 
 
 def least_primitive_root(p: int) -> int:
@@ -208,20 +204,6 @@ class _Kronecker:
             if bit == "1":
                 result = self.mul(result, x)
         return result
-
-
-def _mulmod(a, b, modulus, q: int):
-    """Product of two residues; `modulus` holds the n non-leading coefficients.
-    Packs both, takes the one packed product and unpacks it."""
-    form = _Kronecker(modulus, q)
-    return form.unpack(form.mul(form.pack(a), form.pack(b)))
-
-
-def _powmod(a, exponent: int, modulus, q: int):
-    """a^exponent: a is packed once, every squaring and multiply is a packed
-    product, and the result is unpacked once."""
-    form = _Kronecker(modulus, q)
-    return form.unpack(form.pow(form.pack(a), exponent))
 
 
 def _poly_deg(c) -> int:
@@ -366,7 +348,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
             break
     if alpha is None:
         raise InternalInvariant("no primitive element found")
-    return _field_context(setup, modulus, alpha)
+    return _field_context(setup, form, modulus, alpha)
 
 
 def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> FieldContext:
@@ -385,9 +367,10 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     if not _is_irreducible(coeffs, q):
         raise BadInput(f"modulus {modulus} is reducible over F_{q}")
     alpha = _int_to_coeffs(generator, n, q)
-    if not _is_primitive(alpha, _Kronecker(coeffs, q), _group_order_primes(q, n)):
+    form = _Kronecker(coeffs, q)
+    if not _is_primitive(alpha, form, _group_order_primes(q, n)):
         raise BadInput(f"generator {generator} is not a primitive element")
-    return _field_context(setup, coeffs, alpha)
+    return _field_context(setup, form, coeffs, alpha)
 
 
 def check_modulus_length(q: int, n: int, modulus: int) -> None:
@@ -405,10 +388,10 @@ def _is_primitive(x, form: _Kronecker, primes) -> bool:
     return all(form.pow(packed, order // ell) != 1 for ell in primes)
 
 
-def _field_context(setup: CyclotomicSetup, modulus, alpha) -> FieldContext:
-    q = setup.q
-    zeta = _powmod(alpha, setup.f, modulus, q)
-    ctx = FieldContext(q=q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta)
+def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha) -> FieldContext:
+    """The context of alpha mod `modulus`, whose packed form is `form`."""
+    zeta = form.unpack(form.pow(form.pack(alpha), setup.f))
+    ctx = FieldContext(q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta)
     if ctx.pow(zeta, setup.p) != ctx.one or zeta == ctx.one:
         raise InternalInvariant("zeta is not a primitive p-th root of unity")
     return ctx

@@ -170,6 +170,24 @@ def test_witness_counts_below_one_are_bad_input():
     assert len(certify_half_plus(23, max_witnesses=1).witnesses) == 1
 
 
+@pytest.mark.parametrize("run", [
+    partial(certify_half_plus, 23),
+    partial(certify_half_plus, 23, qbound=1),
+    partial(certify_half_plus, 23, field_cap=1),
+    partial(vandiver_scan, 23),
+    partial(vandiver_scan, 23, qbound=1),
+    partial(vandiver_scan, 23, field_cap=1),
+    partial(remark_explore, 13, "e4"),
+    partial(remark_explore, 13, "e4", qbound=1),
+    partial(remark_explore, 13, "e4", field_cap=1),
+], ids=lambda run: f"{run.func.__name__}-{run.keywords or 'default'}")
+def test_non_primitive_g_is_bad_input_for_any_bounds(run):
+    # 4 has order 11 mod 23 and order 6 mod 13; g is checked before any
+    # witness search, so bounds that admit no witness change nothing
+    with pytest.raises(BadInput, match="g=4 is not a primitive root"):
+        run(g=4)
+
+
 def test_verify_rejects_tampering():
     cert = certify_half_plus(7)
     assert check_certificate(cert) == []

@@ -140,6 +140,19 @@ def test_witness_count_below_one_exits_1(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["vandiver", "--p", "23", "--g", "4"],
+    ["vandiver", "--p", "23", "--g", "4", "--field-cap", "1"],
+    ["explore", "e4", "--p", "13", "--g", "4", "--field-cap", "1"],
+    ["certify", "--p", "23", "--g", "4", "--max-q", "1"],
+], ids=["vandiver", "vandiver-cap-1", "explore-cap-1", "certify-max-q-1"])
+def test_non_primitive_g_exits_1(capsys, argv):
+    code, report, err = run(capsys, *argv, "--json")
+    assert code == 1
+    assert report["error"]["type"] == "BadInput"
+    assert "g=4 is not a primitive root" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("argv", [
     ["classnum", "--p", "91"],
     ["classnum", "--p", "15"],
     ["stickelberger", "--p", "15", "--q", "7"],

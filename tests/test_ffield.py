@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 from conftest import grid_setups
-from sympy import Poly, Symbol, factorint, isprime
+from sympy import Poly, Symbol, factorint, isprime, primerange
 
 from eigenvanish import (
     BadInput,
@@ -20,16 +20,28 @@ from eigenvanish import (
 )
 from eigenvanish import ffield
 from eigenvanish.ffield import (
+    _Kronecker,
     _coeffs_to_int,
     _gcd_is_one,
     _group_order_primes,
     _int_to_coeffs,
     _is_irreducible,
-    _mulmod,
-    _powmod,
     dlog_order_p,
     generator_recurrence,
 )
+
+
+def packed_mulmod(a, b, modulus, q):
+    """a·b mod the monic x^n + sum modulus[i] x^i: one `_Kronecker` product,
+    packed and unpacked once."""
+    form = _Kronecker(modulus, q)
+    return form.unpack(form.mul(form.pack(a), form.pack(b)))
+
+
+def packed_powmod(a, exponent, modulus, q):
+    """a^exponent by `_Kronecker.pow`, packed and unpacked once."""
+    form = _Kronecker(modulus, q)
+    return form.unpack(form.pow(form.pack(a), exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -45,11 +57,11 @@ def frobenius_traces(modulus, q):
     x = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
     acc = [[0] * n for _ in range(n)]
     for j in range(n):
-        frob = _powmod(x, q**j, modulus, q)
+        frob = packed_powmod(x, q**j, modulus, q)
         power = (1,) + (0,) * (n - 1)
         for i in range(n):
             acc[i] = [(u + v) % q for u, v in zip(acc[i], power)]
-            power = _mulmod(power, frob, modulus, q)
+            power = packed_mulmod(power, frob, modulus, q)
     assert all(not any(row[1:]) for row in acc), "a trace outside the prime field"
     return tuple(row[0] for row in acc)
 
@@ -174,6 +186,19 @@ def test_setup_guards():
         CyclotomicSetup.create(13, 53)  # 53 ≡ 1 mod 13, order would be 1
     with pytest.raises(BadInput):
         CyclotomicSetup.create(7, 2, g=2)  # 2 has order 3, not primitive
+
+
+def test_setup_facts_follow_from_create():
+    # what create leaves unchecked follows from what it checks: n is the
+    # least order, n >= 2, n | p - 1 and p(q - 1) | q^n - 1
+    for p in primerange(5, 60):
+        for q in primerange(2, 60):
+            if q == p or q % p == 1:
+                continue
+            s = CyclotomicSetup.create(p, q)
+            assert s.n >= 2 and s.n * s.e == p - 1, (p, q)
+            assert pow(q, s.n, p) == 1 and all(pow(q, m, p) != 1 for m in range(1, s.n))
+            assert s.p * s.f == q**s.n - 1 and (q**s.n - 1) % (p * (q - 1)) == 0, (p, q)
 
 
 def test_setup_g_override():
@@ -325,7 +350,7 @@ def test_mulmod_matches_schoolbook(data, q, n):
     a = data.draw(_residues(q, n))
     b = data.draw(_residues(q, n))
     modulus = data.draw(_residues(q, n))
-    assert _mulmod(a, b, modulus, q) == schoolbook_mulmod(a, b, modulus, q)
+    assert packed_mulmod(a, b, modulus, q) == schoolbook_mulmod(a, b, modulus, q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -336,7 +361,7 @@ def test_powmod_matches_schoolbook(data, q, n):
     exponent = data.draw(st.integers(0, 10**6 if n <= 12 else 10**3))
     a = data.draw(_residues(q, n))
     modulus = data.draw(_residues(q, n))
-    assert _powmod(a, exponent, modulus, q) == schoolbook_powmod(a, exponent, modulus, q)
+    assert packed_powmod(a, exponent, modulus, q) == schoolbook_powmod(a, exponent, modulus, q)
 
 
 @pytest.mark.parametrize("q", MULMOD_QS)
@@ -347,8 +372,8 @@ def test_mulmod_at_the_slot_bound(q):
         top = (q - 1,) * n
         zero = (0,) * n
         for modulus in (top, zero, (1,) + (0,) * (n - 1)):
-            assert _mulmod(top, top, modulus, q) == schoolbook_mulmod(top, top, modulus, q)
-            assert _mulmod(zero, top, modulus, q) == zero
+            assert packed_mulmod(top, top, modulus, q) == schoolbook_mulmod(top, top, modulus, q)
+            assert packed_mulmod(zero, top, modulus, q) == zero
 
 
 @pytest.mark.parametrize("q, max_degree", [(2, 6), (3, 5)])

@@ -105,30 +105,35 @@ def test_backends_bit_identical(pq):
         assert np.array_equal(ref, got), backend
 
 
-def _python_zeros(rec, column, total, q):
-    n = len(rec)
-    window, zeros = [int(t) for t in column], 0
-    for k in range(total):
-        zeros += window[k % n] == 0
-        window[k % n] = -sum(int(rec[j]) * window[(k + j) % n] for j in range(n)) % q
+def _python_zeros(mult, trace, column, total, q):
+    """Zeros among the terms trace·M^j·s, j < total, stepping s -> M·s in python."""
+    n = len(trace)
+    state, zeros = [int(t) for t in column], 0
+    for _ in range(total):
+        zeros += sum(int(a) * b for a, b in zip(trace, state)) % q == 0
+        state = [sum(int(mult[i][j]) * state[j] for j in range(n)) % q for i in range(n)]
     return zeros
 
 
-@pytest.mark.parametrize("block", [4, 8, 16])
+@pytest.mark.parametrize("block", [4, 8, 12, 16])
 def test_multi_block_matches_python(monkeypatch, block):
     # a small block makes every field span several blocks, so the state jump
-    # C^block is checked against the oracle; n > block takes block = n
+    # M^B is checked against the oracle; block 12 takes an 8-row table, and
+    # n > block makes the table shorter than the state
     monkeypatch.setattr(_scan, "_BLOCK", block)
     for pq in FIELDS:
         got = _counts(CyclotomicSetup.create(*pq), "numpy")
         assert np.array_equal(got, _oracle_counts(pq)), pq
     rng = np.random.default_rng(block)
     for n in (3, block + 3):
-        rec, seeds = rng.integers(0, 5, n), rng.integers(0, 5, (n, 4))
-        for total in (block - 1, block, block + 1, 2 * block + 1):
-            ref = [_python_zeros(rec, seeds[:, c], total, 5) for c in range(4)]
-            got = _scan._count_zeros(rec, seeds, total, 5)
-            assert got.tolist() == ref, (n, total)
+        companion = np.eye(n, k=1, dtype=np.int64)
+        companion[-1] = rng.integers(0, 5, n)
+        for mult in (companion, rng.integers(0, 5, (n, n))):
+            trace, states = rng.integers(0, 5, n), rng.integers(0, 5, (n, 4))
+            for total in (block - 1, block, block + 1, 2 * block + 1):
+                ref = [_python_zeros(mult, trace, states[:, c], total, 5) for c in range(4)]
+                got = _scan._count_zeros(mult, trace, states, total, 5)
+                assert got.tolist() == ref, (n, total)
 
 
 def test_tiny_field_scan_allocates_little(f8):
