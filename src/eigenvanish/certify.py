@@ -16,9 +16,10 @@ record in its stored field with the same function and compares the two.
 
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from heapq import merge
 from math import gcd
 
-from ._nt import factor, is_prime, primes_upto
+from ._nt import factor, is_prime
 from .errors import (
     BadEigenspaceIndex,
     BadInput,
@@ -35,7 +36,6 @@ from .ffield import (
     check_primitive_root,
     field_from_choice,
     multiplicative_order,
-    order_dividing,
 )
 from .periods import compute_period_table, compute_v
 from .quadforms import ClassNumberData, class_number, represent_all
@@ -51,16 +51,20 @@ ROUTE_FULL = "periods+forms"
 ROUTE_ANALYTIC = "forms+index"
 
 
-def _prime_orders(p: int, qbound: int):
-    """(q, ord_p(q)) for each prime q <= qbound but the prime p, factoring p - 1 once."""
-    ells = factor(p - 1)
-    for q in primes_upto(qbound):
-        if q != p:
-            yield q, order_dividing(q, p, p - 1, ells)
-
-
 def _primes_of_order(p: int, n: int, qbound: int):
-    return (q for q, order in _prime_orders(p, qbound) if order == n)
+    """The primes q <= qbound of order n mod the prime p, ascending and lazily.
+    Such q lie in the residue classes a mod p of order n: a^n ≡ 1 and
+    a^(n/ell) ≢ 1 for each prime ell of n. Only the classes a <= qbound can
+    hold one, so at most min(p, qbound) residues are tested, and a class
+    whose progression ends at a (a + p > qbound) only if a is prime; the
+    progressions of the classes found are merged and their primes kept."""
+    ells = factor(n)
+    classes = [
+        a for a in range(1, min(p, qbound + 1))
+        if (a + p <= qbound or is_prime(a))
+        and pow(a, n, p) == 1 and all(pow(a, n // ell, p) != 1 for ell in ells)
+    ]
+    return filter(is_prime, merge(*(range(a, qbound + 1, p) for a in classes)))
 
 
 def find_primes_of_order(p: int, n: int, count: int, qbound: int) -> list[int]:
@@ -330,12 +334,16 @@ def certificate_from_dict(data: dict) -> Certificate:
 
 
 def _witness_fields(p: int, qbound: int, field_cap: int):
-    """(field size, q, n) for every candidate witness prime, smallest fields first."""
+    """(field size, q, n) for every candidate witness prime, smallest fields
+    first. The order n of q mod p divides p - 1, and n < the cap's bit length,
+    else q^n >= 2^n > field_cap; each n's primes come in ascending order, so
+    they stop at the first q with q^n > field_cap."""
     out = []
-    for q, n in _prime_orders(p, qbound):
-        if 1 < n < field_cap.bit_length():  # else q^n >= 2^n > field_cap
-            size = q**n
-            if size <= field_cap:
+    for n in range(2, min(p, field_cap.bit_length())):
+        if (p - 1) % n == 0:
+            for q in _primes_of_order(p, n, qbound):
+                if (size := q**n) > field_cap:
+                    break
                 out.append((size, q, n))
     out.sort()
     return out

@@ -52,15 +52,10 @@ def multiplicative_order(a: int, m: int) -> int:
     phi = 1
     for prime, mult in factor(m).items():
         phi *= (prime - 1) * prime ** (mult - 1)
-    return order_dividing(a, m, phi, factor(phi))
-
-
-def order_dividing(a: int, m: int, exponent: int, primes) -> int:
-    """ord_m(a), given a^exponent ≡ 1 mod m: strip each of exponent's primes in turn."""
-    for prime in primes:
-        while exponent % prime == 0 and pow(a, exponent // prime, m) == 1:
-            exponent //= prime
-    return exponent
+    for prime in factor(phi):  # a^phi ≡ 1: strip each of phi's primes in turn
+        while phi % prime == 0 and pow(a, phi // prime, m) == 1:
+            phi //= prime
+    return phi
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,7 @@ class CyclotomicSetup:
 
 def check_primitive_root(p: int, g: int | None) -> None:
     """Raise BadInput unless g is None or a primitive root mod the prime p."""
-    if g is not None and multiplicative_order(g % p, p) != p - 1:
+    if g is not None and (g % p == 0 or multiplicative_order(g, p) != p - 1):
         raise BadInput(f"g={g} is not a primitive root mod {p}")
 
 
@@ -415,18 +410,24 @@ def trace(ctx: FieldContext, x) -> int:
     return sum(c * t for c, t in zip(x, ctx.basis_traces)) % ctx.q
 
 
-def dlog_order_p(ctx: FieldContext, y, p: int) -> int:
-    """Discrete log of y in the order-p subgroup <zeta>: the k with zeta^k = y.
-    zeta and y are packed once and the walk compares packed ints; a packed
-    residue is canonical (every slot below q), so equal ints are equal
-    residues."""
+def dlog_order_p(ctx: FieldContext, ys, p: int) -> tuple[int, ...]:
+    """Discrete logs of the sequence of residues ys in the order-p subgroup
+    <zeta>: for each y the k with zeta^k = y. One walk zeta^0, zeta^1, ...
+    serves every target and stops at the largest log, so it takes no more
+    products than one walk per target would. zeta and the targets are packed
+    once and the walk compares packed ints; a packed residue is canonical
+    (every slot below q), so equal ints are equal residues. Raises
+    NotInSubgroup if any y is no p-th root of unity."""
     form = ctx.kronecker
-    target, zeta = form.pack(y), form.pack(ctx.zeta)
-    if form.unpack(target) == tuple(y):  # else y is no residue of length n
-        z = 1
+    targets = [form.pack(y) for y in ys]
+    if all(form.unpack(t) == tuple(y) for t, y in zip(targets, ys)):  # residues of length n
+        wanted, logs = set(targets), {}
+        z, zeta = 1, form.pack(ctx.zeta)
         for k in range(p):
-            if z == target:
-                return k
+            if z in wanted:
+                logs[z] = k
+            if len(logs) == len(wanted):
+                return tuple(logs[t] for t in targets)
             z = form.mul(z, zeta)
     raise NotInSubgroup("element is not a p-th root of unity")
 

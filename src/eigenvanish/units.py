@@ -13,8 +13,9 @@ sum_(j<n) q^(j(1-r)), which is n when q^(1-r) = 1 and 0 otherwise:
     i_r = n * sum_(k<e) c_(g^k) g^(-kr)  (mod p)   if n | p - r,
     i_r = 0                                        otherwise.
 
-So a whole field's indices cost e field powers and e discrete logs
-(`index_vector`), after which every r is a sum of e terms mod p. The second
+So a whole field's indices cost 2e field powers, which build the e targets
+(1 - zeta^(g^k))^f, and one walk of <zeta> that meets all their discrete logs
+(`index_vector`); every r is then a sum of e terms mod p. The second
 case is the "admissible orders" obstruction: a witness whose order n does
 not divide p - r can never certify the r-th eigenspace. A nonzero i_r
 certifies that the r-th even eigenspace of the p-part of the class group is
@@ -69,16 +70,17 @@ class IndexVector:
 
 
 def index_vector(ctx: FieldContext, setup: CyclotomicSetup) -> IndexVector:
-    """The field's IndexVector: one power and one discrete log per coset of <q>."""
+    """The field's IndexVector: two field powers per coset of <q> build its
+    target, and one walk of <zeta> takes the discrete logs of all e targets."""
     p, q, g = setup.p, setup.q, setup.g
-    c = []
+    targets = []
     gk = 1
     for _ in range(setup.e):
         zpow = ctx.pow(ctx.zeta, gk)
         base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
-        c.append(dlog_order_p(ctx, ctx.pow(base, setup.f), p))
+        targets.append(ctx.pow(base, setup.f))
         gk = gk * g % p
-    return IndexVector(p=p, n=setup.n, g=g, c=tuple(c))
+    return IndexVector(p=p, n=setup.n, g=g, c=dlog_order_p(ctx, targets, p))
 
 
 def index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> int:

@@ -12,7 +12,7 @@ from conftest import (
     golden_certificate,
     unencodable_certificates,
 )
-from sympy import factorint, isprime, nextprime, primerange
+from sympy import divisors, factorint, isprime, n_order, nextprime, primerange
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irreducible_p, gf_pow_mod
 from sympy.ntheory import is_primitive_root
@@ -42,8 +42,8 @@ from eigenvanish.certify import (
     DEFAULT_FIELD_CAP,
     ROUTE_ANALYTIC,
     ROUTE_FULL,
-    _prime_orders,
     _primes_of_order,
+    _witness_fields,
     _witness_record,
 )
 from eigenvanish.ffield import field_from_choice
@@ -65,10 +65,32 @@ def test_find_primes_of_order_guards():
         find_primes_of_order(15, 2, 1, 100)  # composite p
 
 
+def _prime_orders(p: int, qbound: int) -> list[tuple[int, int]]:
+    """(q, ord_p(q)) for each prime q <= qbound but p, by sympy's n_order: the
+    oracle for the witness primes that `_primes_of_order` finds by residue class."""
+    return [(q, n_order(q, p)) for q in primerange(2, qbound + 1) if q != p]
+
+
 @pytest.mark.parametrize("p", [7, 23, 43, 61])
 def test_prime_orders_match_multiplicative_order(p):
     expected = [(q, multiplicative_order(q, p)) for q in primerange(2, 10_001) if q != p]
     assert list(_prime_orders(p, 10_000)) == expected
+
+
+@pytest.mark.parametrize("qbound", [2, 3, 50, 401, 1000, 10_000])
+def test_witness_primes_match_the_order_oracle(qbound):
+    # every prime p <= 300, every order n >= 2 dividing p - 1, and field caps
+    # from below any field to past every q^n with n < 41; for p > 200 the
+    # prime qbound = 401 is the second and last term a + p of its class
+    for p in primerange(2, 301):
+        orders = _prime_orders(p, qbound)
+        for n in divisors(p - 1)[1:]:
+            want = [q for q, order in orders if order == n]
+            assert list(_primes_of_order(p, n, qbound)) == want, (p, n)
+        fields = sorted((q**n, q, n) for q, n in orders if n >= 2)
+        for cap in (1, 8, 100, 1 << 20, 1 << 27, 1 << 40):
+            want = [field for field in fields if field[0] <= cap]
+            assert _witness_fields(p, qbound, cap) == want, (p, cap)
 
 
 # frozen witness data for the smallest certifying prime q per p
@@ -186,6 +208,24 @@ def test_non_primitive_g_is_bad_input_for_any_bounds(run):
     # witness search, so bounds that admit no witness change nothing
     with pytest.raises(BadInput, match="g=4 is not a primitive root"):
         run(g=4)
+
+
+@pytest.mark.parametrize("run, p", [
+    (partial(certify_half_plus, 23), 23),
+    (partial(certify_half_plus, 23, qbound=1), 23),
+    (partial(vandiver_scan, 23), 23),
+    (partial(vandiver_scan, 23, field_cap=1), 23),
+    (partial(remark_explore, 13, "e4"), 13),
+    (partial(remark_explore, 13, "e4", field_cap=1), 13),
+], ids=lambda x: str(x) if isinstance(x, int) else f"{x.func.__name__}-{x.keywords or 'default'}")
+def test_g_divisible_by_p_is_bad_input(run, p):
+    # g ≡ 0 mod p has no order mod p; it is refused as any other g that is no
+    # primitive root, not as a gcd failure
+    for g in (p, 0, 3 * p, -p):
+        with pytest.raises(BadInput, match=f"g={g} is not a primitive root mod {p}$"):
+            run(g=g)
+    with pytest.raises(BadInput, match=f"g={p} is not a primitive root mod {p}$"):
+        CyclotomicSetup.create(p, 2, g=p)
 
 
 def test_verify_rejects_tampering():

@@ -152,6 +152,19 @@ def test_non_primitive_g_exits_1(capsys, argv):
     assert "g=4 is not a primitive root" in report["error"]["message"]
 
 
+@pytest.mark.parametrize("argv, g, p", [
+    (["vandiver", "--p", "23", "--field-cap", "1"], 23, 23),
+    (["certify", "--p", "23"], 23, 23),
+    (["explore", "e4", "--p", "13", "--field-cap", "1"], 13, 13),
+    (["vandiver", "--p", "23"], 0, 23),
+], ids=["vandiver-cap-1", "certify", "explore-cap-1", "vandiver-g-0"])
+def test_g_divisible_by_p_exits_1(capsys, argv, g, p):
+    code, report, err = run(capsys, *argv, "--g", str(g), "--json")
+    assert code == 1
+    assert report["error"]["type"] == "BadInput"
+    assert report["error"]["message"] == f"g={g} is not a primitive root mod {p}"
+
+
 @pytest.mark.parametrize("argv", [
     ["classnum", "--p", "91"],
     ["classnum", "--p", "15"],

@@ -292,10 +292,35 @@ def test_generator_recurrence_matches_power_walk(pq):
 
 def test_dlog_order_p(f27):
     setup, ctx = f27
-    for j in range(13):
-        assert dlog_order_p(ctx, ctx.pow(ctx.zeta, j), 13) == j
+    powers = [ctx.pow(ctx.zeta, j) for j in range(13)]
+    assert dlog_order_p(ctx, powers, 13) == tuple(range(13))
+    assert dlog_order_p(ctx, powers[::-1], 13) == tuple(range(12, -1, -1))
+    assert dlog_order_p(ctx, [], 13) == ()
+    # repeated targets each get their log
+    z5, z9 = powers[5], powers[9]
+    assert dlog_order_p(ctx, [z9, z5, z9, ctx.one, z5, z9], 13) == (9, 5, 9, 0, 5, 9)
+    assert dlog_order_p(ctx, [ctx.one] * 4, 13) == (0, 0, 0, 0)
     with pytest.raises(NotInSubgroup):
-        dlog_order_p(ctx, ctx.alpha, 13)  # alpha has order 26, not in <zeta>
+        dlog_order_p(ctx, [ctx.alpha], 13)  # alpha has order 26, not in <zeta>
+
+
+def test_dlog_order_p_stops_at_the_largest_log(f27, monkeypatch):
+    # one walk for the whole batch, as many products as its largest log
+    setup, ctx = f27
+    batches = [(3, 7, 2), (0,), (12, 0), (6, 6)]
+    targets = [[ctx.pow(ctx.zeta, j) for j in logs] for logs in batches]
+    products = []
+    mul = _Kronecker.mul
+
+    def counting(form, x, y):
+        products.append(1)
+        return mul(form, x, y)
+
+    monkeypatch.setattr(_Kronecker, "mul", counting)
+    for logs, ys in zip(batches, targets):
+        products.clear()
+        assert dlog_order_p(ctx, ys, 13) == logs
+        assert len(products) == max(logs), logs
 
 
 def tuple_dlog(ctx, y, p):
@@ -313,16 +338,19 @@ def tuple_dlog(ctx, y, p):
 def test_dlog_order_p_matches_the_tuple_walk(p, q):
     # n = 18, 21, 4 and 4: the widest and the largest-q fields the benchmark builds
     ctx = build_field(CyclotomicSetup.create(p, q))
-    for j in range(p):
-        y = ctx.pow(ctx.zeta, j)
-        assert dlog_order_p(ctx, y, p) == tuple_dlog(ctx, y, p) == j
+    powers = [ctx.pow(ctx.zeta, j) for j in range(p)]
+    assert dlog_order_p(ctx, powers, p) == tuple(tuple_dlog(ctx, y, p) for y in powers)
+    assert dlog_order_p(ctx, powers, p) == tuple(range(p))
     # alpha generates F_{q^n}^*, so it is no p-th root of unity; nor is an
-    # encoding of 1 with a coefficient q, or one of the wrong length
+    # encoding of 1 with a coefficient q, or one of the wrong length. Each
+    # is refused alone and in a batch of p-th roots of unity, at either end
+    # or between two of them.
     for y in (ctx.alpha, (q,) + ctx.one[1:], ctx.one + (0,)):
         with pytest.raises(NotInSubgroup):
             tuple_dlog(ctx, y, p)
-        with pytest.raises(NotInSubgroup):
-            dlog_order_p(ctx, y, p)
+        for batch in ([y], [y] + powers, powers + [y], [powers[1], y, powers[1]]):
+            with pytest.raises(NotInSubgroup):
+                dlog_order_p(ctx, batch, p)
 
 
 def test_modulus_is_lex_least(f8):

@@ -51,7 +51,7 @@ def per_r_index(ctx, setup, r):
         zpow = ctx.mul(zpow, ctx.zeta)
         base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
         beta = ctx.mul(beta, ctx.pow(base, pow(i, p - 1 - r, ctx.order)))
-    return dlog_order_p(ctx, ctx.pow(beta, setup.f), p)
+    return dlog_order_p(ctx, [ctx.pow(beta, setup.f)], p)[0]
 
 
 GOLDEN_INDICES = {
@@ -121,19 +121,29 @@ def test_index_vector_does_not_depend_on_g():
 
 
 def test_index_vector_takes_one_dlog_per_coset(monkeypatch):
+    # one discrete log per coset of <q>, all e of them from one dlog_order_p
+    # call per field
     calls = []
 
-    def counting(ctx, y, p):
-        calls.append(y)
-        return dlog_order_p(ctx, y, p)
+    def counting(ctx, ys, p):
+        calls.append(list(ys))
+        return dlog_order_p(ctx, ys, p)
 
     monkeypatch.setattr(units, "dlog_order_p", counting)
-    setup = CyclotomicSetup.create(31, 5)
-    vector = index_vector(build_field(setup), setup)
-    assert len(calls) == setup.e == 10
-    for r in range(2, 30):
-        vector.at(r)
-    assert len(calls) == 10
+    for p, q in ((31, 5), (43, 79), (61, 3)):
+        calls.clear()
+        setup = CyclotomicSetup.create(p, q)
+        ctx = build_field(setup)
+        vector = index_vector(ctx, setup)
+        assert len(calls) == 1
+        assert len(calls[0]) == setup.e == len(vector.c)
+        # the targets are (1 - zeta^(g^k))^f for k < e, in order
+        for k, y in enumerate(calls[0]):
+            zpow = ctx.pow(ctx.zeta, pow(setup.g, k, p))
+            assert y == ctx.pow(tuple((u - w) % q for u, w in zip(ctx.one, zpow)), setup.f)
+        for r in range(2, p - 1):
+            vector.at(r)
+        assert len(calls) == 1
 
 
 def test_index_vector_range_check(f8):
