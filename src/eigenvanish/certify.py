@@ -40,7 +40,6 @@ from .ffield import (
 from .periods import compute_period_table, compute_v
 from .quadforms import ClassNumberData, class_number, represent_all
 from .units import TRIVIAL, UNKNOWN, IndexVector, index_mod_p, index_vector, verdict
-from .units import verify_identity_i
 
 DEFAULT_FIELD_CAP = 1 << 27
 DEFAULT_QBOUND = 10_000
@@ -468,14 +467,14 @@ def remark_explore(
     r = ((e - 1) * p + 1) // e
     for q in _primes_of_order(p, n, qbound):
         if q**n > field_cap:
-            continue
+            break  # the primes ascend, so every later field is larger still
         setup = CyclotomicSetup.create(p, q, g=g)
         ctx = build_field(setup)
         table = compute_period_table(ctx, setup)
         s1 = sum(table.d)
         spread = e * sum(x * x for x in table.d) - s1 * s1
         rhs = s1 * s1 + p * spread
-        lhs = rhs + verify_identity_i(setup, table)
+        lhs = e * e * q ** (n - 2 * table.v)
         if lhs != rhs:
             raise InternalInvariant(f"identity fails for p={p}, q={q}: {lhs} != {rhs}")
         i_val = index_mod_p(ctx, setup, r)

@@ -14,9 +14,9 @@ chain of field products a residue is a packed int (`_Kronecker`), one slot
 per coefficient. Each product is one integer multiplication, a slot-by-slot
 reduction of the high slots from the top, and a fold that takes all n low
 slots mod q at once by a multiply-and-shift division; a power (left to
-right) or a discrete-log walk packs once and unpacks once. Tuples stay the
-element type at every public boundary. All of it is exact, so the choices
-above do not depend on it.
+right) packs once and unpacks once. Tuples stay the element type at every
+public boundary but one: the discrete-log table of <zeta> is keyed by packed
+residues. All of it is exact, so the choices above do not depend on it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
@@ -384,12 +384,10 @@ def _is_primitive(x, form: _Kronecker, primes) -> bool:
 
 
 def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha) -> FieldContext:
-    """The context of alpha mod `modulus`, whose packed form is `form`."""
+    """The context of alpha mod `modulus`, whose packed form is `form`. alpha
+    is primitive, so zeta = alpha^f has order (q^n - 1)/f = p exactly."""
     zeta = form.unpack(form.pow(form.pack(alpha), setup.f))
-    ctx = FieldContext(q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta)
-    if ctx.pow(zeta, setup.p) != ctx.one or zeta == ctx.one:
-        raise InternalInvariant("zeta is not a primitive p-th root of unity")
-    return ctx
+    return FieldContext(q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta)
 
 
 def _power_sums(coeffs, q: int) -> tuple[int, ...]:
@@ -410,26 +408,20 @@ def trace(ctx: FieldContext, x) -> int:
     return sum(c * t for c, t in zip(x, ctx.basis_traces)) % ctx.q
 
 
-def dlog_order_p(ctx: FieldContext, ys, p: int) -> tuple[int, ...]:
-    """Discrete logs of the sequence of residues ys in the order-p subgroup
-    <zeta>: for each y the k with zeta^k = y. One walk zeta^0, zeta^1, ...
-    serves every target and stops at the largest log, so it takes no more
-    products than one walk per target would. zeta and the targets are packed
-    once and the walk compares packed ints; a packed residue is canonical
-    (every slot below q), so equal ints are equal residues. Raises
-    NotInSubgroup if any y is no p-th root of unity."""
+def dlog_order_p(ctx: FieldContext, p: int) -> dict[int, int]:
+    """The discrete-log table of the order-p subgroup <zeta>: {packed zeta^k: k}
+    for k < p, in order of k, from one walk of p - 1 packed products. A packed
+    residue is canonical (every slot below q), so a packed target looks up its
+    log. Raises NotInSubgroup unless the walk first returns to 1 at k = p."""
     form = ctx.kronecker
-    targets = [form.pack(y) for y in ys]
-    if all(form.unpack(t) == tuple(y) for t, y in zip(targets, ys)):  # residues of length n
-        wanted, logs = set(targets), {}
-        z, zeta = 1, form.pack(ctx.zeta)
-        for k in range(p):
-            if z in wanted:
-                logs[z] = k
-            if len(logs) == len(wanted):
-                return tuple(logs[t] for t in targets)
-            z = form.mul(z, zeta)
-    raise NotInSubgroup("element is not a p-th root of unity")
+    zeta = form.pack(ctx.zeta)
+    logs, z = {1: 0}, zeta
+    for k in range(1, p):
+        logs[z] = k
+        z = form.mul(z, zeta)
+    if len(logs) < p or z != 1:  # z = zeta^p; a repeated power overwrote a key
+        raise NotInSubgroup("zeta is not a primitive p-th root of unity")
+    return logs
 
 
 def characteristic_polynomial(x, modulus, q: int) -> tuple[int, ...]:

@@ -13,19 +13,19 @@ sum_(j<n) q^(j(1-r)), which is n when q^(1-r) = 1 and 0 otherwise:
     i_r = n * sum_(k<e) c_(g^k) g^(-kr)  (mod p)   if n | p - r,
     i_r = 0                                        otherwise.
 
-So a whole field's indices cost 2e field powers, which build the e targets
-(1 - zeta^(g^k))^f, and one walk of <zeta> that meets all their discrete logs
-(`index_vector`); every r is then a sum of e terms mod p. The second
-case is the "admissible orders" obstruction: a witness whose order n does
-not divide p - r can never certify the r-th eigenspace. A nonzero i_r
-certifies that the r-th even eigenspace of the p-part of the class group is
-trivial; i_r = 0 decides nothing.
+So a whole field's indices cost one walk of <zeta>, whose table of p powers
+holds every zeta^(g^k) and every discrete log, and e field powers, which
+build the targets (1 - zeta^(g^k))^f (`index_vector`); every r is then a sum
+of e terms mod p. The second case is the "admissible orders" obstruction: a
+witness whose order n does not divide p - r can never certify the r-th
+eigenspace. A nonzero i_r certifies that the r-th even eigenspace of the
+p-part of the class group is trivial; i_r = 0 decides nothing.
 """
 
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BadEigenspaceIndex, MissingIndex
+from .errors import BadEigenspaceIndex, MissingIndex, NotInSubgroup
 from .ffield import CyclotomicSetup, FieldContext, dlog_order_p
 
 TRIVIAL = "Trivial"
@@ -70,17 +70,23 @@ class IndexVector:
 
 
 def index_vector(ctx: FieldContext, setup: CyclotomicSetup) -> IndexVector:
-    """The field's IndexVector: two field powers per coset of <q> build its
-    target, and one walk of <zeta> takes the discrete logs of all e targets."""
+    """The field's IndexVector: one walk of <zeta> tabulates its p powers, and
+    the table gives every zeta^(g^k) and every discrete log; each coset of
+    <q> then costs one field power, (1 - zeta^(g^k))^f."""
     p, q, g = setup.p, setup.q, setup.g
-    targets = []
+    logs = dlog_order_p(ctx, p)
+    powers = list(logs)  # powers[k] = zeta^k, packed
+    form = ctx.kronecker
+    c = []
     gk = 1
     for _ in range(setup.e):
-        zpow = ctx.pow(ctx.zeta, gk)
-        base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
-        targets.append(ctx.pow(base, setup.f))
+        base = tuple((u - w) % q for u, w in zip(ctx.one, form.unpack(powers[gk])))
+        target = form.pow(form.pack(base), setup.f)
+        if target not in logs:
+            raise NotInSubgroup("(1 - zeta^i)^f is not a p-th root of unity")
+        c.append(logs[target])
         gk = gk * g % p
-    return IndexVector(p=p, n=setup.n, g=g, c=dlog_order_p(ctx, targets, p))
+    return IndexVector(p=p, n=setup.n, g=g, c=tuple(c))
 
 
 def index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> int:

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from sympy import primerange
 
-from eigenvanish import CyclotomicSetup, build_field, multiplicative_order
+from eigenvanish import CyclotomicSetup, NotInSubgroup, build_field, multiplicative_order
 
 _acceptance_lines: dict[int, str] = {}
 
@@ -52,6 +52,36 @@ def unencodable_certificates(p: int, q: int = 2, modulus: str = "999") -> dict:
     one = dict(empty, witnesses=[witness],
                field_choices=[{"q": q, "modulus": modulus, "generator": "2"}])
     return {"no-witnesses": empty, "short-modulus": one}
+
+
+def schoolbook_mulmod(a, b, modulus, q):
+    """Product of two residues mod the monic x^n + sum modulus[i] x^i, by
+    convolution and then long division from the top coefficient down."""
+    n = len(modulus)
+    res = [0] * (2 * n - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                res[i + j] = (res[i + j] + ai * bj) % q
+    for i in range(len(res) - 1, n - 1, -1):
+        c = res[i]
+        if c:
+            res[i] = 0
+            for j in range(n):
+                res[i - n + j] = (res[i - n + j] - c * modulus[j]) % q
+    return tuple(res[:n])
+
+
+def tuple_dlog(ctx, y, p):
+    """The discrete log of y to base zeta by a walk over coefficient tuples
+    with the schoolbook product: an oracle that shares no code with
+    `dlog_order_p`'s packed walk."""
+    z = ctx.one
+    for k in range(p):
+        if z == y:
+            return k
+        z = schoolbook_mulmod(z, ctx.zeta, ctx.modulus, ctx.q)
+    raise NotInSubgroup("element is not a p-th root of unity")
 
 
 def grid_setups() -> list[CyclotomicSetup]:

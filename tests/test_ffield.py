@@ -1,8 +1,9 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import grid_setups
+from conftest import grid_setups, schoolbook_mulmod
 from sympy import Poly, Symbol, factorint, isprime, primerange
 
 from eigenvanish import (
@@ -45,9 +46,9 @@ def packed_powmod(a, exponent, modulus, q):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the Frobenius trace sum, the schoolbook product and Rabin's test,
-# the slow references that the power sums, the Kronecker product and Ben-Or's
-# test are compared against
+# oracles: the Frobenius trace sum, the schoolbook product (in conftest, which
+# the unit-index oracle shares) and Rabin's test, the slow references that the
+# power sums, the Kronecker product and Ben-Or's test are compared against
 
 
 def frobenius_traces(modulus, q):
@@ -64,24 +65,6 @@ def frobenius_traces(modulus, q):
             power = packed_mulmod(power, frob, modulus, q)
     assert all(not any(row[1:]) for row in acc), "a trace outside the prime field"
     return tuple(row[0] for row in acc)
-
-
-def schoolbook_mulmod(a, b, modulus, q):
-    """Product of two residues mod the monic x^n + sum modulus[i] x^i, by
-    convolution and then long division from the top coefficient down."""
-    n = len(modulus)
-    res = [0] * (2 * n - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % q
-    for i in range(len(res) - 1, n - 1, -1):
-        c = res[i]
-        if c:
-            res[i] = 0
-            for j in range(n):
-                res[i - n + j] = (res[i - n + j] - c * modulus[j]) % q
-    return tuple(res[:n])
 
 
 def schoolbook_powmod(a, exponent, modulus, q):
@@ -290,25 +273,22 @@ def test_generator_recurrence_matches_power_walk(pq):
     assert stream[:40] == walked
 
 
-def test_dlog_order_p(f27):
-    setup, ctx = f27
-    powers = [ctx.pow(ctx.zeta, j) for j in range(13)]
-    assert dlog_order_p(ctx, powers, 13) == tuple(range(13))
-    assert dlog_order_p(ctx, powers[::-1], 13) == tuple(range(12, -1, -1))
-    assert dlog_order_p(ctx, [], 13) == ()
-    # repeated targets each get their log
-    z5, z9 = powers[5], powers[9]
-    assert dlog_order_p(ctx, [z9, z5, z9, ctx.one, z5, z9], 13) == (9, 5, 9, 0, 5, 9)
-    assert dlog_order_p(ctx, [ctx.one] * 4, 13) == (0, 0, 0, 0)
-    with pytest.raises(NotInSubgroup):
-        dlog_order_p(ctx, [ctx.alpha], 13)  # alpha has order 26, not in <zeta>
+@pytest.mark.parametrize("p, q", [(13, 3), (19, 2), (43, 13), (17, 47), (5, 107)])
+def test_dlog_order_p_matches_the_tuple_walk(p, q):
+    # n = 3, 18, 21, 4 and 4: F_27, then the widest and the largest-q fields
+    # the benchmark builds
+    ctx = build_field(CyclotomicSetup.create(p, q))
+    form = ctx.kronecker
+    logs = dlog_order_p(ctx, p)
+    powers = [ctx.one]
+    for _ in range(p - 1):
+        powers.append(schoolbook_mulmod(powers[-1], ctx.zeta, ctx.modulus, q))
+    # keyed by the packed zeta^k, in order of k
+    assert [(form.unpack(z), k) for z, k in logs.items()] == list(zip(powers, range(p)))
 
 
-def test_dlog_order_p_stops_at_the_largest_log(f27, monkeypatch):
-    # one walk for the whole batch, as many products as its largest log
+def test_dlog_order_p_takes_p_minus_1_products(f27, monkeypatch):
     setup, ctx = f27
-    batches = [(3, 7, 2), (0,), (12, 0), (6, 6)]
-    targets = [[ctx.pow(ctx.zeta, j) for j in logs] for logs in batches]
     products = []
     mul = _Kronecker.mul
 
@@ -317,40 +297,18 @@ def test_dlog_order_p_stops_at_the_largest_log(f27, monkeypatch):
         return mul(form, x, y)
 
     monkeypatch.setattr(_Kronecker, "mul", counting)
-    for logs, ys in zip(batches, targets):
-        products.clear()
-        assert dlog_order_p(ctx, ys, 13) == logs
-        assert len(products) == max(logs), logs
+    logs = dlog_order_p(ctx, 13)
+    assert len(logs) == 13 and len(products) == 12
 
 
-def tuple_dlog(ctx, y, p):
-    """The walk over coefficient tuples with the schoolbook product: the
-    oracle for `dlog_order_p`'s walk over packed residues."""
-    z = ctx.one
-    for k in range(p):
-        if z == y:
-            return k
-        z = schoolbook_mulmod(z, ctx.zeta, ctx.modulus, ctx.q)
-    raise NotInSubgroup("element is not a p-th root of unity")
-
-
-@pytest.mark.parametrize("p, q", [(19, 2), (43, 13), (17, 47), (5, 107)])
-def test_dlog_order_p_matches_the_tuple_walk(p, q):
-    # n = 18, 21, 4 and 4: the widest and the largest-q fields the benchmark builds
-    ctx = build_field(CyclotomicSetup.create(p, q))
-    powers = [ctx.pow(ctx.zeta, j) for j in range(p)]
-    assert dlog_order_p(ctx, powers, p) == tuple(tuple_dlog(ctx, y, p) for y in powers)
-    assert dlog_order_p(ctx, powers, p) == tuple(range(p))
-    # alpha generates F_{q^n}^*, so it is no p-th root of unity; nor is an
-    # encoding of 1 with a coefficient q, or one of the wrong length. Each
-    # is refused alone and in a batch of p-th roots of unity, at either end
-    # or between two of them.
-    for y in (ctx.alpha, (q,) + ctx.one[1:], ctx.one + (0,)):
-        with pytest.raises(NotInSubgroup):
-            tuple_dlog(ctx, y, p)
-        for batch in ([y], [y] + powers, powers + [y], [powers[1], y, powers[1]]):
-            with pytest.raises(NotInSubgroup):
-                dlog_order_p(ctx, batch, p)
+@pytest.mark.parametrize("bad", ["one", "alpha"])
+def test_dlog_order_p_refuses_a_forged_zeta(f27, bad):
+    # zeta = 1 has order 1, and alpha order 26: neither walk first comes back
+    # to 1 at k = p
+    setup, ctx = f27
+    forged = replace(ctx, zeta=getattr(ctx, bad))
+    with pytest.raises(NotInSubgroup):
+        dlog_order_p(forged, 13)
 
 
 def test_modulus_is_lex_least(f8):

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import pytest
+from conftest import tuple_dlog
 
 from eigenvanish import (
     BadEigenspaceIndex,
     CyclotomicSetup,
     IndexVector,
     MissingIndex,
+    NotInSubgroup,
     beta_index_mod_p,
     build_field,
     compute_period_table,
@@ -43,7 +47,8 @@ def brute_index(ctx, setup, r):
 
 def per_r_index(ctx, setup, r):
     """Oracle: beta_r built afresh for one r, p - 1 field powers with the
-    exponents i^(p-1-r) reduced mod q^n - 1, then a linear dlog of beta_r^f."""
+    exponents i^(p-1-r) reduced mod q^n - 1, then the schoolbook tuple walk's
+    dlog of beta_r^f."""
     p, q = setup.p, setup.q
     beta = ctx.one
     zpow = ctx.one
@@ -51,7 +56,7 @@ def per_r_index(ctx, setup, r):
         zpow = ctx.mul(zpow, ctx.zeta)
         base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
         beta = ctx.mul(beta, ctx.pow(base, pow(i, p - 1 - r, ctx.order)))
-    return dlog_order_p(ctx, [ctx.pow(beta, setup.f)], p)[0]
+    return tuple_dlog(ctx, ctx.pow(beta, setup.f), p)
 
 
 GOLDEN_INDICES = {
@@ -120,14 +125,14 @@ def test_index_vector_does_not_depend_on_g():
         assert len(values) == 1, (p, q)
 
 
-def test_index_vector_takes_one_dlog_per_coset(monkeypatch):
-    # one discrete log per coset of <q>, all e of them from one dlog_order_p
-    # call per field
+def test_index_vector_takes_one_walk_per_field(monkeypatch):
+    # one table of <zeta> per field gives every zeta^(g^k) and every log, and
+    # reading the vector at every r walks nothing more
     calls = []
 
-    def counting(ctx, ys, p):
-        calls.append(list(ys))
-        return dlog_order_p(ctx, ys, p)
+    def counting(ctx, p):
+        calls.append(p)
+        return dlog_order_p(ctx, p)
 
     monkeypatch.setattr(units, "dlog_order_p", counting)
     for p, q in ((31, 5), (43, 79), (61, 3)):
@@ -135,15 +140,26 @@ def test_index_vector_takes_one_dlog_per_coset(monkeypatch):
         setup = CyclotomicSetup.create(p, q)
         ctx = build_field(setup)
         vector = index_vector(ctx, setup)
-        assert len(calls) == 1
-        assert len(calls[0]) == setup.e == len(vector.c)
-        # the targets are (1 - zeta^(g^k))^f for k < e, in order
-        for k, y in enumerate(calls[0]):
-            zpow = ctx.pow(ctx.zeta, pow(setup.g, k, p))
-            assert y == ctx.pow(tuple((u - w) % q for u, w in zip(ctx.one, zpow)), setup.f)
+        assert calls == [p]
+        assert len(vector.c) == setup.e
         for r in range(2, p - 1):
             vector.at(r)
-        assert len(calls) == 1
+        assert calls == [p]
+
+
+@pytest.mark.parametrize("bad", ["one", "alpha"])
+def test_index_vector_refuses_a_forged_zeta(f27, bad):
+    setup, ctx = f27
+    with pytest.raises(NotInSubgroup):
+        index_vector(replace(ctx, zeta=getattr(ctx, bad)), setup)
+
+
+def test_index_vector_refuses_a_target_off_the_table(f27):
+    # with f = 1 the target 1 - zeta^(g^k) is no p-th root of unity, so its
+    # log is missing from the table: NotInSubgroup, not KeyError
+    setup, ctx = f27
+    with pytest.raises(NotInSubgroup):
+        index_vector(ctx, replace(setup, f=1))
 
 
 def test_index_vector_range_check(f8):
