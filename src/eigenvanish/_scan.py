@@ -89,12 +89,12 @@ def _projective_counts(rec, seed, p: int, q: int):
     span = (q**n - 1) // (q - 1) // p  # N/p terms per column
     form = _Kronecker(rec, q)
     y = form.pack((0, 1) + (0,) * (n - 2))  # alpha in F_q[y]/(rec)
-    norm = form.unpack(form.pow(y, span * p))
-    if any(norm[1:]) or not norm[0] or multiplicative_order(norm[0], q) != q - 1:
-        raise InternalInvariant(f"alpha^N = {norm} does not generate F_{q}^*")
+    norm = form.pow(y, span * p)  # in F_q exactly when its packed value is < q
+    if not 0 < norm < q or multiplicative_order(norm, q) != q - 1:
+        raise InternalInvariant(f"alpha^N = {form.unpack(norm)} does not generate F_{q}^*")
     beta = form.pow(y, p)
-    # column i of M is beta·y^i; y^i packed is a 1 in slot i
-    mult = [form.unpack(form.mul(beta, 1 << i * form.w)) for i in range(n)]
+    # column i of M is beta·y^i
+    mult = [form.unpack(form.mul(beta, form.pack((0,) * i + (1,)))) for i in range(n)]
     owner = _coset_owners(p, q)
     reps = sorted(set(owner))
     states = [form.unpack(form.pow(y, m)) for m in reps]

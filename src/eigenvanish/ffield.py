@@ -9,14 +9,14 @@ encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 
 The modulus search runs Ben-Or's irreducibility test on each candidate, so a
-reducible one is rejected at the degree of its smallest factor. Inside a
-chain of field products a residue is a packed int (`_Kronecker`), one slot
-per coefficient. Each product is one integer multiplication, a slot-by-slot
-reduction of the high slots from the top, and a fold that takes all n low
-slots mod q at once by a multiply-and-shift division; a power (left to
-right) packs once and unpacks once. Tuples stay the element type at every
-public boundary but one: the discrete-log table of <zeta> is keyed by packed
-residues. All of it is exact, so the choices above do not depend on it.
+reducible one is rejected at the degree of its smallest factor. Field
+arithmetic is private: `_Kronecker` alone stores residues (packed ints, one
+slot per coefficient) and subtracts and multiplies them. A product is one
+integer multiplication, a slot-by-slot reduction of the high slots from the
+top, and a multiply-and-shift fold that takes all n low slots mod q at once;
+a difference is the same fold. `FieldContext` is data (coefficient tuples,
+trace data, the packed form); the discrete-log table of <zeta> is keyed by
+packed residues. All of it is exact, so the choices above do not depend on it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
@@ -134,6 +134,8 @@ class _Kronecker:
     product holds every convolution sum. The slot width, the masks and the
     packed F are computed once per form, and a power or a walk packs its
     operands once, multiplies packed ints only and unpacks once at the end.
+    A packed residue is canonical (slots below q): in F_q exactly when < q.
+    x - y folds x + (q-1)·y, whose slots are below q + (q-1)^2 < q^2 < 2^b.
 
     Slot bound: a product leaves every slot below 2nq^2 < 2^b, b the bit
     length of 2nq^2. The fold divides all low slots by q at once: with
@@ -185,8 +187,14 @@ class _Kronecker:
             c = ((prod >> (top + shift)) & mask) % q
             if c:
                 prod += ((q - c) * f) << shift
-        low = prod & self.low
-        return low - q * ((low * self.m >> self.k) & self.quotients)
+        return self._fold(prod & self.low)
+
+    def sub(self, x: int, y: int) -> int:
+        """Packed x - y, folded from x + (q-1)·y (see the slot bound)."""
+        return self._fold(x + (self.q - 1) * y)
+
+    def _fold(self, low: int) -> int:  # each of the n low slots mod q, for slots < 2^b
+        return low - self.q * ((low * self.m >> self.k) & self.quotients)
 
     def pow(self, x: int, exponent: int) -> int:
         """x^exponent by left-to-right binary powering: one squaring per bit
@@ -239,12 +247,11 @@ def _is_irreducible(coeffs, q: int) -> bool:
     if coeffs[0] == 0:
         return False  # divisible by x
     form = _Kronecker(coeffs, q)
-    x = (0, 1) + (0,) * (n - 2)
     full = list(coeffs) + [1]
-    frob = form.pack(x)
+    x = frob = form.pack((0, 1))
     for _ in range(n // 2):
         frob = form.pow(frob, q)
-        diff = tuple((u - v) % q for u, v in zip(form.unpack(frob), x))
+        diff = form.unpack(form.sub(frob, x))
         # diff = 0 gives gcd f, so that case is rejected too
         if not _gcd_is_one(full, diff, q):
             return False
@@ -265,7 +272,7 @@ def _group_order_primes(q: int, n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class FieldContext:
-    """Canonical realization of F_{q^n} plus its trace data."""
+    """Canonical F_{q^n} and its trace data; its arithmetic is the private `kronecker`."""
 
     q: int
     n: int
@@ -287,20 +294,6 @@ class FieldContext:
     @property
     def order(self) -> int:
         return self.q**self.n - 1
-
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.n - 1)
-
-    def mul(self, a, b):
-        form = self.kronecker
-        return form.unpack(form.mul(form.pack(a), form.pack(b)))
-
-    def pow(self, a, exponent: int):
-        if exponent < 0:
-            raise BadInput("negative exponent")
-        form = self.kronecker
-        return form.unpack(form.pow(form.pack(a), exponent))
 
     def encode(self, x) -> int:
         """Element as a base-q integer (little-endian coefficients)."""
@@ -430,23 +423,16 @@ def characteristic_polynomial(x, modulus, q: int) -> tuple[int, ...]:
     `modulus` (x's minimal polynomial when x has degree n). Raises
     InternalInvariant if a coefficient falls outside F_q, which an irreducible
     modulus rules out."""
-    n = len(modulus)
     form = _Kronecker(modulus, q)
-    zero = (0,) * n
     # product of the n monic factors (y - x^(q^i)), so monic of degree n
-    poly = [(1,) + zero[1:]]
+    poly = [1]  # packed coefficients, in F_q exactly when below q
     conj = form.pack(x)
-    for _ in range(n):
-        shifted = [zero] + poly
-        scaled = [form.unpack(form.mul(conj, form.pack(c))) for c in poly] + [zero]
-        poly = [tuple((u - v) % q for u, v in zip(a, b)) for a, b in zip(shifted, scaled)]
+    for _ in range(len(modulus)):
+        poly = [form.sub(a, form.mul(conj, b)) for a, b in zip([0] + poly, poly)] + [1]
         conj = form.pow(conj, q)
-    coeffs = []
-    for c in poly[:-1]:
-        if any(c[1:]):
-            raise InternalInvariant("characteristic polynomial coefficient outside F_q")
-        coeffs.append(c[0])
-    return tuple(coeffs)
+    if any(c >= q for c in poly):
+        raise InternalInvariant("characteristic polynomial coefficient outside F_q")
+    return tuple(poly[:-1])
 
 
 def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -73,15 +73,14 @@ def index_vector(ctx: FieldContext, setup: CyclotomicSetup) -> IndexVector:
     """The field's IndexVector: one walk of <zeta> tabulates its p powers, and
     the table gives every zeta^(g^k) and every discrete log; each coset of
     <q> then costs one field power, (1 - zeta^(g^k))^f."""
-    p, q, g = setup.p, setup.q, setup.g
+    p, g = setup.p, setup.g
     logs = dlog_order_p(ctx, p)
     powers = list(logs)  # powers[k] = zeta^k, packed
     form = ctx.kronecker
     c = []
     gk = 1
     for _ in range(setup.e):
-        base = tuple((u - w) % q for u, w in zip(ctx.one, form.unpack(powers[gk])))
-        target = form.pow(form.pack(base), setup.f)
+        target = form.pow(form.sub(1, powers[gk]), setup.f)
         if target not in logs:
             raise NotInSubgroup("(1 - zeta^i)^f is not a p-th root of unity")
         c.append(logs[target])

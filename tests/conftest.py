@@ -72,11 +72,23 @@ def schoolbook_mulmod(a, b, modulus, q):
     return tuple(res[:n])
 
 
+def schoolbook_powmod(a, exponent, modulus, q):
+    """a^exponent by right-to-left binary powering with `schoolbook_mulmod`."""
+    result = (1,) + (0,) * (len(modulus) - 1)
+    base = tuple(a)
+    while exponent:
+        if exponent & 1:
+            result = schoolbook_mulmod(result, base, modulus, q)
+        base = schoolbook_mulmod(base, base, modulus, q)
+        exponent >>= 1
+    return result
+
+
 def tuple_dlog(ctx, y, p):
     """The discrete log of y to base zeta by a walk over coefficient tuples
     with the schoolbook product: an oracle that shares no code with
     `dlog_order_p`'s packed walk."""
-    z = ctx.one
+    z = (1,) + (0,) * (ctx.n - 1)
     for k in range(p):
         if z == y:
             return k

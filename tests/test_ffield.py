@@ -1,9 +1,10 @@
 import itertools
 from dataclasses import replace
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import grid_setups, schoolbook_mulmod
+from conftest import grid_setups, schoolbook_mulmod, schoolbook_powmod
 from sympy import Poly, Symbol, factorint, isprime, primerange
 
 from eigenvanish import (
@@ -32,50 +33,28 @@ from eigenvanish.ffield import (
 )
 
 
-def packed_mulmod(a, b, modulus, q):
-    """a·b mod the monic x^n + sum modulus[i] x^i: one `_Kronecker` product,
-    packed and unpacked once."""
-    form = _Kronecker(modulus, q)
-    return form.unpack(form.mul(form.pack(a), form.pack(b)))
-
-
-def packed_powmod(a, exponent, modulus, q):
-    """a^exponent by `_Kronecker.pow`, packed and unpacked once."""
-    form = _Kronecker(modulus, q)
-    return form.unpack(form.pow(form.pack(a), exponent))
-
-
 # ---------------------------------------------------------------------------
-# oracles: the Frobenius trace sum, the schoolbook product (in conftest, which
-# the unit-index oracle shares) and Rabin's test, the slow references that the
-# power sums, the Kronecker product and Ben-Or's test are compared against
+# oracles: the Frobenius trace sum, the schoolbook product and power (in
+# conftest, which the unit-index oracles share) and Rabin's test, the slow
+# references that the power sums, the Kronecker product and Ben-Or's test are
+# compared against
 
 
 def frobenius_traces(modulus, q):
     """t_i = Tr(x^i) for i < n in F_q[x]/(x^n + sum modulus[i] x^i), as the
-    sum of the Frobenius powers (x^(q^j))^i: the oracle for `_power_sums`."""
+    sum of the Frobenius powers (x^(q^j))^i, with the schoolbook product: the
+    oracle for `_power_sums`."""
     n = len(modulus)
-    x = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
+    frob = (0, 1) + (0,) * (n - 2) if n > 1 else (0,)
     acc = [[0] * n for _ in range(n)]
-    for j in range(n):
-        frob = packed_powmod(x, q**j, modulus, q)
+    for _ in range(n):
         power = (1,) + (0,) * (n - 1)
         for i in range(n):
             acc[i] = [(u + v) % q for u, v in zip(acc[i], power)]
-            power = packed_mulmod(power, frob, modulus, q)
+            power = schoolbook_mulmod(power, frob, modulus, q)
+        frob = schoolbook_powmod(frob, q, modulus, q)
     assert all(not any(row[1:]) for row in acc), "a trace outside the prime field"
     return tuple(row[0] for row in acc)
-
-
-def schoolbook_powmod(a, exponent, modulus, q):
-    result = (1,) + (0,) * (len(modulus) - 1)
-    base = tuple(a)
-    while exponent:
-        if exponent & 1:
-            result = schoolbook_mulmod(result, base, modulus, q)
-        base = schoolbook_mulmod(base, base, modulus, q)
-        exponent >>= 1
-    return result
 
 
 def rabin_is_irreducible(coeffs, q):
@@ -203,7 +182,7 @@ def test_build_field_golden_f27(f27):
     assert ctx.modulus_int == 34  # x^3 + 2x + 1
     assert ctx.encode(ctx.alpha) == 3
     assert ctx.encode(ctx.zeta) == 9  # alpha^2, order 13
-    assert ctx.pow(ctx.zeta, 13) == ctx.one
+    assert schoolbook_powmod(ctx.zeta, 13, ctx.modulus, 3) == (1, 0, 0)
 
 
 def test_field_too_large():
@@ -217,7 +196,7 @@ def test_build_field_uncapped_large():
     s = CyclotomicSetup.create(31, 7)
     ctx = build_field(s)
     assert ctx.order == 7**15 - 1
-    assert ctx.pow(ctx.zeta, 31) == ctx.one
+    assert schoolbook_powmod(ctx.zeta, 31, ctx.modulus, 7) == (1,) + (0,) * 14
 
 
 @settings(max_examples=150, deadline=None)
@@ -243,13 +222,13 @@ def test_trace_frobenius_invariant(f27):
     setup, ctx = f27
     x = ctx.alpha
     for _ in range(10):
-        assert trace(ctx, x) == trace(ctx, ctx.pow(x, ctx.q))
-        x = ctx.mul(x, ctx.alpha)
+        assert trace(ctx, x) == trace(ctx, schoolbook_powmod(x, 3, ctx.modulus, 3))
+        x = schoolbook_mulmod(x, ctx.alpha, ctx.modulus, 3)
 
 
 def test_trace_is_additive(f27):
     setup, ctx = f27
-    a, b = ctx.alpha, ctx.pow(ctx.alpha, 5)
+    a, b = ctx.alpha, schoolbook_powmod(ctx.alpha, 5, ctx.modulus, 3)
     s = tuple((u + w) % ctx.q for u, w in zip(a, b))
     assert trace(ctx, s) == (trace(ctx, a) + trace(ctx, b)) % ctx.q
 
@@ -262,10 +241,10 @@ def test_generator_recurrence_matches_power_walk(pq):
     rec, seed = generator_recurrence(ctx)
     assert len(rec) == ctx.n and len(seed) == ctx.n
     walked = []
-    x = ctx.one
+    x = (1,) + (0,) * (ctx.n - 1)
     for _ in range(40):
         walked.append(trace(ctx, x))
-        x = ctx.mul(x, ctx.alpha)
+        x = schoolbook_mulmod(x, ctx.alpha, ctx.modulus, q)
     stream = list(seed)
     while len(stream) < 40:
         k = len(stream) - ctx.n
@@ -280,7 +259,7 @@ def test_dlog_order_p_matches_the_tuple_walk(p, q):
     ctx = build_field(CyclotomicSetup.create(p, q))
     form = ctx.kronecker
     logs = dlog_order_p(ctx, p)
-    powers = [ctx.one]
+    powers = [(1,) + (0,) * (ctx.n - 1)]
     for _ in range(p - 1):
         powers.append(schoolbook_mulmod(powers[-1], ctx.zeta, ctx.modulus, q))
     # keyed by the packed zeta^k, in order of k
@@ -306,7 +285,7 @@ def test_dlog_order_p_refuses_a_forged_zeta(f27, bad):
     # zeta = 1 has order 1, and alpha order 26: neither walk first comes back
     # to 1 at k = p
     setup, ctx = f27
-    forged = replace(ctx, zeta=getattr(ctx, bad))
+    forged = replace(ctx, zeta={"one": (1, 0, 0), "alpha": ctx.alpha}[bad])
     with pytest.raises(NotInSubgroup):
         dlog_order_p(forged, 13)
 
@@ -336,7 +315,9 @@ def test_mulmod_matches_schoolbook(data, q, n):
     a = data.draw(_residues(q, n))
     b = data.draw(_residues(q, n))
     modulus = data.draw(_residues(q, n))
-    assert packed_mulmod(a, b, modulus, q) == schoolbook_mulmod(a, b, modulus, q)
+    form = _Kronecker(modulus, q)
+    got = form.unpack(form.mul(form.pack(a), form.pack(b)))
+    assert got == schoolbook_mulmod(a, b, modulus, q)
 
 
 @settings(max_examples=100, deadline=None)
@@ -347,7 +328,9 @@ def test_powmod_matches_schoolbook(data, q, n):
     exponent = data.draw(st.integers(0, 10**6 if n <= 12 else 10**3))
     a = data.draw(_residues(q, n))
     modulus = data.draw(_residues(q, n))
-    assert packed_powmod(a, exponent, modulus, q) == schoolbook_powmod(a, exponent, modulus, q)
+    form = _Kronecker(modulus, q)
+    got = form.unpack(form.pow(form.pack(a), exponent))
+    assert got == schoolbook_powmod(a, exponent, modulus, q)
 
 
 @pytest.mark.parametrize("q", MULMOD_QS)
@@ -358,8 +341,62 @@ def test_mulmod_at_the_slot_bound(q):
         top = (q - 1,) * n
         zero = (0,) * n
         for modulus in (top, zero, (1,) + (0,) * (n - 1)):
-            assert packed_mulmod(top, top, modulus, q) == schoolbook_mulmod(top, top, modulus, q)
-            assert packed_mulmod(zero, top, modulus, q) == zero
+            form = _Kronecker(modulus, q)
+            x, y = form.pack(top), form.pack(zero)
+            assert form.unpack(form.mul(x, x)) == schoolbook_mulmod(top, top, modulus, q)
+            assert form.unpack(form.mul(y, x)) == zero
+
+
+# n = 18, 21, 4 and 3: the widest and the largest-q fields the benchmark
+# builds, and F_27
+SUB_FIELDS = [(19, 2), (43, 13), (5, 107), (13, 3)]
+
+
+@cache
+def _field(p, q):
+    return build_field(CyclotomicSetup.create(p, q))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), pq=st.sampled_from(SUB_FIELDS))
+def test_sub_matches_slotwise_difference(data, pq):
+    ctx = _field(*pq)
+    form, q = ctx.kronecker, ctx.q
+    a = data.draw(_residues(q, ctx.n))
+    b = data.draw(_residues(q, ctx.n))
+    want = tuple((u - v) % q for u, v in zip(a, b))
+    assert form.sub(form.pack(a), form.pack(b)) == form.pack(want)
+
+
+@pytest.mark.parametrize("p, q", SUB_FIELDS)
+def test_sub_on_the_powers_of_zeta(p, q):
+    # x - x = 0, 0 - y and 1 - zeta^i, the index's targets, for every i < p
+    ctx = _field(p, q)
+    form = ctx.kronecker
+    one = (1,) + (0,) * (ctx.n - 1)
+    for z in dlog_order_p(ctx, p):
+        zi = form.unpack(z)
+        assert form.sub(z, z) == 0
+        assert form.sub(0, z) == form.pack(tuple(-u % q for u in zi))
+        assert form.sub(1, z) == form.pack(tuple((u - v) % q for u, v in zip(one, zi)))
+
+
+@pytest.mark.parametrize("p, q, products", [(13, 3, 12), (19, 2, 189), (43, 13, 336), (5, 107, 50)])
+def test_generator_recurrence_product_count(monkeypatch, p, q, products):
+    # n(n + 1)/2 products by a conjugate of alpha and n powers by q: the
+    # subtractions add none
+    ctx = _field(p, q)
+    calls = 0
+    packed_mul = _Kronecker.mul
+
+    def counting_mul(*args):
+        nonlocal calls
+        calls += 1
+        return packed_mul(*args)
+
+    monkeypatch.setattr(_Kronecker, "mul", counting_mul)
+    generator_recurrence(ctx)
+    assert calls == products
 
 
 @pytest.mark.parametrize("q, max_degree", [(2, 6), (3, 5)])

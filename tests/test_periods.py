@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from conftest import schoolbook_mulmod
 
 from eigenvanish import (
     CyclotomicSetup,
@@ -19,13 +20,13 @@ def period_counts_by_walk(setup, ctx):
     """Independent oracle: walk every nonzero field element directly.
 
     Bins alpha^k by the period class k mod p and by Tr(alpha^k), with no
-    recurrence or scan kernel involved.
+    recurrence or scan kernel involved, and with the schoolbook product.
     """
     counts = [[0] * setup.q for _ in range(setup.p)]
-    x = ctx.one
+    x = (1,) + (0,) * (setup.n - 1)
     for k in range(ctx.order):
         counts[k % setup.p][trace(ctx, x)] += 1
-        x = ctx.mul(x, ctx.alpha)
+        x = schoolbook_mulmod(x, ctx.alpha, ctx.modulus, setup.q)
     return counts
 
 

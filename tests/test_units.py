@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from conftest import tuple_dlog
+from conftest import schoolbook_mulmod, schoolbook_powmod, tuple_dlog
 
 from eigenvanish import (
     BadEigenspaceIndex,
@@ -27,36 +27,33 @@ def brute_index(ctx, setup, r):
     """Independent oracle: form the unit product literally, term by term.
 
     beta = prod_{i=1}^{p-1} (1 - zeta^i)^(i^(p-1-r)), with full integer
-    exponents, then a linear dlog of beta^f against zeta.
+    exponents, then a linear dlog of beta^f against zeta, all with the
+    schoolbook product.
     """
-    p, q = setup.p, setup.q
-    beta = ctx.one
+    p, q, modulus = setup.p, setup.q, ctx.modulus
+    one = (1,) + (0,) * (setup.n - 1)
+    beta = one
     for i in range(1, p):
-        term = tuple(
-            (u - w) % q for u, w in zip(ctx.one, ctx.pow(ctx.zeta, i))
-        )
-        beta = ctx.mul(beta, ctx.pow(term, i ** (p - 1 - r)))
-    target = ctx.pow(beta, setup.f)
-    z = ctx.one
-    for k in range(p):
-        if z == target:
-            return k
-        z = ctx.mul(z, ctx.zeta)
-    raise AssertionError("beta^f escaped the order-p subgroup")
+        zi = schoolbook_powmod(ctx.zeta, i, modulus, q)
+        term = tuple((u - w) % q for u, w in zip(one, zi))
+        power = schoolbook_powmod(term, i ** (p - 1 - r), modulus, q)
+        beta = schoolbook_mulmod(beta, power, modulus, q)
+    return tuple_dlog(ctx, schoolbook_powmod(beta, setup.f, modulus, q), p)
 
 
 def per_r_index(ctx, setup, r):
     """Oracle: beta_r built afresh for one r, p - 1 field powers with the
     exponents i^(p-1-r) reduced mod q^n - 1, then the schoolbook tuple walk's
-    dlog of beta_r^f."""
-    p, q = setup.p, setup.q
-    beta = ctx.one
-    zpow = ctx.one
+    dlog of beta_r^f; every product is the schoolbook one."""
+    p, q, modulus = setup.p, setup.q, ctx.modulus
+    one = (1,) + (0,) * (setup.n - 1)
+    beta = zpow = one
     for i in range(1, p):
-        zpow = ctx.mul(zpow, ctx.zeta)
-        base = tuple((u - w) % q for u, w in zip(ctx.one, zpow))
-        beta = ctx.mul(beta, ctx.pow(base, pow(i, p - 1 - r, ctx.order)))
-    return tuple_dlog(ctx, ctx.pow(beta, setup.f), p)
+        zpow = schoolbook_mulmod(zpow, ctx.zeta, modulus, q)
+        base = tuple((u - w) % q for u, w in zip(one, zpow))
+        power = schoolbook_powmod(base, pow(i, p - 1 - r, ctx.order), modulus, q)
+        beta = schoolbook_mulmod(beta, power, modulus, q)
+    return tuple_dlog(ctx, schoolbook_powmod(beta, setup.f, modulus, q), p)
 
 
 GOLDEN_INDICES = {
@@ -151,7 +148,7 @@ def test_index_vector_takes_one_walk_per_field(monkeypatch):
 def test_index_vector_refuses_a_forged_zeta(f27, bad):
     setup, ctx = f27
     with pytest.raises(NotInSubgroup):
-        index_vector(replace(ctx, zeta=getattr(ctx, bad)), setup)
+        index_vector(replace(ctx, zeta={"one": (1, 0, 0), "alpha": ctx.alpha}[bad]), setup)
 
 
 def test_index_vector_refuses_a_target_off_the_table(f27):
