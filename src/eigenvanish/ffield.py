@@ -343,8 +343,11 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     """The F_{q^n} that a certificate names by the encodings of its monic
     modulus and its generator, checked instead of searched for: the modulus
     must be monic of degree n and irreducible (one Ben-Or test), the generator
-    a primitive element (one test against the primes of q^n - 1). Whether
-    they are the lexicographically least choices is not checked."""
+    a primitive element by `_is_primitive`, the search's own rule: the primes
+    of q^n - 1 that divide q - 1 are tested on its norm in F_q (a Horner
+    evaluation of the modulus for a linear generator, one field power
+    otherwise), every other prime by a field power. Whether they are the
+    lexicographically least choices is not checked."""
     q, n = setup.q, setup.n
     size = q**n
     if not size <= modulus < 2 * size:
@@ -370,10 +373,38 @@ def check_modulus_length(q: int, n: int, modulus: int) -> None:
 
 def _is_primitive(x, form: _Kronecker, primes) -> bool:
     """Whether the nonzero residue x generates F_{q^n}^*, given the packed
-    form of F_{q^n} and the primes of q^n - 1."""
-    order = form.q**form.n - 1
+    form of F_{q^n} and the primes of q^n - 1: x^((q^n-1)/ell) != 1 for each.
+
+    For ell | q - 1 that power is Nm(x)^((q-1)/ell), a power in F_q, since
+    (q^n-1)/ell = N·(q-1)/ell with N = (q^n-1)/(q-1) and Nm(x) = x^N. So
+    the norm is taken once by `_norm` (for a linear x = c1·X + c0 the Horner
+    value (-c1)^n·F(-c0/c1) of the monic modulus F, with no field product;
+    one packed power x^N otherwise) and those primes are tested with int
+    powers mod q before any field power. Only the primes that do not divide
+    q - 1 take field powers."""
+    q = form.q
+    order = q**form.n - 1
+    small = [ell for ell in primes if (q - 1) % ell == 0]
+    if small:
+        norm = _norm(x, form)
+        if any(pow(norm, (q - 1) // ell, q) == 1 for ell in small):
+            return False
     packed = form.pack(x)
-    return all(form.pow(packed, order // ell) != 1 for ell in primes)
+    return all(form.pow(packed, order // ell) != 1 for ell in primes if ell not in small)
+
+
+def _norm(x, form: _Kronecker) -> int:
+    """Nm(x) = x^N in F_q, N = (q^n-1)/(q-1). For x = c1·X + c0, c1 != 0, it
+    is the product of c1·theta + c0 over the roots theta of the modulus F,
+    (-c1)^n·F(-c0/c1) by Horner; any other x takes one packed power."""
+    q, n = form.q, form.n
+    if n > 1 and x[1] and not any(x[2:]):
+        root = -x[0] * pow(x[1], -1, q) % q
+        value = 1  # F is monic: Horner from its leading 1 down
+        for c in reversed(form.unpack(form.f)):
+            value = (value * root + c) % q
+        return pow(-x[1], n, q) * value % q
+    return form.pow(form.pack(x), (q**n - 1) // (q - 1))  # in F_q: packed as itself
 
 
 def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha) -> FieldContext:

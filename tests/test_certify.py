@@ -312,6 +312,11 @@ def cert7():
     return certify_half_plus(7)
 
 
+@pytest.fixture(scope="module")
+def cert11():
+    return certify_half_plus(11)
+
+
 def _with_witness(cert, **changes):
     return dataclasses.replace(
         cert, witnesses=(dataclasses.replace(cert.witnesses[-1], **changes),)
@@ -393,11 +398,11 @@ def test_verify_checks_the_stored_modulus(cert7):
         _problems_mention(_with_field(cert7, modulus=reducible), "reducible")
 
 
-def test_verify_checks_the_stored_generator(cert7):
+def test_verify_checks_the_stored_generator(cert7, cert11):
     for bad in (0, 8, 9, -1):
         _problems_mention(_with_field(cert7, generator=bad), "nonzero element")
     _problems_mention(_with_field(cert7, generator=1), "not a primitive element")
-    cert11 = certify_half_plus(11)  # F_243: the group order 242 = 2 * 11^2
+    # cert11 is in F_243: the group order 242 = 2 * 11^2
     setup = CyclotomicSetup.create(11, 3)
     ctx = build_field(setup)
     assert cert11.field_choices[-1][1:] == (ctx.modulus_int, ctx.encode(ctx.alpha))
@@ -407,6 +412,25 @@ def test_verify_checks_the_stored_generator(cert7):
     # 7^(r-1) = 7^5 ≡ -1 mod 11 (for alpha^3, a Frobenius conjugate, 3^5 ≡ 1)
     other = ctx.encode(schoolbook_powmod(ctx.alpha, 7, ctx.modulus, 3))
     _problems_mention(_with_field(cert11, generator=other), "the stored field gives i = 1")
+
+
+def test_verify_rejects_a_generator_by_either_kind_of_prime(cert11):
+    # F_243 = F_3[x]/(x^5 + 2x + 1), alpha = x: of the primes of 242 = 2 * 11^2,
+    # 2 divides q - 1 and is tested on the norm in F_3, 11 by a field power
+    ctx = build_field(CyclotomicSetup.create(11, 3))
+    assert (ctx.modulus, ctx.alpha) == ((1, 2, 0, 0, 0), (0, 1, 0, 0, 0))
+    power = partial(schoolbook_powmod, ctx.alpha, modulus=ctx.modulus, q=3)
+    rejected_by = {
+        (0, 2, 0, 0, 0): [2],  # 2x, linear: Nm = (-2)^5·F(0) = 1 is a square
+        power(6): [2],  # x^2 + 2x, non-linear, of order 121
+        power(11): [11],  # x^3 + x^2 + x, of order 22
+    }
+    assert power(6) == (0, 2, 1, 0, 0) and power(11) == (0, 1, 1, 1, 0)
+    one = (1, 0, 0, 0, 0)
+    for x, ells in rejected_by.items():
+        fixed = [ell for ell in (2, 11) if schoolbook_powmod(x, 242 // ell, ctx.modulus, 3) == one]
+        assert fixed == ells
+        _problems_mention(_with_field(cert11, generator=ctx.encode(x)), "not a primitive element")
 
 
 def test_verify_recomputes_i_in_the_stored_field(cert7):

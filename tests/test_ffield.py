@@ -28,6 +28,8 @@ from eigenvanish.ffield import (
     _group_order_primes,
     _int_to_coeffs,
     _is_irreducible,
+    _is_primitive,
+    _norm,
     dlog_order_p,
     generator_recurrence,
 )
@@ -35,9 +37,9 @@ from eigenvanish.ffield import (
 
 # ---------------------------------------------------------------------------
 # oracles: the Frobenius trace sum, the schoolbook product and power (in
-# conftest, which the unit-index oracles share) and Rabin's test, the slow
-# references that the power sums, the Kronecker product and Ben-Or's test are
-# compared against
+# conftest, which the unit-index oracles share), Rabin's test and the
+# all-powers primitivity rule, the slow references that the power sums, the
+# Kronecker product, Ben-Or's test and the norm test are compared against
 
 
 def frobenius_traces(modulus, q):
@@ -84,14 +86,21 @@ def oracle_field_choice(setup):
     modulus = next(
         c for c in (_int_to_coeffs(k, n, q) for k in range(size)) if rabin_is_irreducible(c, q)
     )
-    one = (1,) + (0,) * (n - 1)
     primes = _group_order_primes(q, n)
     alpha = next(
         c
         for c in (_int_to_coeffs(k, n, q) for k in range(q, size))
-        if all(schoolbook_powmod(c, (size - 1) // ell, modulus, q) != one for ell in primes)
+        if all_powers_is_primitive(c, modulus, q, primes)
     )
     return _coeffs_to_int(modulus, q) + size, _coeffs_to_int(alpha, q)
+
+
+def all_powers_is_primitive(x, modulus, q, primes):
+    """x^((q^n-1)/ell) != 1 for every prime ell of q^n - 1, each by a
+    schoolbook power: the oracle for `_is_primitive`."""
+    n = len(modulus)
+    one = (1,) + (0,) * (n - 1)
+    return all(schoolbook_powmod(x, (q**n - 1) // ell, modulus, q) != one for ell in primes)
 
 
 def _poly_mul(g, h, q):
@@ -423,6 +432,50 @@ def test_ben_or_rejects_products_of_two_halves(q, k):
         assert not rabin_is_irreducible(f, q)
 
 
+# no prime divides q - 1 for q = 2, so only field powers run there;
+# q - 1 = 2, 2·3·5, 2·3·7 and 2^2·3 for the others
+NORM_FIELDS = [(2, 5), (2, 6), (3, 4), (31, 2), (43, 2), (13, 3)]
+
+
+def _outer_moduli(q, n):
+    """The lexicographically least and greatest monic irreducible moduli of
+    degree n, by Rabin's test."""
+    irreducible = (
+        c for c in (_int_to_coeffs(k, n, q) for k in range(q**n)) if rabin_is_irreducible(c, q)
+    )
+    least = next(irreducible)
+    *_, greatest = irreducible
+    return least, greatest
+
+
+@pytest.mark.parametrize("q, n", NORM_FIELDS)
+def test_is_primitive_matches_all_powers(q, n):
+    primes = _group_order_primes(q, n)
+    phi = q**n - 1
+    for ell in primes:
+        phi -= phi // ell
+    for modulus in _outer_moduli(q, n):
+        form = _Kronecker(modulus, q)
+        primitive = 0
+        for k in range(1, q**n):
+            x = _int_to_coeffs(k, n, q)
+            got = _is_primitive(x, form, primes)
+            assert got == all_powers_is_primitive(x, modulus, q, primes), (q, modulus, x)
+            primitive += got
+        assert primitive == phi, (q, modulus)
+
+
+@pytest.mark.parametrize("q, n", NORM_FIELDS)
+def test_horner_norm_matches_the_power(q, n):
+    # every linear c1·x + c0: (-c1)^n·F(-c0/c1) against x^((q^n-1)/(q-1))
+    for modulus in _outer_moduli(q, n):
+        form = _Kronecker(modulus, q)
+        for c0, c1 in itertools.product(range(q), range(1, q)):
+            x = (c0, c1) + (0,) * (n - 2)
+            power = schoolbook_powmod(x, (q**n - 1) // (q - 1), modulus, q)
+            assert (_norm(x, form),) + (0,) * (n - 1) == power, (q, modulus, x)
+
+
 def test_build_field_is_lex_least_on_the_grid():
     setups = grid_setups()
     assert len(setups) == 44
@@ -472,7 +525,8 @@ def test_power_sums_match_frobenius_traces():
 @pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
 def test_build_field_product_count(monkeypatch, p, q):
     # the whole build (modulus search, generator search, zeta) in packed
-    # field products: 2,783 and 3,609 here; a full Rabin test per modulus
+    # field products: 2,547 and 3,016 here (2,775 and 3,601 while every
+    # prime of q^n - 1 took a field power); a full Rabin test per modulus
     # candidate would take far more than the bound
     calls = 0
     packed_mul = ffield._Kronecker.mul
@@ -484,4 +538,4 @@ def test_build_field_product_count(monkeypatch, p, q):
 
     monkeypatch.setattr(ffield._Kronecker, "mul", counting_mul)
     build_field(CyclotomicSetup.create(p, q))
-    assert 0 < calls <= 8000
+    assert 0 < calls <= 3500
