@@ -12,7 +12,6 @@ from .certify import (
     certificate_to_dict,
     certify_half_plus,
     check_certificate,
-    find_primes_of_order,
     remark_explore,
     vandiver_scan,
     verify_certificate,
@@ -45,7 +44,6 @@ from .ffield import (
     build_field,
     least_primitive_root,
     multiplicative_order,
-    trace,
 )
 from .periods import (
     PeriodTable,
@@ -61,12 +59,10 @@ from .quadforms import (
     class_number,
     cornacchia,
     density_estimate,
-    find_good_prime,
     legendre,
     power_representation,
     reduced_forms_count,
     represent_all,
-    stickelberger_check,
     stickelberger_sign,
 )
 from .units import (
@@ -96,11 +92,9 @@ __all__ = [
     "build_field", "certificate_from_dict", "certificate_to_dict",
     "certify_half_plus", "check_certificate", "class_number",
     "compute_a", "compute_d", "compute_period_table", "compute_v",
-    "congruence_residual", "cornacchia", "density_estimate",
-    "find_good_prime", "find_primes_of_order", "index_mod_p", "index_vector",
-    "least_primitive_root", "legendre", "multiplicative_order",
+    "congruence_residual", "cornacchia", "density_estimate", "index_mod_p",
+    "index_vector", "least_primitive_root", "legendre", "multiplicative_order",
     "power_representation", "reduced_forms_count", "remark_explore",
-    "represent_all", "stickelberger_check", "stickelberger_sign", "trace",
-    "vandiver_scan", "verify_certificate", "verify_congruences_ii",
-    "verify_identity_i",
+    "represent_all", "stickelberger_sign", "vandiver_scan", "verify_certificate",
+    "verify_congruences_ii", "verify_identity_i",
 ]

@@ -66,22 +66,6 @@ def _primes_of_order(p: int, n: int, qbound: int):
     return filter(is_prime, merge(*(range(a, qbound + 1, p) for a in classes)))
 
 
-def find_primes_of_order(p: int, n: int, count: int, qbound: int) -> list[int]:
-    """First `count` primes q <= qbound with multiplicative order n mod p."""
-    if not is_prime(p) or n < 2 or (p - 1) % n != 0:
-        raise BadPrime(f"p={p} must be prime and n={n} must divide p-1 and be >= 2")
-    if count < 1:
-        raise BadInput(f"count={count} must be at least 1")
-    found = []
-    for q in _primes_of_order(p, n, qbound):
-        found.append(q)
-        if len(found) == count:
-            return found
-    raise BoundExhausted(
-        f"only {len(found)} of {count} primes of order {n} mod {p} below {qbound}"
-    )
-
-
 @dataclass(frozen=True)
 class WitnessRecord:
     q: int

@@ -427,11 +427,6 @@ def _power_sums(coeffs, q: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def trace(ctx: FieldContext, x) -> int:
-    """Absolute trace F_{q^n} -> F_q, linear in the coefficient basis."""
-    return sum(c * t for c, t in zip(x, ctx.basis_traces)) % ctx.q
-
-
 def dlog_order_p(ctx: FieldContext, p: int) -> dict[int, int]:
     """The discrete-log table of the order-p subgroup <zeta>: {packed zeta^k: k}
     for k < p, in order of k, from one walk of p - 1 packed products. A packed

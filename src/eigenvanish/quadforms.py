@@ -2,18 +2,22 @@
 
 Class numbers h(-p) for p ≡ 3 mod 4 arrive two independent ways: scaled
 residue/nonresidue sums, and a brute count of reduced binary quadratic forms.
-Representation machinery: Cornacchia for prime targets, a complete
-factorization-based enumeration for composite ones (with the exhaustive scan
-kept as a cross-check oracle), odd-power lifting of solutions, the sign
-congruence for the distinguished representation of 4q^h, and prime-density
-estimates for the forms x^2 + p*y^2 and x^2 + p^3*y^2.
+Representations: Cornacchia for a prime target; for any N, one route that
+factors N once, takes the square roots of -D mod each prime power of N
+(Tonelli-Shanks and a Hensel lift; a prime square dividing D and N is
+divided out first), joins them by CRT and descends from each (Cohen, A Course
+in Computational Algebraic Number Theory, 1.5), with the exhaustive scan
+kept as its oracle; odd-power lifting of solutions, the sign congruence for
+the distinguished representation of 4q^h, and prime-density estimates for
+the forms x^2 + p*y^2 and x^2 + p^3*y^2.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import gcd, isqrt
 
-from ._nt import factor, is_prime, prime_sieve, primes_upto
+from ._nt import factor, is_prime, prime_sieve
 from .errors import (
     BadDiscriminant,
     BadInput,
@@ -21,13 +25,10 @@ from .errors import (
     BoundTooSmall,
     EvenExponent,
     InternalInvariant,
-    NotARepresentation,
-    NoWitnessFound,
     SearchTooLarge,
 )
 
 _EXHAUSTIVE_LIMIT = 1 << 21  # max floor(sqrt(N)) the brute scan will walk
-_AUTO_SWITCH = 1 << 12  # above this, auto dispatch prefers the factor route
 
 
 def legendre(a: int, p: int) -> int:
@@ -138,11 +139,8 @@ def _descend(D: int, M: int, root: int) -> tuple[int, int] | None:
     return (b, y) if y * y == y2 else None
 
 
-def cornacchia(D: int, N: int) -> tuple[int, int] | None:
-    """The solution of x^2 + D*y^2 = N for prime N, or None. Deterministic:
-    descends from the root of -D in (N/2, N)."""
-    if D <= 0 or N <= 0:
-        raise BadInput("D and N must be positive")
+def _cornacchia_prime(D: int, N: int) -> tuple[int, int] | None:
+    """`cornacchia` without its checks, for a caller that knows N is prime."""
     if N == 2:
         return (1, 1) if D == 1 else None
     root = _sqrt_mod_prime(-D, N)
@@ -153,33 +151,88 @@ def cornacchia(D: int, N: int) -> tuple[int, int] | None:
     return _descend(D, N, root)
 
 
-def _primitive_reps(D: int, M: int) -> set[tuple[int, int]]:
-    """All primitive (x, y >= 0) with x^2 + D*y^2 = M, via every root of -D mod M."""
-    from sympy.ntheory.residue_ntheory import sqrt_mod
+def cornacchia(D: int, N: int) -> tuple[int, int] | None:
+    """The solution of x^2 + D*y^2 = N for prime N, or None. Deterministic:
+    descends from the root of -D in (N/2, N). BadInput unless N is prime."""
+    if D <= 0 or N <= 0:
+        raise BadInput("D and N must be positive")
+    if not is_prime(N):
+        raise BadInput(f"N={N} must be prime")
+    return _cornacchia_prime(D, N)
 
-    if M == 1:
-        return {(1, 0)}
-    reps = set()
-    for root in set(sqrt_mod(-D, M, all_roots=True) or []):
+
+def _unit_sqrts(u: int, ell: int, k: int) -> list[int]:
+    """All y mod ell^k with y^2 ≡ u, for u prime to the prime ell and k >= 1.
+    Odd ell: Tonelli-Shanks mod ell, then Newton's (Hensel's) lift, and the
+    two roots ±y. ell = 2: y = 1 is lifted one bit at a time from 2^3 on,
+    which reaches a root exactly when one exists (u ≡ 1 mod 8, or k <= 2),
+    and the roots are those of ±y, ±y + 2^(k-1)."""
+    mod = ell**k
+    if ell > 2:
+        y = _sqrt_mod_prime(u, ell)
+        if y is None:
+            return []
+        while (y * y - u) % mod:
+            y = (y - (y * y - u) * pow(2 * y, -1, mod)) % mod
+        return [y, mod - y]
+    y, half = 1, mod >> 1
+    for j in range(3, k):
+        if (y * y - u) >> j & 1:
+            y += 1 << (j - 1)
+    return list({r % mod for r in (y, -y, y + half, half - y) if (r * r - u) % mod == 0})
+
+
+def _primitive_reps(D: int, M: int, exponents: dict[int, int]) -> set[tuple[int, int]]:
+    """All primitive (x, y >= 0) with x^2 + D*y^2 = M = prod ell^e over
+    `exponents`: Cornacchia's descent from every root of -D mod M, the roots
+    joined by CRT from those mod each ell^e. For D = 1 each (x, y) also
+    gives (y, x).
+
+    When ell^2 divides D and M, ell | x, so the solutions are (ell*x, y) for
+    the primitive (x, y) of D/ell^2, M/ell^2 with ell ∤ y. Past that, a
+    prime ell | D leaves x ≡ 0 mod ell: the one root 0 when e = 1, and none
+    when ell || D and ell^2 | M, which forces ell | y."""
+    exponents = {ell: e for ell, e in exponents.items() if e}
+    for ell, e in exponents.items():
+        if e >= 2 and D % (ell * ell) == 0:
+            inner = _primitive_reps(D // ell**2, M // ell**2, {**exponents, ell: e - 2})
+            return {(ell * x, y) for x, y in inner if y % ell}
+    roots, mod = [0], 1
+    for ell, e in exponents.items():
+        m = ell**e
+        if D % ell:
+            part = _unit_sqrts(-D % m, ell, e)
+        else:
+            part = [0] if e == 1 else []
+        inv = pow(mod, -1, m)
+        roots = [r + mod * ((s - r) * inv % m) for r in roots for s in part]
+        mod *= m
+    reps = {(1, 0)} if M == 1 else set()
+    for root in roots:
         rep = _descend(D, M, root)
         if rep is not None and gcd(*rep) == 1:
             reps.add(rep)
+    if D == 1:
+        reps |= {(y, x) for x, y in reps}
     return reps
 
 
 def represent_all(D: int, N: int, method: str = "auto") -> list[tuple[int, int]]:
     """All (x >= 0, y >= 0) with x^2 + D*y^2 = N, ascending in x.
 
-    method="exhaustive" forces the brute scan (SearchTooLarge beyond the
-    iteration guard); "auto" switches to the complete factorization-based
-    enumeration when the scan would be too long. Both agree exactly.
+    "auto" and "factor" are one route: N is factored once, and for each
+    square d^2 | N the primitive solutions of N/d^2 are scaled by d, with the
+    roots of -D taken from that factorization. "exhaustive" is the brute scan
+    over x, kept as the oracle (SearchTooLarge beyond the iteration guard).
     """
     if D <= 0 or N < 0:
         raise BadInput("need D > 0, N >= 0")
+    if method not in ("auto", "factor", "exhaustive"):
+        raise BadInput(f"unknown method {method!r}")
     if N == 0:
         return [(0, 0)]
-    limit = isqrt(N)
-    if method == "exhaustive" or (method == "auto" and limit <= _AUTO_SWITCH):
+    if method == "exhaustive":
+        limit = isqrt(N)
         if limit > _EXHAUSTIVE_LIMIT:
             raise SearchTooLarge(f"sqrt(N) = {limit} exceeds the exhaustive guard")
         out = []
@@ -192,15 +245,14 @@ def represent_all(D: int, N: int, method: str = "auto") -> list[tuple[int, int]]
             if y * y == y2:
                 out.append((x, y))
         return out
-    if method not in ("auto", "factor"):
-        raise BadInput(f"unknown method {method!r}")
+    exponents = factor(N)
     sols = set()
-    square_divs = [1]
-    for prime, mult in factor(N).items():
-        square_divs = [d * prime**k for d in square_divs for k in range(mult // 2 + 1)]
-    for d in square_divs:
-        for x, y in _primitive_reps(D, N // (d * d)):
-            sols.add((d * x, d * y))
+    for halves in product(*(range(e // 2 + 1) for e in exponents.values())):
+        d, rest = 1, {}
+        for (ell, e), k in zip(exponents.items(), halves):
+            d *= ell**k
+            rest[ell] = e - 2 * k
+        sols.update((d * x, d * y) for x, y in _primitive_reps(D, N // (d * d), rest))
     return sorted(sols)
 
 
@@ -210,12 +262,6 @@ class QfSolution:
     N: int
     xval: int
     yval: int
-
-    def check(self) -> None:
-        if self.xval**2 + self.D * self.yval**2 != self.N:
-            raise NotARepresentation(
-                f"{self.xval}^2 + {self.D}*{self.yval}^2 != {self.N}"
-            )
 
 
 def power_representation(u: int, w: int, s: int, p: int) -> QfSolution:
@@ -228,28 +274,6 @@ def power_representation(u: int, w: int, s: int, p: int) -> QfSolution:
     for _ in range(s - 1):
         x, y = u * x - p * w * y, w * x + u * y
     return QfSolution(D=p, N=(u * u + p * w * w) ** s, xval=x, yval=y)
-
-
-def find_good_prime(p: int, qbound: int) -> tuple[int, QfSolution, QfSolution]:
-    """Smallest prime q <= qbound represented as u^2 + p w^2 with p dividing
-    neither u nor w, lifted to the doubled representation of 4 q^h. The lift's
-    Y ≡ h·u^(h-1)·w (mod p) with h = h(-p) < p, so p does not divide it."""
-    h = class_number(p).h
-    for q in primes_upto(qbound):
-        if q == p:
-            continue
-        if q % 2 and legendre(-p, q) != 1:
-            continue
-        rep = cornacchia(p, q)
-        if rep is None:
-            continue
-        u, w = rep
-        if u == 0 or w == 0 or u % p == 0 or w % p == 0:
-            continue
-        lift = power_representation(u, w, h, p)
-        doubled = QfSolution(D=p, N=4 * q**h, xval=2 * lift.xval, yval=2 * lift.yval)
-        return q, QfSolution(D=p, N=q, xval=u, yval=w), doubled
-    raise NoWitnessFound(f"no represented prime q <= {qbound} for p={p}")
 
 
 def stickelberger_target(p: int, q: int, R: int) -> int:
@@ -265,15 +289,6 @@ def stickelberger_sign(p: int, q: int, R: int, C: int) -> int | None:
     if (-C) % p == target:
         return -1
     return None
-
-
-def stickelberger_check(p: int, q: int, R: int, C: int, D: int, N: int) -> bool:
-    """True iff C^2 + p D^2 = N, p ∤ C, and one of ±C meets the sign congruence."""
-    if C * C + p * D * D != N:
-        raise NotARepresentation(f"{C}^2 + {p}*{D}^2 != {N}")
-    if C % p == 0:
-        return False
-    return stickelberger_sign(p, q, R, abs(C)) is not None
 
 
 @dataclass(frozen=True)
@@ -300,7 +315,7 @@ def density_estimate(D: int, X: int) -> DensityEstimate:
         if not sieve[N]:
             continue
         primes += 1
-        if cornacchia(D, N) is not None:
+        if _cornacchia_prime(D, N) is not None:
             represented += 1
     return DensityEstimate(
         D=D, bound=X, represented=represented, primes=primes,

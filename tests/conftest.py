@@ -54,6 +54,12 @@ def unencodable_certificates(p: int, q: int = 2, modulus: str = "999") -> dict:
     return {"no-witnesses": empty, "short-modulus": one}
 
 
+def trace(ctx, x) -> int:
+    """Absolute trace F_{q^n} -> F_q of the coefficient tuple x, linear in the
+    coefficient basis: the trace oracle of the period walks."""
+    return sum(c * t for c, t in zip(x, ctx.basis_traces)) % ctx.q
+
+
 def schoolbook_mulmod(a, b, modulus, q):
     """Product of two residues mod the monic x^n + sum modulus[i] x^i, by
     convolution and then long division from the top coefficient down."""

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import time
 from functools import partial
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from eigenvanish import (
     BadEigenspaceIndex,
     BadInput,
     BadPrime,
-    BoundExhausted,
     Certificate,
     CyclotomicSetup,
     WitnessRecord,
@@ -32,7 +32,6 @@ from eigenvanish import (
     certify_half_plus,
     check_certificate,
     class_number,
-    find_primes_of_order,
     multiplicative_order,
     remark_explore,
     represent_all,
@@ -50,20 +49,9 @@ from eigenvanish.certify import (
 from eigenvanish.ffield import field_from_choice
 
 
-def test_find_primes_of_order_goldens():
-    assert find_primes_of_order(7, 3, 3, 100) == [2, 11, 23]
-    assert find_primes_of_order(11, 5, 3, 100) == [3, 5, 31]
-
-
-def test_find_primes_of_order_guards():
-    with pytest.raises(BadPrime):
-        find_primes_of_order(7, 4, 1, 100)  # 4 does not divide 6
-    with pytest.raises(BadPrime):
-        find_primes_of_order(7, 1, 1, 100)
-    with pytest.raises(BoundExhausted):
-        find_primes_of_order(11, 5, 50, 100)
-    with pytest.raises(BadPrime):
-        find_primes_of_order(15, 2, 1, 100)  # composite p
+def test_primes_of_order_goldens():
+    assert list(islice(_primes_of_order(7, 3, 100), 3)) == [2, 11, 23]
+    assert list(islice(_primes_of_order(11, 5, 100), 3)) == [3, 5, 31]
 
 
 def _prime_orders(p: int, qbound: int) -> list[tuple[int, int]]:
@@ -188,8 +176,6 @@ def test_witness_counts_below_one_are_bad_input():
             certify_half_plus(7, max_witnesses=count)
         with pytest.raises(BadInput):
             vandiver_scan(7, max_witnesses_per_r=count)
-        with pytest.raises(BadInput):
-            find_primes_of_order(7, 3, count, 100)
     assert len(certify_half_plus(23, max_witnesses=1).witnesses) == 1
 
 

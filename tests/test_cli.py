@@ -245,6 +245,15 @@ def test_cornacchia_cli(capsys):
     ]
 
 
+def test_cornacchia_all_lists_swapped_pairs_for_d1(capsys):
+    code, report, err = run(capsys, "cornacchia", "1", "461355218", "--all")
+    assert code == 0
+    assert [[int(s["x"]), int(s["y"])] for s in report["result"]["solutions"]] == [
+        [5347, 20803],
+        [20803, 5347],
+    ]
+
+
 def test_stickelberger_cli(capsys):
     code, report, err = run(capsys, "stickelberger", "--p", "7", "--q", "11")
     assert code == 0

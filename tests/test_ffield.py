@@ -4,7 +4,7 @@ from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import grid_setups, schoolbook_mulmod, schoolbook_powmod
+from conftest import grid_setups, schoolbook_mulmod, schoolbook_powmod, trace
 from sympy import Poly, Symbol, factorint, isprime, primerange
 
 from eigenvanish import (
@@ -17,7 +17,6 @@ from eigenvanish import (
     certify_half_plus,
     least_primitive_root,
     multiplicative_order,
-    trace,
     vandiver_scan,
 )
 from eigenvanish import ffield

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import schoolbook_mulmod
+from conftest import schoolbook_mulmod, trace
 
 from eigenvanish import (
     CyclotomicSetup,
@@ -11,7 +11,6 @@ from eigenvanish import (
     compute_period_table,
     compute_v,
     periods,
-    trace,
 )
 from eigenvanish._scan import scan_counts
 

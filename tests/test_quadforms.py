@@ -1,27 +1,28 @@
+import json
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import I, expand, im, jacobi_symbol, primerange, re, sqrt
 
+import eigenvanish
 from eigenvanish import (
+    BadInput,
     BadPrime,
     EvenExponent,
-    NoWitnessFound,
-    NotARepresentation,
     SearchTooLarge,
     BoundTooSmall,
-    QfSolution,
     class_number,
     cornacchia,
     density_estimate,
-    find_good_prime,
     legendre,
     power_representation,
     reduced_forms_count,
     represent_all,
-    stickelberger_check,
     stickelberger_sign,
 )
 
@@ -105,6 +106,14 @@ def test_cornacchia_goldens():
     assert cornacchia(23, 59) == (6, 1)
 
 
+@pytest.mark.parametrize("N", [25, 65, 85, 145])
+def test_cornacchia_composite_n_is_bad_input(N):
+    # Tonelli-Shanks never returned on 25, 65 and 145, and 85 raised a bare
+    # ValueError, while cornacchia took any N
+    with pytest.raises(BadInput):
+        cornacchia(1, N)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     D=st.sampled_from([7, 11, 19, 23, 31, 43]),
@@ -129,29 +138,61 @@ def test_represent_all_small():
     assert represent_all(7, 5) == []
 
 
+def test_represent_all_d1_lists_swapped_pairs():
+    assert represent_all(1, 461355218) == [(5347, 20803), (20803, 5347)]
+    assert represent_all(1, 25) == [(0, 5), (3, 4), (4, 3), (5, 0)]
+    assert represent_all(1, 1) == [(0, 1), (1, 0)]
+    assert represent_all(4, 1) == [(1, 0)]
+
+
 def test_represent_all_two_classes():
     # 4*59^3 carries both a primitive and an imprimitive solution for D = 23
     reps = represent_all(23, 4 * 59**3)
     assert reps == [(396, 170), (708, 118)]
 
 
-@settings(max_examples=120, deadline=None)
-@given(D=st.sampled_from([7, 11, 23, 31]), N=st.integers(0, 4000))
-def test_represent_all_methods_agree(D, N):
+@settings(max_examples=300, deadline=None)
+@given(
+    D=st.sampled_from([1, 2, 4, 7, 9, 11, 18, 23, 25, 31, 343]),
+    k=st.integers(0, 4000),
+    times_d=st.booleans(),
+)
+def test_represent_all_methods_agree(D, k, times_d):
+    # D = 1 has the swapped pairs, odd D the roots mod 2^e, and the
+    # square-full D and the multiples N of D the primes dividing D and N
+    N = D * k if times_d else k
     want = exhaustive_reps(D, N)
     assert represent_all(D, N, method="exhaustive") == want
     assert represent_all(D, N, method="factor") == want
 
 
+@pytest.mark.parametrize(
+    "D,N", [(1000003, 1000003 * k * k) for k in (1, 2, 3, 7, 11)] + [(1000003**2, 2 * 1000003**2)]
+)
+def test_represent_all_large_prime_d_dividing_n(D, N):
+    # a prime ell | D leaves only x ≡ 0 mod ell, and ell^2 | D, N is divided
+    # out, so neither walks the residues mod 1000003 nor lists 1000003 roots
+    assert represent_all(D, N) == exhaustive_reps(D, N)
+
+
+def test_represent_all_loads_no_sympy():
+    # 1234567^2 + 7*891011^2, far above the size where a brute scan would do
+    code = (
+        "import json, sys\n"
+        "from eigenvanish import represent_all\n"
+        "reps = represent_all(7, 7081459892336)\n"
+        "print(json.dumps({'reps': len(reps), 'sympy': 'sympy' in sys.modules}))\n"
+    )
+    root = Path(eigenvanish.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=root
+    ).stdout
+    assert json.loads(out.splitlines()[-1]) == {"reps": 6, "sympy": False}
+
+
 def test_represent_all_search_limit():
     with pytest.raises(SearchTooLarge):
         represent_all(7, (1 << 44) + 2, method="exhaustive")
-
-
-def test_qfsolution_check():
-    QfSolution(D=7, N=8, xval=1, yval=1).check()
-    with pytest.raises(NotARepresentation):
-        QfSolution(D=7, N=8, xval=2, yval=1).check()
 
 
 def test_power_representation_golden():
@@ -182,35 +223,13 @@ def test_power_representation_matches_symbolic(u, w, s, p):
     assert sol.xval**2 + p * sol.yval**2 == (u * u + p * w * w) ** s
 
 
-def test_find_good_prime_goldens():
-    q, base, doubled = find_good_prime(7, 100)
-    assert q == 11
-    assert (base.xval, base.yval) == (2, 1)
-    assert (doubled.xval, doubled.yval) == (4, 2)
-    q, base, doubled = find_good_prime(11, 100)
-    assert q == 47
-    assert (base.xval, base.yval) == (6, 1)
-    assert (doubled.xval, doubled.yval) == (12, 2)
-
-
-def test_find_good_prime_bound():
-    with pytest.raises(NoWitnessFound):
-        find_good_prime(7, 5)
-
-
 def test_stickelberger_goldens():
     # p=7, q=2: R=1, distinguished C=-1 since 2(-2)^{-1} ≡ 6 ≡ -1 mod 7
     assert stickelberger_sign(7, 2, 1, 1) == -1
-    assert stickelberger_check(7, 2, 1, 1, 1, 8)
     # p=7, q=11: 4*11 = 4^2 + 7*2^2, sign lands on -4
     assert stickelberger_sign(7, 11, 1, 4) == -1
-    assert stickelberger_check(7, 11, 1, 4, 2, 44)
-
-
-def test_stickelberger_check_guards():
-    with pytest.raises(NotARepresentation):
-        stickelberger_check(7, 2, 1, 3, 1, 8)
-    assert not stickelberger_check(7, 2, 1, 7, 21, 7 * 7 + 7 * 21 * 21)
+    # p | C meets the congruence with neither sign
+    assert stickelberger_sign(7, 2, 1, 7) is None
 
 
 def test_density_estimate_golden():
