@@ -1,33 +1,36 @@
 """Hot kernel: the table of (k mod p, Tr(alpha^k)) counts over k < q^n - 1,
 from one decimated, projective trace sequence per coset of <q> mod p.
 
-The scan reads only the minimal polynomial `rec` of alpha and the traces
-seed[i] = Tr(alpha^i), i < n: F_q[y]/(rec) is the field with y = alpha, and
-Tr(x) = sum_i x_i·seed_i. With N = (q^n - 1)/(q - 1), three identities cut
-the q^n - 1 trace terms of the full scan to N/p per column, in e + 1 columns:
+The scan reads the field in its basis x^i: A, the matrix of multiplication
+by alpha, and the trace row T_i = Tr(x^i). alpha^k has the coefficients
+s_k = A^k·e_0, and Tr(alpha^k) = T·s_k as Tr is F_q-linear. With
+N = (q^n - 1)/(q - 1), three identities cut the q^n - 1 trace terms of the
+full scan to N/p per column, in e + 1 columns:
 
 - Cosets. k -> qk permutes the exponents mod q^n - 1, keeps traces and maps
   the residue m to qm mod p, so row m equals row qm. Only m = 0 and the least
   element of each coset of <q> in (Z/p)^* are counted.
 - Decimation. The terms with k ≡ m (mod p) are t_j = Tr(alpha^m·beta^j),
-  beta = alpha^p. With M the matrix of multiplication by beta on the basis
-  y^i, t_j = seed·M^j·s_m, s_m the coefficients of y^m.
+  beta = alpha^p, so t_j = T·M^j·s_m with M = A^p, the matrix of beta.
 - Projective step. p divides N, and c = alpha^N, the norm of alpha,
-  generates F_q^*, so t_{j+N/p} = c·t_j. With Z_m zeros among the first N/p
-  terms, row m holds (q-1)·Z_m at trace 0 and N/p - Z_m at each nonzero
-  trace.
+  generates F_q^*: A^N = c·I, so t_{j+N/p} = c·t_j. With Z_m zeros among the
+  first N/p terms, row m holds (q-1)·Z_m at trace 0 and N/p - Z_m at each
+  nonzero trace.
 
 The zero counter `_count_zeros` reads a block of terms of every column per
-matmul from a power table built by doubling. `_scan_python` is the full
-plain-python scan over all q^n - 1 powers, the oracle the production path
-must match bit for bit.
+matmul from a power table built by doubling; all of it is int64 matrix
+arithmetic mod q, so a field with n(q-1)^2 >= 2^63 is refused. `_scan_python`
+walks s -> A·s over all q^n - 1 powers, the oracle the production path must
+match bit for bit.
 
 numpy is imported inside the functions that use it, so it loads only when a
 scan runs; importing the package, or a command that never scans, leaves it out.
 """
 
-from .errors import InternalInvariant
-from .ffield import _Kronecker, multiplicative_order
+from operator import mul
+
+from .errors import FieldTooLarge, InternalInvariant
+from .ffield import multiplicative_order
 
 _BLOCK = 1 << 16
 
@@ -71,6 +74,16 @@ def _count_zeros(mult, trace, states, total, q):
     return zeros
 
 
+def _mat_pow(a, exponent: int, q: int):
+    """a^exponent mod q for a square int64 matrix, exponent >= 1."""
+    result = a
+    for bit in bin(exponent)[3:]:
+        result = result @ result % q
+        if bit == "1":
+            result = result @ a % q
+    return result
+
+
 def _coset_owners(p: int, q: int) -> list[int]:
     """owner[m] is the least element of m's coset of <q> in Z/p (owner[0] = 0)."""
     owner = [0] + [-1] * (p - 1)
@@ -82,23 +95,23 @@ def _coset_owners(p: int, q: int) -> list[int]:
     return owner
 
 
-def _projective_counts(rec, seed, p: int, q: int):
+def _projective_counts(cols, trace, p: int, q: int):
     import numpy as np
 
-    n = len(rec)
+    n = len(cols)
     span = (q**n - 1) // (q - 1) // p  # N/p terms per column
-    form = _Kronecker(rec, q)
-    y = form.pack((0, 1) + (0,) * (n - 2))  # alpha in F_q[y]/(rec)
-    norm = form.pow(y, span * p)  # in F_q exactly when its packed value is < q
-    if not 0 < norm < q or multiplicative_order(norm, q) != q - 1:
-        raise InternalInvariant(f"alpha^N = {form.unpack(norm)} does not generate F_{q}^*")
-    beta = form.pow(y, p)
-    # column i of M is beta·y^i
-    mult = [form.unpack(form.mul(beta, form.pack((0,) * i + (1,)))) for i in range(n)]
+    a = np.array(cols, dtype=np.int64).T  # column i is alpha·x^i
+    mult = _mat_pow(a, p, q)  # M, the matrix of beta = alpha^p
+    norm = _mat_pow(mult, span, q)  # A^N = c·I when alpha^N = c is in F_q
+    c = int(norm[0, 0])
+    if not (np.array_equal(norm, c * np.eye(n)) and c and multiplicative_order(c, q) == q - 1):
+        raise InternalInvariant(f"alpha^N = {norm[:, 0].tolist()} does not generate F_{q}^*")
     owner = _coset_owners(p, q)
     reps = sorted(set(owner))
-    states = [form.unpack(form.pow(y, m)) for m in reps]
-    zeros = _count_zeros(np.array(mult).T, seed, np.array(states).T, span, q)
+    powers = [np.eye(n, 1, dtype=np.int64)]  # the coefficients of alpha^m
+    for _ in range(reps[-1]):
+        powers.append(a @ powers[-1] % q)
+    zeros = _count_zeros(mult, trace, np.hstack([powers[m] for m in reps]), span, q)
 
     rows = np.empty((p, q), dtype=np.int64)
     zeros_of = dict(zip(reps, zeros.tolist()))
@@ -108,38 +121,40 @@ def _projective_counts(rec, seed, p: int, q: int):
     return rows
 
 
-def _scan_python(rec, seed, total, p, q, counts):
-    """Plain-python reference used by the cross-checking tests."""
-    n = len(rec)
-    window = list(seed)
-    m = 0
+def _scan_python(cols, trace, total, p, q, counts):
+    """Plain-python reference used by the cross-checking tests: s_k, the
+    coefficients of alpha^k, walks s -> A·s, one matrix-vector product a term."""
+    rows = list(zip(*cols))  # row i of A
+    state = [1] + [0] * (len(cols) - 1)
     for k in range(total):
-        counts[m][window[k % n]] += 1
-        acc = sum(rec[j] * window[(k + j) % n] for j in range(n))
-        window[k % n] = (-acc) % q
-        m += 1
-        if m == p:
-            m = 0
+        counts[k % p][sum(map(mul, trace, state)) % q] += 1
+        state = [sum(map(mul, row, state)) % q for row in rows]
 
 
-def scan_counts(rec, seed, total: int, p: int, q: int, backend: str = "numpy"):
-    """Histogram of (k mod p, Tr(alpha^k)) over k in [0, total), for alpha a
-    root of the monic y^n + sum rec[i]·y^i and seed[i] = Tr(alpha^i), i < n.
+def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy"):
+    """Histogram of (k mod p, Tr(alpha^k)) over k in [0, total), given, in a
+    basis x^i of the field, cols[i] = the coefficients of alpha·x^i and
+    trace[i] = Tr(x^i), i < n.
 
     `backend` is "numpy" (production: the projective scan, which covers the
-    whole group, so `total` must be q^n - 1 and p(q-1) must divide it) or
-    "python" (the full slow oracle, for any `total`).
+    whole group, so `total` must be q^n - 1 and p(q-1) must divide it, and
+    n(q-1)^2 < 2^63 must bound its int64 dot products) or "python" (the full
+    slow oracle, for any `total`).
     """
-    import numpy as np
-
+    n = len(cols)
     if backend == "numpy":
-        if total != q ** len(rec) - 1 or total // (q - 1) % p:
+        if total != q**n - 1 or total // (q - 1) % p:
             raise ValueError(
                 f"the projective scan needs total = q^n - 1 divisible by p(q-1), got {total}"
             )
-        return _projective_counts([int(c) for c in rec], [int(t) for t in seed], p, q)
+        if n * (q - 1) ** 2 >= 1 << 63:
+            raise FieldTooLarge(f"n(q-1)^2 = {n * (q - 1) ** 2} overflows an int64 dot product")
+        return _projective_counts(cols, trace, p, q)
     if backend == "python":
+        import numpy as np
+
         py_counts = [[0] * q for _ in range(p)]
-        _scan_python([int(c) for c in rec], [int(t) for t in seed], total, p, q, py_counts)
+        cols = [[int(c) for c in col] for col in cols]
+        _scan_python(cols, [int(t) for t in trace], total, p, q, py_counts)
         return np.array(py_counts, dtype=np.int64)
     raise ValueError(f"unknown scan backend {backend!r}")

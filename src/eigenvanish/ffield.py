@@ -443,31 +443,13 @@ def dlog_order_p(ctx: FieldContext, p: int) -> dict[int, int]:
     return logs
 
 
-def characteristic_polynomial(x, modulus, q: int) -> tuple[int, ...]:
-    """The n non-leading coefficients of prod_{i<n} (y - x^(q^i)), the
-    characteristic polynomial over F_q of the residue x mod the monic degree-n
-    `modulus` (x's minimal polynomial when x has degree n). Raises
-    InternalInvariant if a coefficient falls outside F_q, which an irreducible
-    modulus rules out."""
-    form = _Kronecker(modulus, q)
-    # product of the n monic factors (y - x^(q^i)), so monic of degree n
-    poly = [1]  # packed coefficients, in F_q exactly when below q
-    conj = form.pack(x)
-    for _ in range(len(modulus)):
-        poly = [form.sub(a, form.mul(conj, b)) for a, b in zip([0] + poly, poly)] + [1]
-        conj = form.pow(conj, q)
-    if any(c >= q for c in poly):
-        raise InternalInvariant("characteristic polynomial coefficient outside F_q")
-    return tuple(poly[:-1])
-
-
-def generator_recurrence(ctx: FieldContext) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Seed data for the trace-sequence scan of powers of alpha.
-
-    Returns (rec, seed): rec holds the n non-leading coefficients of the
-    minimal polynomial of alpha (monic, degree n since alpha is primitive), and
-    seed[k] = Tr(alpha^k) for k < n. The full sequence t_k = Tr(alpha^k) then
-    follows t_{k+n} = -sum_j rec[j] * t_{k+j} mod q.
-    """
-    rec = characteristic_polynomial(ctx.alpha, ctx.modulus, ctx.q)
-    return rec, _power_sums(rec, ctx.q)
+def generator_recurrence(ctx: FieldContext) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(cols, trace), the trace-sequence scan's data in the field's basis x^i:
+    cols[i], the coefficients of alpha·x^i, is column i of the matrix A of
+    multiplication by alpha (n packed products), and trace = ctx.basis_traces.
+    The coefficients s_k of alpha^k follow s_{k+1} = A·s_k from s_0 = e_0,
+    and Tr(alpha^k) = sum_i trace[i]·s_k[i] mod q, as Tr is F_q-linear."""
+    form = ctx.kronecker
+    alpha = form.pack(ctx.alpha)
+    cols = tuple(form.unpack(form.mul(alpha, 1 << form.w * i)) for i in range(ctx.n))
+    return cols, ctx.basis_traces

@@ -8,8 +8,8 @@ exact character-twisted sums.
 
 The rows come from `_scan.scan_counts`, which counts one row per coset of
 <q> mod p from a decimated, projective trace sequence of (q^n - 1)/(p(q - 1))
-terms; `compute_period_table` still checks every row's count sum, its
-rationality and the sum of the periods.
+terms, read off alpha's multiplication matrix in the field's basis x^i;
+`compute_period_table` checks every row's sum, rationality and the periods' sum.
 """
 
 from dataclasses import dataclass
@@ -70,8 +70,8 @@ def compute_period_table(
     ctx: FieldContext, setup: CyclotomicSetup, backend: str = "numpy"
 ) -> PeriodTable:
     p, q, f = setup.p, setup.q, setup.f
-    rec, seed = generator_recurrence(ctx)
-    counts = scan_counts(rec, seed, ctx.order, p, q, backend=backend)
+    cols, trace = generator_recurrence(ctx)
+    counts = scan_counts(cols, trace, ctx.order, p, q, backend=backend)
     rows = tuple(tuple(int(c) for c in row) for row in counts)
     values = []
     for m, row in enumerate(rows):

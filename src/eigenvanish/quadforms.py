@@ -306,6 +306,8 @@ class DensityEstimate:
 
 def density_estimate(D: int, X: int) -> DensityEstimate:
     """Among primes N <= X, the fraction representable as x^2 + D*y^2."""
+    if D <= 0:
+        raise BadInput(f"D={D} must be positive")
     if X < 100:
         raise BoundTooSmall(f"X={X} < 100 gives meaningless ratios")
     sieve = prime_sieve(X)

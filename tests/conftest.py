@@ -90,6 +90,27 @@ def schoolbook_powmod(a, exponent, modulus, q):
     return result
 
 
+def characteristic_polynomial(x, modulus, q):
+    """The n non-leading coefficients of prod_{i<n} (y - x^(q^i)), the
+    characteristic polynomial over F_q of the residue x mod the monic degree-n
+    `modulus` (x's minimal polynomial when x has degree n), multiplied out
+    with the schoolbook product: the oracle of the minimal-polynomial basis
+    that the full histogram scans in."""
+    n = len(modulus)
+    zero, one = (0,) * n, (1,) + (0,) * (n - 1)
+    poly = [one]  # coefficients in F_q[x]/(modulus), lowest degree first
+    conj = tuple(x)
+    for _ in range(n):
+        shifted = [zero] + poly
+        poly = [
+            tuple((u - v) % q for u, v in zip(a, schoolbook_mulmod(conj, b, modulus, q)))
+            for a, b in zip(shifted, poly)
+        ] + [one]
+        conj = schoolbook_powmod(conj, q, modulus, q)
+    assert all(not any(c[1:]) for c in poly), "a coefficient outside F_q"
+    return tuple(c[0] for c in poly[:-1])
+
+
 def tuple_dlog(ctx, y, p):
     """The discrete log of y to base zeta by a walk over coefficient tuples
     with the schoolbook product: an oracle that shares no code with

@@ -119,6 +119,20 @@ def test_verify_large_p_exits_2_quickly(capsys, tmp_path, kind):
     assert report["result"]["problems"]
 
 
+def test_periods_refuses_int64_overflow_quickly(capsys):
+    # F_{q^2} with 2(q-1)^2 >= 2^63: an int64 dot product of the scan could
+    # wrap, so the run stops before any matmul, with a resource-limit report
+    start = time.process_time()
+    code, report, err = run(
+        capsys, "periods", "--p", "5", "--q", "4294967389",
+        "--field-cap", str(10**20), "--json",
+    )
+    assert time.process_time() - start < 1.0
+    assert code == 2
+    assert report["error"]["type"] == "FieldTooLarge"
+    assert err.startswith("resource limit: ")
+
+
 @pytest.mark.parametrize("case", sorted(WRONG_TYPES))
 def test_verify_wrong_types_exit_1(capsys, tmp_path, case):
     path = tmp_path / "cert.json"

@@ -242,6 +242,10 @@ def test_density_estimate_golden():
 def test_density_estimate_guard():
     with pytest.raises(BoundTooSmall):
         density_estimate(7, 50)
+    # D = 0 divided by zero in the descent, and D = -7 took isqrt of a negative
+    for D in (0, -7):
+        with pytest.raises(BadInput):
+            density_estimate(D, 1000)
 
 
 def test_density_counts_only_represented_primes():

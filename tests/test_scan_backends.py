@@ -3,12 +3,19 @@ from functools import cache
 
 import numpy as np
 import pytest
-from conftest import grid_setups, schoolbook_powmod
+from conftest import characteristic_polynomial, grid_setups, schoolbook_mulmod, schoolbook_powmod
 
-from eigenvanish import CyclotomicSetup, InternalInvariant, _scan, build_field, certify_half_plus
+from eigenvanish import (
+    CyclotomicSetup,
+    FieldTooLarge,
+    InternalInvariant,
+    _scan,
+    build_field,
+    certify_half_plus,
+)
 from eigenvanish._scan import _scan_python, scan_counts
 from eigenvanish.certify import DEFAULT_FIELD_CAP
-from eigenvanish.ffield import _power_sums, characteristic_polynomial, generator_recurrence
+from eigenvanish.ffield import _power_sums, generator_recurrence
 
 BACKENDS = ["python", "numpy"]
 FIELDS = [(7, 2), (13, 3), (11, 3), (19, 5)]
@@ -16,8 +23,8 @@ FIELDS = [(7, 2), (13, 3), (11, 3), (19, 5)]
 
 def _counts(setup, backend):
     ctx = build_field(setup, cap=1 << 22)
-    rec, seed = generator_recurrence(ctx)
-    return scan_counts(rec, seed, ctx.order, setup.p, setup.q, backend=backend)
+    cols, trace = generator_recurrence(ctx)
+    return scan_counts(cols, trace, ctx.order, setup.p, setup.q, backend=backend)
 
 
 @cache
@@ -28,8 +35,9 @@ def _oracle_counts(pq):
 
 # ---------------------------------------------------------------------------
 # oracle: the full histogram over all q^n - 1 powers of alpha, blocked in numpy
-# as production scanned before the projective scan, so that it stays fast
-# enough for every production field
+# so that it stays fast enough for every production field, in the basis y^i of
+# F_q[y]/(minimal polynomial of alpha): the linear recurrence of the traces
+# Tr(alpha^k), where production reads the modulus basis x^i
 
 
 def _histogram_oracle(rec, seed, total, p, q):
@@ -64,24 +72,22 @@ def _histogram_oracle(rec, seed, total, p, q):
 
 @cache
 def _production_fields():
-    """{(p, q): (rec, seed)} for the 44 grid fields and every `certify`
-    witness field under DEFAULT_FIELD_CAP for p = 19, 23 and 47."""
+    """{(p, q): field} for the 44 grid fields and every `certify` witness
+    field under DEFAULT_FIELD_CAP for p = 19, 23 and 47."""
     setups = {(s.p, s.q): s for s in grid_setups()}
     for p in (19, 23, 47):
         for q, _, _ in certify_half_plus(p).field_choices:
             setup = CyclotomicSetup.create(p, q)
             if setup.field_size() <= DEFAULT_FIELD_CAP:
                 setups.setdefault((p, q), setup)
-    return {
-        pq: generator_recurrence(build_field(setup, cap=DEFAULT_FIELD_CAP))
-        for pq, setup in setups.items()
-    }
+    return {pq: build_field(setup, cap=DEFAULT_FIELD_CAP) for pq, setup in setups.items()}
 
 
 @cache
 def _full_histogram(p, q):
-    rec, seed = _production_fields()[p, q]
-    return _histogram_oracle(rec, seed, q ** len(rec) - 1, p, q)
+    ctx = _production_fields()[p, q]
+    rec = characteristic_polynomial(ctx.alpha, ctx.modulus, q)
+    return _histogram_oracle(rec, _power_sums(rec, q), ctx.order, p, q)
 
 
 @pytest.mark.parametrize("block", [None, 16])
@@ -91,8 +97,8 @@ def test_projective_scan_matches_full_histogram(monkeypatch, block):
         monkeypatch.setattr(_scan, "_BLOCK", block)
     fields = _production_fields()
     assert len(fields) == 45  # of the witness fields only (47, 2) is off the grid
-    for (p, q), (rec, seed) in fields.items():
-        got = scan_counts(rec, seed, q ** len(rec) - 1, p, q)
+    for (p, q), ctx in fields.items():
+        got = scan_counts(*generator_recurrence(ctx), ctx.order, p, q)
         assert np.array_equal(got, _full_histogram(p, q)), (p, q)
 
 
@@ -139,10 +145,10 @@ def test_multi_block_matches_python(monkeypatch, block):
 def test_tiny_field_scan_allocates_little(f8):
     # the power table is sized to the field, not to the 65,536-row block
     setup, ctx = f8
-    rec, seed = generator_recurrence(ctx)
+    cols, trace = generator_recurrence(ctx)
     tracemalloc.start()
     try:
-        scan_counts(rec, seed, ctx.order, setup.p, setup.q)
+        scan_counts(cols, trace, ctx.order, setup.p, setup.q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -160,26 +166,26 @@ def test_row_sums_equal_f(pq):
 
 def test_python_reference_direct(f8):
     setup, ctx = f8
-    rec, seed = generator_recurrence(ctx)
+    cols, trace = generator_recurrence(ctx)
     got = np.zeros((setup.p, setup.q), dtype=np.int64)
-    _scan_python(rec, seed, ctx.order, setup.p, setup.q, got)
-    assert np.array_equal(got, scan_counts(rec, seed, ctx.order, setup.p, setup.q))
+    _scan_python(cols, trace, ctx.order, setup.p, setup.q, got)
+    assert np.array_equal(got, scan_counts(cols, trace, ctx.order, setup.p, setup.q))
 
 
 def test_unknown_backend_rejected(f8):
     setup, ctx = f8
-    rec, seed = generator_recurrence(ctx)
+    cols, trace = generator_recurrence(ctx)
     for backend in ("fortran", "numba"):
         with pytest.raises(ValueError):
-            scan_counts(rec, seed, ctx.order, setup.p, setup.q, backend=backend)
+            scan_counts(cols, trace, ctx.order, setup.p, setup.q, backend=backend)
 
 
 def test_projective_scan_needs_the_whole_group(f8):
     setup, ctx = f8
-    rec, seed = generator_recurrence(ctx)
+    cols, trace = generator_recurrence(ctx)
     with pytest.raises(ValueError):
-        scan_counts(rec, seed, ctx.order - 1, setup.p, setup.q)
-    got = scan_counts(rec, seed, ctx.order - 1, setup.p, setup.q, backend="python")
+        scan_counts(cols, trace, ctx.order - 1, setup.p, setup.q)
+    got = scan_counts(cols, trace, ctx.order - 1, setup.p, setup.q, backend="python")
     assert int(got.sum()) == ctx.order - 1
 
 
@@ -187,13 +193,17 @@ def test_norm_must_generate_the_prime_field():
     # alpha^2 in F_81 has norm alpha^80 = 1, which does not generate F_3^*
     setup = CyclotomicSetup.create(5, 3)
     ctx = build_field(setup)
-    rec = characteristic_polynomial(schoolbook_powmod(ctx.alpha, 2, ctx.modulus, 3), ctx.modulus, 3)
+    alpha2 = schoolbook_powmod(ctx.alpha, 2, ctx.modulus, 3)
+    basis = [(0,) * i + (1,) + (0,) * (ctx.n - 1 - i) for i in range(ctx.n)]
+    cols = [schoolbook_mulmod(alpha2, x, ctx.modulus, 3) for x in basis]
     with pytest.raises(InternalInvariant, match="does not generate"):
-        scan_counts(rec, _power_sums(rec, 3), ctx.order, setup.p, setup.q)
+        scan_counts(cols, ctx.basis_traces, ctx.order, setup.p, setup.q)
 
 
-def test_characteristic_polynomial_outside_prime_field():
-    # mod the reducible y^2 over F_3, y's conjugates are y and 0, and
-    # (Y - y)·Y has the coefficient -y, which is not in F_3
-    with pytest.raises(InternalInvariant, match="outside F_q"):
-        characteristic_polynomial((0, 1), (0, 0), 3)
+def test_numpy_scan_refuses_int64_overflow():
+    # 2(q-1)^2 >= 2^63: a dot product of two entries below q could wrap
+    # (numpy gave 1,580,547,981,856 for 2(q-1)^2), so no matmul runs
+    q = 4_294_967_389  # 4 mod 5, so 5 | q + 1 = (q^2 - 1)/(q - 1)
+    cols, trace = ((0, 1), (q - 1, 0)), (2, 0)
+    with pytest.raises(FieldTooLarge, match="overflows"):
+        scan_counts(cols, trace, q**2 - 1, 5, q)
