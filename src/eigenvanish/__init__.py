@@ -30,9 +30,7 @@ from .errors import (
     FieldTooLarge,
     InternalInvariant,
     MissingIndex,
-    NoWitnessFound,
     NonIntegralPeriod,
-    NotARepresentation,
     NotCoprime,
     NotInSubgroup,
     ResourceLimit,
@@ -85,8 +83,7 @@ __all__ = [
     "EigenspaceScan", "EigenvanishError", "EvenExponent", "ExploreReport",
     "FactorizationFailure", "FieldContext", "FieldTooLarge", "IndexRecord",
     "IndexVector", "InternalInvariant",
-    "MissingIndex", "NoWitnessFound", "NonIntegralPeriod",
-    "NotARepresentation", "NotCoprime",
+    "MissingIndex", "NonIntegralPeriod", "NotCoprime",
     "NotInSubgroup", "PeriodTable", "QfSolution", "ResourceLimit",
     "SearchTooLarge", "VandiverReport", "WitnessRecord", "beta_index_mod_p",
     "build_field", "certificate_from_dict", "certificate_to_dict",

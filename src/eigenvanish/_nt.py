@@ -10,7 +10,7 @@
   an iteration budget, each prime found divided out in full. Every factor
   it returns has passed `is_prime`; only a cofactor that is still composite
   when the budget runs out goes to sympy.
-- `prime_sieve` and `primes_upto`: one bytearray sieve.
+- `prime_sieve`: one bytearray sieve, which also lists `factor`'s trial primes.
 - `cyclotomic_value`: Phi_d(q) as a Moebius product of the factors q^k - 1.
 
 Factorizations are unique, so neither route can change a result. The sympy
@@ -18,7 +18,6 @@ fallbacks are imported on first use, through `_sympy_isprime` and
 `_sympy_factorint`.
 """
 
-from itertools import compress
 from math import gcd, isqrt, log2
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -36,17 +35,7 @@ def prime_sieve(limit: int) -> bytearray:
     return sieve
 
 
-def primes_upto(limit: int):
-    """The primes 2 <= q <= limit in increasing order. The sieve doubles as
-    they are consumed, so a caller that stops early never sieves to `limit`."""
-    start, top = 2, 1024
-    while start <= limit:
-        top = min(2 * top, limit)
-        yield from compress(range(start, top + 1), prime_sieve(top)[start:])
-        start = top + 1
-
-
-_TRIAL = tuple(primes_upto(1 << 10))
+_TRIAL = tuple(k for k, bit in enumerate(prime_sieve(1 << 10)) if bit)
 
 
 def _sympy_isprime(n: int) -> bool:

@@ -54,10 +54,6 @@ class BoundExhausted(ResourceLimit):
     pass
 
 
-class NoWitnessFound(ResourceLimit):
-    pass
-
-
 class BoundTooSmall(ResourceLimit):
     pass
 
@@ -80,7 +76,3 @@ class NonIntegralPeriod(InternalInvariant):
 
 class DivisibilityFailure(InternalInvariant):
     """A period difference was not divisible by the expected prime power."""
-
-
-class NotARepresentation(BadInput):
-    """Claimed (x, y) does not satisfy x^2 + D*y^2 = N."""

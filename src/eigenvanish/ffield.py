@@ -9,20 +9,22 @@ encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 
 The modulus search runs Ben-Or's irreducibility test on each candidate, so a
-reducible one is rejected at the degree of its smallest factor. Field
-arithmetic is private: `_Kronecker` alone stores residues (packed ints, one
-slot per coefficient) and subtracts and multiplies them. A product is one
-integer multiplication, a slot-by-slot reduction of the high slots from the
-top, and a multiply-and-shift fold that takes all n low slots mod q at once;
-a difference is the same fold. `FieldContext` is data (coefficient tuples,
-trace data, the packed form); the discrete-log table of <zeta> is keyed by
-packed residues. All of it is exact, so the choices above do not depend on it.
+reducible one is rejected at the degree of its smallest factor; its gcds run
+on coefficient lists trimmed of zero top coefficients. Field arithmetic is
+private: `_Kronecker` alone stores residues (packed ints, one slot per
+coefficient) and subtracts and multiplies them. A product is one integer
+multiplication, a slot-by-slot reduction of the high slots from the top, and
+a multiply-and-shift fold that takes all n low slots mod q at once; a
+difference is the same fold. `FieldContext` is data (coefficient tuples,
+trace data, and the packed form that the search built, kept out of equality
+and repr); the discrete-log table of <zeta> is keyed by packed residues. All
+of it is exact, so the choices above do not depend on it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 
@@ -209,29 +211,25 @@ class _Kronecker:
         return result
 
 
-def _poly_deg(c) -> int:
-    for i in range(len(c) - 1, -1, -1):
-        if c[i]:
-            return i
-    return -1
-
-
 def _gcd_is_one(a, b, q: int) -> bool:
+    """Whether gcd(a, b) = 1 over F_q, for little-endian coefficient lists
+    below q. Both are trimmed of zero top coefficients first, so a nonzero
+    list always leads with its last entry; gcd(0, 0) = 0 is not 1."""
     a, b = list(a), list(b)
-    while True:
-        db = _poly_deg(b)
-        if db < 0:
-            return _poly_deg(a) == 0
-        inv = pow(b[db], q - 2, q)
-        da = _poly_deg(a)
-        while da >= db:
-            c = a[da] * inv % q
-            if c:
-                for j in range(db + 1):
-                    a[da - db + j] = (a[da - db + j] - c * b[j]) % q
-            while da >= 0 and a[da] == 0:
-                da -= 1
+    for c in (a, b):
+        while c and not c[-1]:
+            c.pop()
+    while b:
+        inv, db = pow(b[-1], q - 2, q), len(b) - 1
+        while len(a) > db:  # a -= c·x^shift·b cancels a's top, which is popped
+            c, shift = a[-1] * inv % q, len(a) - 1 - db
+            for j in range(db):
+                a[shift + j] = (a[shift + j] - c * b[j]) % q
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
         a, b = b, a
+    return len(a) == 1
 
 
 def _is_irreducible(coeffs, q: int) -> bool:
@@ -279,17 +277,14 @@ class FieldContext:
     modulus: tuple[int, ...]  # non-leading coefficients of the monic modulus
     alpha: tuple[int, ...]
     zeta: tuple[int, ...]
+    # the packed form that built the field, left out of ==, hash and repr
+    kronecker: _Kronecker = field(repr=False, compare=False)
 
     @cached_property
     def basis_traces(self) -> tuple[int, ...]:
         """Tr(x^i) for i < n, computed on first use: only the trace scans and
         the setup report read it, the unit index never does."""
         return _power_sums(self.modulus, self.q)
-
-    @cached_property
-    def kronecker(self) -> _Kronecker:
-        """The packed form of this field's residues, built on first use."""
-        return _Kronecker(self.modulus, self.q)
 
     @property
     def order(self) -> int:
@@ -411,7 +406,9 @@ def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha) -> 
     """The context of alpha mod `modulus`, whose packed form is `form`. alpha
     is primitive, so zeta = alpha^f has order (q^n - 1)/f = p exactly."""
     zeta = form.unpack(form.pow(form.pack(alpha), setup.f))
-    return FieldContext(q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta)
+    return FieldContext(
+        q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta, kronecker=form
+    )
 
 
 def _power_sums(coeffs, q: int) -> tuple[int, ...]:

@@ -89,12 +89,10 @@ def reduced_forms_count(disc: int) -> int:
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int | None:
-    """Deterministic Tonelli-Shanks; None when a is a nonresidue."""
+    """Deterministic Tonelli-Shanks for an odd prime p; None when a is a nonresidue."""
     a %= p
     if a == 0:
         return 0
-    if p == 2:
-        return a
     if pow(a, (p - 1) // 2, p) != 1:
         return None
     if p % 4 == 3:
@@ -217,17 +215,17 @@ def _primitive_reps(D: int, M: int, exponents: dict[int, int]) -> set[tuple[int,
     return reps
 
 
-def represent_all(D: int, N: int, method: str = "auto") -> list[tuple[int, int]]:
+def represent_all(D: int, N: int, method: str = "factor") -> list[tuple[int, int]]:
     """All (x >= 0, y >= 0) with x^2 + D*y^2 = N, ascending in x.
 
-    "auto" and "factor" are one route: N is factored once, and for each
-    square d^2 | N the primitive solutions of N/d^2 are scaled by d, with the
-    roots of -D taken from that factorization. "exhaustive" is the brute scan
-    over x, kept as the oracle (SearchTooLarge beyond the iteration guard).
+    "factor", the default, factors N once, and for each square d^2 | N the
+    primitive solutions of N/d^2 are scaled by d, with the roots of -D taken
+    from that factorization. "exhaustive" is the brute scan over x, kept as
+    the oracle (SearchTooLarge beyond the iteration guard).
     """
     if D <= 0 or N < 0:
         raise BadInput("need D > 0, N >= 0")
-    if method not in ("auto", "factor", "exhaustive"):
+    if method not in ("factor", "exhaustive"):
         raise BadInput(f"unknown method {method!r}")
     if N == 0:
         return [(0, 0)]

@@ -23,6 +23,7 @@ from eigenvanish import (
     BadEigenspaceIndex,
     BadInput,
     BadPrime,
+    BoundExhausted,
     Certificate,
     CyclotomicSetup,
     WitnessRecord,
@@ -195,6 +196,17 @@ def test_non_primitive_g_is_bad_input_for_any_bounds(run):
     # witness search, so bounds that admit no witness change nothing
     with pytest.raises(BadInput, match="g=4 is not a primitive root"):
         run(g=4)
+
+
+@pytest.mark.parametrize("run, message", [
+    (partial(certify_half_plus, 7, qbound=1), "no primes of order 3 mod 7 below 1"),
+    (partial(remark_explore, 13, "e4", field_cap=1),
+     "no prime of order 3 mod 13 with field under 1 below 10000"),
+], ids=["certify-qbound-1", "explore-cap-1"])
+def test_bounds_that_admit_no_witness_raise_bound_exhausted(run, message):
+    with pytest.raises(BoundExhausted) as err:
+        run()
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("run, p", [

@@ -235,6 +235,22 @@ def test_vandiver_exit_code(capsys):
     assert {s["r"]: s["verdict"] for s in scans} == {2: "Unknown", 4: "Trivial"}
 
 
+def test_vandiver_reports_admissible_orders_of_an_unknown_r(capsys):
+    # one witness per r: q = 2 has order 5 mod 31 and i_4 vanishes for it,
+    # while order 3, which divides both p - 1 = 30 and p - r = 27, stays untried
+    code, report, err = run(capsys, "vandiver", "--p", "31", "--max-witnesses", "1", "--json")
+    assert code == 2
+    scan = next(s for s in report["result"]["scans"] if s["r"] == 4)
+    assert scan["verdict"] == "Unknown"
+    assert scan["admissible_orders"] == [3]
+    assert scan["tried"] == [{"q": 2, "n": 5, "i_mod_p": 0}]
+    check = next(c for c in report["checks"] if c["name"] == "eigenspace-r4")
+    assert check == {
+        "name": "eigenspace-r4", "ok": False,
+        "detail": "no nonzero index among 1 witnesses; orders that could work: [3]",
+    }
+
+
 def test_classnum_golden(capsys):
     code, report, err = run(capsys, "classnum", "--p", "23")
     assert code == 0

@@ -193,6 +193,18 @@ def test_build_field_golden_f27(f27):
     assert schoolbook_powmod(ctx.zeta, 13, ctx.modulus, 3) == (1, 0, 0)
 
 
+def test_field_context_keeps_its_packed_form_out_of_eq_hash_and_repr(f27):
+    setup, ctx = f27
+    again = ffield.field_from_choice(setup, ctx.modulus_int, ctx.encode(ctx.alpha))
+    assert again.kronecker is not ctx.kronecker
+    assert again == ctx and hash(again) == hash(ctx)
+    assert repr(again) == repr(ctx) == (
+        "FieldContext(q=3, n=3, modulus=(1, 2, 0), alpha=(0, 1, 0), zeta=(0, 0, 1))"
+    )
+    fresh = _Kronecker(ctx.modulus, ctx.q)
+    assert (ctx.kronecker.w, ctx.kronecker.f) == (fresh.w, fresh.f)
+
+
 def test_field_too_large():
     s = CyclotomicSetup.create(19, 5)
     with pytest.raises(FieldTooLarge):
@@ -428,6 +440,43 @@ def test_ben_or_rejects_products_of_two_halves(q, k):
         assert len(f) == 2 * k
         assert not _is_irreducible(f, q), (q, g, h)
         assert not rabin_is_irreducible(f, q)
+
+
+_X = Symbol("x")
+
+
+def sympy_gcd_is_one(a, b, q):
+    """gcd(a, b) = 1 over F_q by sympy, for little-endian coefficient lists:
+    the oracle of `_gcd_is_one`, which Rabin's test also calls."""
+    a, b = (Poly.from_list(list(reversed(c)) or [0], _X, modulus=q) for c in (a, b))
+    return a.gcd(b).is_one
+
+
+# zero polynomials as [] and as zero lists, constants, and zero top
+# coefficients on either side; ([0], [], q) is gcd(0, 0) = 0
+GCD_EDGES = [
+    ([0], []), ([], []), ([0, 0], [0]), ([], [1]), ([0, 0], [3]), ([4, 0, 0], []),
+    ([1, 1], [1, 1, 0, 0]), ([1, 2, 1, 0], [1, 1, 0]), ([0, 1, 0], [0, 0, 1, 0, 0]),
+    ([2, 0, 1], [3, 1]), ([1, 0, 0, 1], [0, 2, 0, 0]),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_gcd_is_one_matches_sympy_on_edges(q):
+    for a, b in GCD_EDGES:
+        a, b = [c % q for c in a], [c % q for c in b]
+        for x, y in ((a, b), (b, a)):
+            assert _gcd_is_one(x, y, q) == sympy_gcd_is_one(x, y, q), (x, y, q)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), q=st.sampled_from([2, 3, 5, 7, 13, 101]))
+def test_gcd_is_one_matches_sympy(data, q):
+    coeffs = st.lists(st.integers(0, q - 1), max_size=7)
+    pad = st.lists(st.just(0), max_size=2)  # zero top coefficients
+    a = data.draw(coeffs) + data.draw(pad)
+    b = data.draw(coeffs) + data.draw(pad)
+    assert _gcd_is_one(a, b, q) == sympy_gcd_is_one(a, b, q)
 
 
 # no prime divides q - 1 for q = 2, so only field powers run there;

@@ -161,14 +161,16 @@ def test_factor_hands_an_unsplit_cofactor_to_sympy(monkeypatch, fallbacks):
 # the sieve and the cyclotomic values
 
 
-@pytest.mark.parametrize("limit", [0, 1, 2, 3, 1023, 1024, 1025, 2048, 2049, 4097, 30_000])
-def test_primes_upto_matches_primerange(limit):
-    assert list(_nt.primes_upto(limit)) == list(primerange(2, limit + 1))
+@pytest.mark.parametrize("limit", [1, 2, 3, 1023, 1024, 1025, 100_000])
+def test_prime_sieve_matches_primerange(limit):
+    # 1024 = 2^10 is the limit that lists factor's trial primes
+    sieve = _nt.prime_sieve(limit)
+    assert len(sieve) == limit + 1
+    assert [k for k, bit in enumerate(sieve) if bit] == list(primerange(2, limit + 1))
 
 
-def test_prime_sieve_matches_primerange():
-    sieve = _nt.prime_sieve(100_000)
-    assert [k for k, bit in enumerate(sieve) if bit] == list(primerange(2, 100_001))
+def test_trial_primes_are_the_primes_below_2_10():
+    assert _nt._TRIAL == tuple(primerange(2, 1 << 10))
 
 
 def test_cyclotomic_value_matches_sympy():

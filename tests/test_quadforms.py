@@ -114,6 +114,12 @@ def test_cornacchia_composite_n_is_bad_input(N):
         cornacchia(1, N)
 
 
+@pytest.mark.parametrize("D", [0, -3])
+def test_cornacchia_nonpositive_d_is_bad_input(D):
+    with pytest.raises(BadInput, match="D and N must be positive"):
+        cornacchia(D, 7)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     D=st.sampled_from([7, 11, 19, 23, 31, 43]),
@@ -188,6 +194,18 @@ def test_represent_all_loads_no_sympy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, cwd=root
     ).stdout
     assert json.loads(out.splitlines()[-1]) == {"reps": 6, "sympy": False}
+
+
+@pytest.mark.parametrize("D, N, method, message", [
+    (0, 8, "factor", "need D > 0"),
+    (-7, 8, "exhaustive", "need D > 0"),
+    (7, -1, "factor", "N >= 0"),
+    (7, 8, "auto", "unknown method 'auto'"),
+    (7, 8, "sympy", "unknown method 'sympy'"),
+])
+def test_represent_all_bad_input(D, N, method, message):
+    with pytest.raises(BadInput, match=message):
+        represent_all(D, N, method=method)
 
 
 def test_represent_all_search_limit():
