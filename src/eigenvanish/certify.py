@@ -17,6 +17,7 @@ record in its stored field with the same function and compares the two.
 import re
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from heapq import merge
+from itertools import islice
 from math import gcd
 
 from ._nt import factor, is_prime
@@ -316,20 +317,24 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise BadInput(f"malformed certificate: {exc}") from None
 
 
+def _fields_of_order(p: int, n: int, qbound: int, field_cap: int):
+    """(field size, q, n) for the primes q of order n mod p, ascending, up to
+    the first q with q^n > field_cap."""
+    for q in _primes_of_order(p, n, qbound):
+        if (size := q**n) > field_cap:
+            return
+        yield size, q, n
+
+
 def _witness_fields(p: int, qbound: int, field_cap: int):
     """(field size, q, n) for every candidate witness prime, smallest fields
     first. The order n of q mod p divides p - 1, and n < the cap's bit length,
-    else q^n >= 2^n > field_cap; each n's primes come in ascending order, so
-    they stop at the first q with q^n > field_cap."""
-    out = []
-    for n in range(2, min(p, field_cap.bit_length())):
-        if (p - 1) % n == 0:
-            for q in _primes_of_order(p, n, qbound):
-                if (size := q**n) > field_cap:
-                    break
-                out.append((size, q, n))
-    out.sort()
-    return out
+    else q^n >= 2^n > field_cap. The fields are yielded lazily, merged from one
+    ascending stream per n, so a caller that reads k of them lists no more."""
+    return merge(*(
+        _fields_of_order(p, n, qbound, field_cap)
+        for n in range(2, min(p, field_cap.bit_length())) if (p - 1) % n == 0
+    ))
 
 
 @dataclass(frozen=True)
@@ -367,25 +372,28 @@ def vandiver_scan(
     g: int | None = None,
 ) -> VandiverReport:
     """Try to certify every even eigenspace r in [2, p-3] via successive
-    witness primes, smallest fields first."""
+    witness primes, smallest fields first.
+    Only the first max_witnesses_per_r witness fields are listed, and a field
+    is built only for an odd order n that divides p - r for an r that tries it."""
     if p <= 3 or not is_prime(p):
         raise BadPrime(f"p={p} must be an odd prime > 3")
     if max_witnesses_per_r < 1:
         raise BadInput(f"max_witnesses_per_r={max_witnesses_per_r} must be at least 1")
     check_primitive_root(p, g)
-    candidates = _witness_fields(p, qbound, field_cap)
+    candidates = list(islice(_witness_fields(p, qbound, field_cap), max_witnesses_per_r))
     vectors: dict[int, IndexVector] = {}
     scans = []
     for r in range(2, p - 2, 2):
         tried = []
         hit = None
         for _, q, n in candidates:
-            if len(tried) >= max_witnesses_per_r:
-                break
-            if q not in vectors:
-                setup = CyclotomicSetup.create(p, q, g=g)
-                vectors[q] = index_vector(build_field(setup), setup)
-            i_val = vectors[q].at(r)
+            if (p - r) % n:
+                i_val = 0  # the obstruction: n does not divide p - r
+            else:
+                if q not in vectors:
+                    setup = CyclotomicSetup.create(p, q, g=g)
+                    vectors[q] = index_vector(build_field(setup), setup)
+                i_val = vectors[q].at(r)
             tried.append((q, n, i_val))
             if i_val:
                 hit = (q, i_val)

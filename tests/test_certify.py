@@ -3,6 +3,7 @@ import json
 import time
 from functools import partial
 from itertools import islice
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +31,7 @@ from eigenvanish import (
     build_field,
     certificate_from_dict,
     certificate_to_dict,
+    certify,
     certify_half_plus,
     check_certificate,
     class_number,
@@ -41,13 +43,17 @@ from eigenvanish import (
 )
 from eigenvanish.certify import (
     DEFAULT_FIELD_CAP,
+    DEFAULT_QBOUND,
     ROUTE_ANALYTIC,
     ROUTE_FULL,
+    EigenspaceScan,
+    VandiverReport,
     _primes_of_order,
     _witness_fields,
     _witness_record,
 )
 from eigenvanish.ffield import field_from_choice
+from eigenvanish.units import index_vector
 
 
 def test_primes_of_order_goldens():
@@ -80,7 +86,9 @@ def test_witness_primes_match_the_order_oracle(qbound):
         fields = sorted((q**n, q, n) for q, n in orders if n >= 2)
         for cap in (1, 8, 100, 1 << 20, 1 << 27, 1 << 40):
             want = [field for field in fields if field[0] <= cap]
-            assert _witness_fields(p, qbound, cap) == want, (p, cap)
+            assert list(_witness_fields(p, qbound, cap)) == want, (p, cap)
+            for k in (1, 5):
+                assert list(islice(_witness_fields(p, qbound, cap), k)) == want[:k], (p, cap, k)
 
 
 # frozen witness data for the smallest certifying prime q per p
@@ -717,6 +725,80 @@ def test_vandiver_p43_report_unchanged():
         assert s.verdict == ("Trivial" if i else "Unknown")
         assert (s.witness_q, s.i_mod_p) == ((79, i) if i else (None, None))
         assert s.admissible_orders == P43_ADMISSIBLE.get(s.r, ())
+
+
+def _vandiver_oracle(p, max_witnesses_per_r, qbound, field_cap, vectors):
+    """vandiver_scan as the per-r loop without the obstruction: the full sorted
+    candidate list from sympy's n_order, and every tried field built and its
+    IndexVector read at r. `vectors` caches the index vector of each q of p."""
+    candidates = sorted(
+        (q**n, q, n) for q, n in _prime_orders(p, qbound) if n >= 2 and q**n <= field_cap
+    )
+    scans = []
+    for r in range(2, p - 2, 2):
+        tried, hit = [], None
+        for _, q, n in candidates[:max_witnesses_per_r]:
+            if q not in vectors:
+                setup = CyclotomicSetup.create(p, q)
+                vectors[q] = index_vector(build_field(setup), setup)
+            i_val = vectors[q].at(r)
+            tried.append((q, n, i_val))
+            if i_val:
+                hit = (q, i_val)
+                break
+        d = gcd(p - 1, p - r)
+        scans.append(EigenspaceScan(
+            r=r, verdict="Trivial" if hit else "Unknown",
+            witness_q=hit[0] if hit else None, i_mod_p=hit[1] if hit else None,
+            tried=tuple(tried), admissible_orders=tuple(n for n in divisors(d) if n >= 3),
+        ))
+    return VandiverReport(p=p, scans=tuple(scans))
+
+
+@pytest.mark.parametrize("p", list(primerange(5, 98)))
+def test_vandiver_matches_the_per_r_oracle(p):
+    vectors = {}
+    for k in (1, 5, 8):
+        for qbound in (3, 50, DEFAULT_QBOUND):
+            for cap in (1, 1 << 12, DEFAULT_FIELD_CAP):
+                want = _vandiver_oracle(p, k, qbound, cap, vectors)
+                assert vandiver_scan(p, k, qbound, cap) == want, (k, qbound, cap)
+
+
+def _count_builds(monkeypatch) -> list[tuple[int, int]]:
+    """Record (q, n) of every field that `vandiver_scan` builds."""
+    built = []
+
+    def spy(setup):
+        built.append((setup.q, setup.n))
+        return build_field(setup)
+
+    monkeypatch.setattr(certify, "build_field", spy)
+    return built
+
+
+@pytest.mark.parametrize("p", (41, 43, 47, 53, 59, 61))
+def test_vandiver_builds_only_fields_an_even_r_can_read(p, monkeypatch):
+    built = _count_builds(monkeypatch)
+    report = vandiver_scan(p)
+    assert len(built) == len(set(built))
+    readable = {
+        (q, n) for s in report.scans for q, n, _ in s.tried if (p - s.r) % n == 0
+    }
+    assert all(n % 2 for _, n in readable)
+    assert set(built) == readable
+
+
+def test_vandiver_builds_no_field_of_even_order(monkeypatch):
+    # 2 and 3 are primitive roots mod 211, so both orders are 210 and even:
+    # no even r can read F_{2^210} or F_{3^210}, and neither is built
+    built = _count_builds(monkeypatch)
+    report = vandiver_scan(211, qbound=3, field_cap=10**400)
+    assert built == []
+    assert [s.r for s in report.scans] == list(range(2, 209, 2))
+    for s in report.scans:
+        assert s.verdict == "Unknown"
+        assert s.tried == ((2, 210, 0), (3, 210, 0))
 
 
 EXPLORE_GOLDENS = {
