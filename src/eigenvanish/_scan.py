@@ -18,8 +18,9 @@ full scan to N/p per column, in e + 1 columns:
   nonzero trace.
 
 The zero counter `_count_zeros` reads a block of terms of every column per
-matmul from a power table built by doubling; all of it is int64 matrix
-arithmetic mod q, so a field with n(q-1)^2 >= 2^63 is refused. `_scan_python`
+matmul from a power table built by doubling. All of it is float64 matrix
+arithmetic mod q on integers below n(q-1)^2, exact while that stays below
+2^53, so a field with n(q-1)^2 >= 2^53 is refused. `_scan_python`
 walks s -> A·s over all q^n - 1 powers, the oracle the production path must
 match bit for bit.
 
@@ -32,55 +33,68 @@ from operator import mul
 from .errors import FieldTooLarge, InternalInvariant
 from .ffield import multiplicative_order
 
-_BLOCK = 1 << 16
+_BLOCK = 1 << 12
+
+
+def _mod(y, q):
+    """y mod q in place, for a float64 array of integers 0 <= y < 2^53."""
+    import numpy as np
+
+    y -= q * np.floor(y / q)
+    return y
 
 
 def _count_zeros(mult, trace, states, total, q):
     """Zeros among the terms trace·M^j·s, j < `total`, for each column s of
     `states`, M = `mult` an n×n matrix and `trace` a row of n, all over F_q.
 
-    Row j of the power table U is trace·M^j, so U @ S yields terms k .. k+B-1
-    of every column at once when S holds the columns' states M^k·s. U is
-    filled by doubling, U[h:2h] = U[:h] @ M^h. Its height B is the greatest
-    power of two up to min(_BLOCK, total), so the doubling's last squaring is
-    M^B, the state jump S_{k+B} = M^B S_k.
+    Row j of the power table U is trace·M^j, so S^T @ U^T yields terms
+    k .. k+B-1 of every column at once, one column's terms to a contiguous
+    row, when S holds the columns' states M^k·s. U is filled by doubling,
+    U[h:2h] = U[:h] @ M^h. Its height B is the greatest power of two up to
+    min(_BLOCK, total), so the doubling's last squaring is M^B, the state
+    jump S_{k+B} = M^B S_k.
+
+    Every product is a float64 matmul, and it is exact. Each entry is an
+    integer dot product of n terms below q, so it lies below n(q-1)^2 < 2^53
+    (the bound `scan_counts` checks), and so does every partial sum: dgemm
+    rounds nothing, in any summation order, with or without FMA. For an
+    integer 0 <= y < 2^53, fl(y/q) lies within (y/q)·2^-53 < 1/q of y/q, so
+    floor(fl(y/q)) = floor(y/q), which makes y - q·floor(y/q) the exact
+    residue, and fl(y/q) is an integer exactly when q divides y.
     """
     import numpy as np
 
     height = 1 << min(_BLOCK, total).bit_length() - 1
-    u = np.empty((height, len(trace)), dtype=np.int64)
+    u = np.empty((height, len(trace)))
     u[0] = trace
-    step = np.asarray(mult, dtype=np.int64)  # M^h for the h rows filled so far
+    step = np.asarray(mult, dtype=np.float64)  # M^h for the h rows filled so far
     h = 1
     while h < height:
-        dst = u[h : 2 * h]
-        np.matmul(u[:h], step, out=dst)
-        np.remainder(dst, q, out=dst)
-        step = step @ step % q
+        _mod(np.matmul(u[:h], step, out=u[h : 2 * h]), q)
+        step = _mod(step @ step, q)
         h *= 2
 
-    state = np.asarray(states, dtype=np.int64)
+    state = np.asarray(states, dtype=np.float64)
     zeros = np.zeros(state.shape[1], dtype=np.int64)
-    terms = np.empty((height, state.shape[1]), dtype=np.int64)
     done = 0
     while done < total:
         cnt = min(height, total - done)
-        out = terms[:cnt]
-        np.matmul(u[:cnt], state, out=out)
-        np.remainder(out, q, out=out)
-        zeros += cnt - np.count_nonzero(out, axis=0)
-        state = step @ state % q
+        ratio = state.T @ u[:cnt].T  # row c holds column c's terms
+        ratio /= q
+        zeros += np.count_nonzero(ratio == np.floor(ratio), axis=1)
+        state = _mod(step @ state, q)
         done += cnt
     return zeros
 
 
 def _mat_pow(a, exponent: int, q: int):
-    """a^exponent mod q for a square int64 matrix, exponent >= 1."""
+    """a^exponent mod q for a square float64 matrix, exponent >= 1."""
     result = a
     for bit in bin(exponent)[3:]:
-        result = result @ result % q
+        result = _mod(result @ result, q)
         if bit == "1":
-            result = result @ a % q
+            result = _mod(result @ a, q)
     return result
 
 
@@ -100,7 +114,7 @@ def _projective_counts(cols, trace, p: int, q: int):
 
     n = len(cols)
     span = (q**n - 1) // (q - 1) // p  # N/p terms per column
-    a = np.array(cols, dtype=np.int64).T  # column i is alpha·x^i
+    a = np.array(cols, dtype=np.float64).T  # column i is alpha·x^i
     mult = _mat_pow(a, p, q)  # M, the matrix of beta = alpha^p
     norm = _mat_pow(mult, span, q)  # A^N = c·I when alpha^N = c is in F_q
     c = int(norm[0, 0])
@@ -108,9 +122,9 @@ def _projective_counts(cols, trace, p: int, q: int):
         raise InternalInvariant(f"alpha^N = {norm[:, 0].tolist()} does not generate F_{q}^*")
     owner = _coset_owners(p, q)
     reps = sorted(set(owner))
-    powers = [np.eye(n, 1, dtype=np.int64)]  # the coefficients of alpha^m
+    powers = [np.eye(n, 1)]  # the coefficients of alpha^m
     for _ in range(reps[-1]):
-        powers.append(a @ powers[-1] % q)
+        powers.append(_mod(a @ powers[-1], q))
     zeros = _count_zeros(mult, trace, np.hstack([powers[m] for m in reps]), span, q)
 
     rows = np.empty((p, q), dtype=np.int64)
@@ -138,8 +152,8 @@ def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy")
 
     `backend` is "numpy" (production: the projective scan, which covers the
     whole group, so `total` must be q^n - 1 and p(q-1) must divide it, and
-    n(q-1)^2 < 2^63 must bound its int64 dot products) or "python" (the full
-    slow oracle, for any `total`).
+    n(q-1)^2 < 2^53 must bound its dot products, so that float64 holds them
+    exactly) or "python" (the full slow oracle, for any `total`).
     """
     n = len(cols)
     if backend == "numpy":
@@ -147,8 +161,10 @@ def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy")
             raise ValueError(
                 f"the projective scan needs total = q^n - 1 divisible by p(q-1), got {total}"
             )
-        if n * (q - 1) ** 2 >= 1 << 63:
-            raise FieldTooLarge(f"n(q-1)^2 = {n * (q - 1) ** 2} overflows an int64 dot product")
+        if n * (q - 1) ** 2 >= 1 << 53:
+            raise FieldTooLarge(
+                f"n(q-1)^2 = {n * (q - 1) ** 2} overflows the exact float64 integers (2^53)"
+            )
         return _projective_counts(cols, trace, p, q)
     if backend == "python":
         import numpy as np

@@ -831,3 +831,5 @@ def test_explore_guards():
         remark_explore(45, "e4")  # composite, 45 ≡ 5 mod 8
     with pytest.raises(BadPrime):
         remark_explore(19, "e4")  # 19 ≢ 5 mod 8
+    with pytest.raises(BadPrime, match="order 1 < 2"):
+        remark_explore(5, "e4")  # 5 ≡ 5 mod 8, but (5 - 1)/4 = 1

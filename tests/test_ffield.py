@@ -124,6 +124,11 @@ def test_multiplicative_order_not_coprime():
         multiplicative_order(14, 7)
 
 
+def test_multiplicative_order_refuses_modulus_below_2():
+    with pytest.raises(BadInput, match="modulus 1 < 2"):
+        multiplicative_order(3, 1)
+
+
 def test_least_primitive_root():
     assert least_primitive_root(7) == 3
     assert least_primitive_root(11) == 2

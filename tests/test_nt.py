@@ -98,6 +98,12 @@ def test_factor_matches_sympy_below_5000():
         assert _nt.factor(n) == factorint(n), n
 
 
+def test_factor_refuses_n_below_1():
+    for n in (0, -12):
+        with pytest.raises(ValueError, match=f"cannot factor {n}"):
+            _nt.factor(n)
+
+
 # 34315188682441 = 59 * 28537 * 20381027 is the largest number the certify and
 # vandiver primes factor. 4 * 9973^7, a target of represent_all, leaves a
 # composite cofactor above the Miller-Rabin bound: base 2 proves it

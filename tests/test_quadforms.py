@@ -11,6 +11,7 @@ from sympy import I, expand, im, jacobi_symbol, primerange, re, sqrt
 
 import eigenvanish
 from eigenvanish import (
+    BadDiscriminant,
     BadInput,
     BadPrime,
     EvenExponent,
@@ -90,6 +91,12 @@ def test_class_number_guards():
     for composite in (15, 91):  # both ≡ 3 mod 4; 91 once gave h = 37
         with pytest.raises(BadPrime):
             class_number(composite)
+
+
+def test_reduced_forms_count_guards():
+    for disc in (-6, 4):  # -6 ≡ 2 mod 4; 4 is not negative
+        with pytest.raises(BadDiscriminant):
+            reduced_forms_count(disc)
 
 
 def test_reduced_forms_match_class_number():

@@ -142,8 +142,28 @@ def test_multi_block_matches_python(monkeypatch, block):
                 assert got.tolist() == ref, (n, total)
 
 
+def test_float64_terms_exact_just_below_the_bound(monkeypatch):
+    # q = 67,108,859 has 2(q-1)^2 < 2^53: the largest dot products, near 2^52,
+    # must still be reduced and tested for zero exactly
+    q = 67_108_859
+    monkeypatch.setattr(_scan, "_BLOCK", 8)
+    rng = np.random.default_rng(q)
+    top = q - 1
+    trace = np.array([top, top])
+    # trace·(1, q-1) = q(q-1), a zero at the top of the range; the column
+    # (top, 1) gives the same, and (top, top) gives 2(q-1)^2, not a zero
+    states = np.array([[1, top, top, 3], [top, 1, top, q - 3]])
+    for mult in (np.full((2, 2), top), np.eye(2, dtype=np.int64) * top,
+                 rng.integers(0, q, (2, 2))):
+        for total in (7, 8, 17):
+            ref = [_python_zeros(mult, trace, states[:, c], total, q) for c in range(4)]
+            got = _scan._count_zeros(mult, trace, states, total, q)
+            assert got.tolist() == ref, (mult.tolist(), total)
+    assert sum(ref) > 0
+
+
 def test_tiny_field_scan_allocates_little(f8):
-    # the power table is sized to the field, not to the 65,536-row block
+    # the power table is sized to the field, not to the 4,096-row block
     setup, ctx = f8
     cols, trace = generator_recurrence(ctx)
     tracemalloc.start()
@@ -153,6 +173,20 @@ def test_tiny_field_scan_allocates_little(f8):
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024, peak
+
+
+def test_largest_certify_scan_allocates_little():
+    # (47, 2) has 178,481 terms per column, read through a 4,096-row float64
+    # table of 23 entries (0.75 MB)
+    ctx = _production_fields()[47, 2]
+    cols, trace = generator_recurrence(ctx)
+    tracemalloc.start()
+    try:
+        scan_counts(cols, trace, ctx.order, 47, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 1024 * 1024, peak
 
 
 @pytest.mark.parametrize("pq", [(7, 2), (13, 3)])
@@ -204,6 +238,20 @@ def test_numpy_scan_refuses_int64_overflow():
     # 2(q-1)^2 >= 2^63: a dot product of two entries below q could wrap
     # (numpy gave 1,580,547,981,856 for 2(q-1)^2), so no matmul runs
     q = 4_294_967_389  # 4 mod 5, so 5 | q + 1 = (q^2 - 1)/(q - 1)
+    cols, trace = ((0, 1), (q - 1, 0)), (2, 0)
+    with pytest.raises(FieldTooLarge, match="overflows"):
+        scan_counts(cols, trace, q**2 - 1, 5, q)
+
+
+def test_numpy_scan_refuses_float64_inexact(monkeypatch):
+    # q = 67,108,879 has 2(q-1)^2 >= 2^53, so a dot product of two entries
+    # below q may not be a float64 integer: refused before any matmul
+    q = 67_108_879  # 4 mod 5, so 5 | q + 1 = (q^2 - 1)/(q - 1)
+
+    def no_scan(*args):
+        raise AssertionError("the scan ran")
+
+    monkeypatch.setattr(_scan, "_projective_counts", no_scan)
     cols, trace = ((0, 1), (q - 1, 0)), (2, 0)
     with pytest.raises(FieldTooLarge, match="overflows"):
         scan_counts(cols, trace, q**2 - 1, 5, q)
