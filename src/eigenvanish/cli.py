@@ -3,9 +3,9 @@
 Every run writes exactly one RunReport JSON document to stdout and a short
 human summary to stderr (suppressed by --quiet/--json). Exit codes:
 0 success or Trivial verdict, 1 invalid input, 2 valid but inconclusive
-(Unknown/Inconclusive verdicts, failed checks, resource limits), 3 internal
-invariant violation. All arbitrary-precision integers in the JSON are decimal
-strings; the only floats are density ratios.
+(Unknown/Inconclusive verdicts, failed checks, resource limits, MemoryError),
+3 internal invariant violation. All arbitrary-precision integers in the JSON
+are decimal strings; the only floats are density ratios.
 """
 
 import argparse
@@ -503,6 +503,7 @@ _COMMANDS = {
 _FAILURES = (
     (BadInput, 1, "error"),
     (ResourceLimit, 2, "resource limit"),
+    (MemoryError, 2, "resource limit"),
     (EigenvanishError, 3, "internal invariant violated"),
 )
 
@@ -527,12 +528,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report, summary, code = args.handler(args)
-    except EigenvanishError as exc:
+    except (EigenvanishError, MemoryError) as exc:
         code, prefix = next((c, pre) for cls, c, pre in _FAILURES if isinstance(exc, cls))
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         report = _report(args.command, {}, None, [])
-        report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        report["error"] = {"type": kind, "message": str(exc) or kind}
         print(json.dumps(report, indent=2, sort_keys=True))
-        print(f"{prefix}: {exc}", file=sys.stderr)
+        print(f"{prefix}: {report['error']['message']}", file=sys.stderr)
         return code
     if any(not c["ok"] for c in report["checks"]):
         code = max(code, 2)

@@ -9,16 +9,16 @@ encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 
 The modulus search runs Ben-Or's irreducibility test on each candidate, so a
-reducible one is rejected at the degree of its smallest factor; its gcds run
-on coefficient lists trimmed of zero top coefficients. Field arithmetic is
-private: `_Kronecker` alone stores residues (packed ints, one slot per
-coefficient) and subtracts and multiplies them. A product is one integer
-multiplication, a slot-by-slot reduction of the high slots from the top, and
-a multiply-and-shift fold that takes all n low slots mod q at once; a
-difference is the same fold. `FieldContext` is data (coefficient tuples,
-trace data, and the packed form that the search built, kept out of equality
-and repr); the discrete-log table of <zeta> is keyed by packed residues. All
-of it is exact, so the choices above do not depend on it.
+reducible one is rejected at the degree of its smallest factor. Field
+arithmetic is private: `_Kronecker` alone stores residues and polynomials
+(packed ints, one slot per coefficient) and subtracts, multiplies and takes
+gcds of them. A product is one integer multiplication, a slot-by-slot
+reduction of the high slots from the top, and a multiply-and-shift fold that
+takes all slots mod q at once; a difference and each Euclid step are the
+same fold. `FieldContext` is data (coefficient tuples, trace data, and the
+packed form that the search built, kept out of equality and repr); the
+discrete-log table of <zeta> is keyed by packed residues. All of it is
+exact, so the choices above do not depend on it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
@@ -128,8 +128,9 @@ def _coeffs_to_int(c, q: int) -> int:
 
 
 class _Kronecker:
-    """Residues mod (F, q) as packed ints, the working form of every chain of
-    field products; F is the monic x^n + sum modulus[i] x^i.
+    """Residues mod (F, q) and polynomials of degree <= n over F_q as packed
+    ints, the working form of every chain of field products and of Ben-Or's
+    gcds; F is the monic x^n + sum modulus[i] x^i.
 
     Kronecker substitution: a residue becomes an int with one w-bit slot per
     coefficient (slot i holds the coefficient of x^i), so a single int
@@ -140,11 +141,14 @@ class _Kronecker:
     x - y folds x + (q-1)·y, whose slots are below q + (q-1)^2 < q^2 < 2^b.
 
     Slot bound: a product leaves every slot below 2nq^2 < 2^b, b the bit
-    length of 2nq^2. The fold divides all low slots by q at once: with
-    k = b + (bit length of q) and m = ceil(2^k / q), floor(x·m / 2^k) =
+    length of 2nq^2. The fold divides the n + 1 slots n ... 0 by q at once:
+    with k = b + (bit length of q) and m = ceil(2^k / q), floor(x·m / 2^k) =
     floor(x / q) for every x < 2^b, since x·m / 2^k exceeds x / q by
     x·(mq - 2^k) / (q·2^k) < 2^b·q / (q·2^k) <= 1/q; and x·m < 2^(b+k).
-    So slots of w = b + k bits never carry into each other.
+    So slots of w = b + k bits never carry into each other. A step of
+    `coprime` adds (q - c)·y, shifted, to x (slots below q), so its slots stay
+    below q + (q-1)^2 < q^2 as well. Slot n is folded for `coprime` alone: for
+    `mul` and `sub` the fold input is below 2^(n·w), so x·m >> k leaves it 0.
     """
 
     __slots__ = ("q", "n", "w", "mask", "top", "f", "high", "low", "k", "m", "quotients")
@@ -160,8 +164,8 @@ class _Kronecker:
         # offsets of slots 2n-2 ... n, less `top`
         self.high = tuple(range(self.top - 2 * w, -1, -w))
         self.low = (1 << self.top) - 1  # slots n-1 ... 0
-        # the low w - k bits of each low slot: where x·m >> k leaves x // q
-        self.quotients = self.low // self.mask * ((1 << (w - self.k)) - 1)
+        # the low w - k bits of slots n ... 0: where x·m >> k leaves x // q
+        self.quotients = ((1 << self.top + w) - 1) // self.mask * ((1 << w - self.k) - 1)
         self.f = self.pack(modulus) | 1 << self.top
 
     def pack(self, a) -> int:
@@ -195,8 +199,23 @@ class _Kronecker:
         """Packed x - y, folded from x + (q-1)·y (see the slot bound)."""
         return self._fold(x + (self.q - 1) * y)
 
-    def _fold(self, low: int) -> int:  # each of the n low slots mod q, for slots < 2^b
+    def _fold(self, low: int) -> int:  # each of the slots n ... 0 mod q, for slots < 2^b
         return low - self.q * ((low * self.m >> self.k) & self.quotients)
+
+    def coprime(self, x: int, y: int) -> bool:
+        """Whether gcd(x, y) = 1 over F_q (gcd(0, 0) = 0 is not), for packed
+        polynomials of degree <= n, by Euclid: a degree is the top nonzero
+        slot, (bit length - 1) // w (-1 for 0); each step adds (q - c)·y,
+        shifted, to cancel x's top slot c·lead(y), and folds (slot bound)."""
+        q, w = self.q, self.w
+        while y:
+            dy = (y.bit_length() - 1) // w
+            inv = pow(y >> dy * w, -1, q)
+            while (dx := (x.bit_length() - 1) // w) >= dy:
+                c = (x >> dx * w) * inv % q
+                x = self._fold(x + ((q - c) * y << (dx - dy) * w))
+            x, y = y, x
+        return 0 < x < q
 
     def pow(self, x: int, exponent: int) -> int:
         """x^exponent by left-to-right binary powering: one squaring per bit
@@ -209,27 +228,6 @@ class _Kronecker:
             if bit == "1":
                 result = self.mul(result, x)
         return result
-
-
-def _gcd_is_one(a, b, q: int) -> bool:
-    """Whether gcd(a, b) = 1 over F_q, for little-endian coefficient lists
-    below q. Both are trimmed of zero top coefficients first, so a nonzero
-    list always leads with its last entry; gcd(0, 0) = 0 is not 1."""
-    a, b = list(a), list(b)
-    for c in (a, b):
-        while c and not c[-1]:
-            c.pop()
-    while b:
-        inv, db = pow(b[-1], q - 2, q), len(b) - 1
-        while len(a) > db:  # a -= c·x^shift·b cancels a's top, which is popped
-            c, shift = a[-1] * inv % q, len(a) - 1 - db
-            for j in range(db):
-                a[shift + j] = (a[shift + j] - c * b[j]) % q
-            a.pop()
-            while a and not a[-1]:
-                a.pop()
-        a, b = b, a
-    return len(a) == 1
 
 
 def _is_irreducible(coeffs, q: int) -> bool:
@@ -245,13 +243,11 @@ def _is_irreducible(coeffs, q: int) -> bool:
     if coeffs[0] == 0:
         return False  # divisible by x
     form = _Kronecker(coeffs, q)
-    full = list(coeffs) + [1]
     x = frob = form.pack((0, 1))
     for _ in range(n // 2):
         frob = form.pow(frob, q)
-        diff = form.unpack(form.sub(frob, x))
-        # diff = 0 gives gcd f, so that case is rejected too
-        if not _gcd_is_one(full, diff, q):
+        # frob = x gives gcd f, so that case is rejected too
+        if not form.coprime(form.f, form.sub(frob, x)):
             return False
     return True
 

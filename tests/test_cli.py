@@ -405,6 +405,23 @@ def test_internal_invariant_exits_3(capsys, monkeypatch):
     assert err == "internal invariant violated: forced\n"
 
 
+@pytest.mark.parametrize("message", ["", "Unable to allocate 2.50 GiB"])
+def test_out_of_memory_exits_2_with_a_report(capsys, monkeypatch, message):
+    # numpy raises a MemoryError subclass with a message, a bytearray a bare one
+    class ArrayMemoryError(MemoryError):
+        pass
+
+    def exhausted(*args):
+        raise ArrayMemoryError(message)
+
+    monkeypatch.setattr(cli, "density_estimate", exhausted)
+    code, report, err = run(capsys, "density", "--p", "7", "--bound", "1000", "--json")
+    assert code == 2
+    assert report["result"] is None
+    assert report["error"] == {"type": "MemoryError", "message": message or "MemoryError"}
+    assert err == f"resource limit: {message or 'MemoryError'}\n"
+
+
 def test_big_integers_serialized_as_strings(capsys):
     code, report, err = run(capsys, "periods", "--p", "19", "--q", "5")
     assert code == 0

@@ -23,7 +23,6 @@ from eigenvanish import ffield
 from eigenvanish.ffield import (
     _Kronecker,
     _coeffs_to_int,
-    _gcd_is_one,
     _group_order_primes,
     _int_to_coeffs,
     _is_irreducible,
@@ -36,9 +35,10 @@ from eigenvanish.ffield import (
 
 # ---------------------------------------------------------------------------
 # oracles: the Frobenius trace sum, the schoolbook product and power (in
-# conftest, which the unit-index oracles share), Rabin's test and the
-# all-powers primitivity rule, the slow references that the power sums, the
-# Kronecker product, Ben-Or's test and the norm test are compared against
+# conftest, which the unit-index oracles share), sympy's gcd, Rabin's test
+# and the all-powers primitivity rule, the slow references that the power
+# sums, the Kronecker product and gcd, Ben-Or's test and the norm test are
+# compared against
 
 
 def frobenius_traces(modulus, q):
@@ -58,6 +58,16 @@ def frobenius_traces(modulus, q):
     return tuple(row[0] for row in acc)
 
 
+_X = Symbol("x")
+
+
+def sympy_gcd_is_one(a, b, q):
+    """gcd(a, b) = 1 over F_q by sympy, for little-endian coefficient lists:
+    the oracle of `_Kronecker.coprime`, which Rabin's test also calls."""
+    a, b = (Poly.from_list(list(reversed(c)) or [0], _X, modulus=q) for c in (a, b))
+    return a.gcd(b).is_one
+
+
 def rabin_is_irreducible(coeffs, q):
     """Rabin's test: x^(q^n) = x, and gcd(f, x^(q^(n/l)) - x) = 1 for each
     prime l | n."""
@@ -73,7 +83,7 @@ def rabin_is_irreducible(coeffs, q):
     for ell in factorint(n):
         xp = schoolbook_powmod(x, q ** (n // ell), coeffs, q)
         diff = tuple((u - v) % q for u, v in zip(xp, x))
-        if not any(diff) or not _gcd_is_one(full, diff, q):
+        if not any(diff) or not sympy_gcd_is_one(full, diff, q):
             return False
     return True
 
@@ -447,16 +457,6 @@ def test_ben_or_rejects_products_of_two_halves(q, k):
         assert not rabin_is_irreducible(f, q)
 
 
-_X = Symbol("x")
-
-
-def sympy_gcd_is_one(a, b, q):
-    """gcd(a, b) = 1 over F_q by sympy, for little-endian coefficient lists:
-    the oracle of `_gcd_is_one`, which Rabin's test also calls."""
-    a, b = (Poly.from_list(list(reversed(c)) or [0], _X, modulus=q) for c in (a, b))
-    return a.gcd(b).is_one
-
-
 # zero polynomials as [] and as zero lists, constants, and zero top
 # coefficients on either side; ([0], [], q) is gcd(0, 0) = 0
 GCD_EDGES = [
@@ -466,12 +466,19 @@ GCD_EDGES = [
 ]
 
 
+def packed_coprime(a, b, q):
+    """`_Kronecker.coprime` on two coefficient lists of length <= 9, packed
+    in a form of degree 8 (the modulus plays no part in a gcd)."""
+    form = _Kronecker((0,) * 8, q)
+    return form.coprime(form.pack(a), form.pack(b))
+
+
 @pytest.mark.parametrize("q", [2, 3, 5, 7])
 def test_gcd_is_one_matches_sympy_on_edges(q):
     for a, b in GCD_EDGES:
         a, b = [c % q for c in a], [c % q for c in b]
         for x, y in ((a, b), (b, a)):
-            assert _gcd_is_one(x, y, q) == sympy_gcd_is_one(x, y, q), (x, y, q)
+            assert packed_coprime(x, y, q) == sympy_gcd_is_one(x, y, q), (x, y, q)
 
 
 @settings(max_examples=400, deadline=None)
@@ -481,7 +488,41 @@ def test_gcd_is_one_matches_sympy(data, q):
     pad = st.lists(st.just(0), max_size=2)  # zero top coefficients
     a = data.draw(coeffs) + data.draw(pad)
     b = data.draw(coeffs) + data.draw(pad)
-    assert _gcd_is_one(a, b, q) == sympy_gcd_is_one(a, b, q)
+    assert packed_coprime(a, b, q) == sympy_gcd_is_one(a, b, q)
+
+
+@pytest.mark.parametrize("q", MULMOD_QS + [2**61 - 1])
+def test_coprime_at_the_slot_bound(q):
+    # degree-n operands with every slot q - 1, so each Euclid step's sums
+    # are as large as they get, against F, x^n + 1 and x^n - 1
+    for n in range(1, 21):
+        top = [q - 1] * (n + 1)
+        form = _Kronecker(top[:n], q)
+        others = (top, top[:n] + [1], [1] + [0] * (n - 1) + [1], [q - 1] + [0] * (n - 1) + [1])
+        for other in others:
+            for a, b in ((top, other), (other, top)):
+                got = form.coprime(form.pack(a), form.pack(b))
+                assert got == sympy_gcd_is_one(a, b, q), (q, n, a, b)
+
+
+# the witness field that `certify_half_plus(p)` builds, for p = 7 ... 59
+CERTIFY_FIELDS = [(7, 2), (11, 3), (19, 5), (23, 2), (31, 7), (43, 13), (47, 2), (59, 3)]
+
+
+@pytest.mark.parametrize("p, q", CERTIFY_FIELDS)
+def test_ben_or_runs_on_packed_ints_alone(monkeypatch, p, q):
+    # each modulus, and the first 200 lexicographically smaller candidates
+    # (all reducible), are decided with nothing unpacked
+    ctx = _field(p, q)
+    below = _coeffs_to_int(ctx.modulus, q)
+
+    def refuse(*args):
+        raise AssertionError("Ben-Or's test unpacked a packed int")
+
+    monkeypatch.setattr(_Kronecker, "unpack", refuse)
+    assert _is_irreducible(ctx.modulus, q)
+    for k in range(min(below, 200)):
+        assert not _is_irreducible(_int_to_coeffs(k, ctx.n, q), q), k
 
 
 # no prime divides q - 1 for q = 2, so only field powers run there;
