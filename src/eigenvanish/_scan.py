@@ -21,17 +21,15 @@ The zero counter `_count_zeros` reads a block of terms of every column per
 matmul from a power table built by doubling. All of it is float64 matrix
 arithmetic mod q on integers below n(q-1)^2, exact while that stays below
 2^53, so a field with n(q-1)^2 >= 2^53 is refused. `_scan_python`
-walks s -> A·s over all q^n - 1 powers, the oracle the production path must
-match bit for bit.
+walks all q^n - 1 powers alpha^k by the packed field product, the oracle the
+production path must match bit for bit.
 
 numpy is imported inside the functions that use it, so it loads only when a
 scan runs; importing the package, or a command that never scans, leaves it out.
 """
 
-from operator import mul
-
 from .errors import FieldTooLarge, InternalInvariant
-from .ffield import multiplicative_order
+from .ffield import _Kronecker, multiplicative_order
 
 _BLOCK = 1 << 12
 
@@ -136,13 +134,32 @@ def _projective_counts(cols, trace, p: int, q: int):
 
 
 def _scan_python(cols, trace, total, p, q, counts):
-    """Plain-python reference used by the cross-checking tests: s_k, the
-    coefficients of alpha^k, walks s -> A·s, one matrix-vector product a term."""
-    rows = list(zip(*cols))  # row i of A
-    state = [1] + [0] * (len(cols) - 1)
+    """Plain-python reference used by the cross-checking tests, sharing none of
+    the three identities: alpha^k walks by the packed field product, one a
+    term, and Tr(alpha^k) = T·s_k is slot n - 1 of one int product of the
+    packed s_k with the packed trace row reversed.
+
+    The columns give the modulus F = X^n + sum F_i X^i: X·(alpha·X^i) is
+    alpha·X^(i+1), so cols[i+1] = X·cols[i] - c·F with c = cols[i][n-1], and
+    F = (X·cols[i] - cols[i+1])/c for any i with c != 0. There is one unless
+    alpha is in F_q, and then any F serves. The form must give back every
+    column."""
+    n = len(cols)
+    modulus = [0] * n
+    for col, after in zip(cols, cols[1:]):
+        if col[-1]:
+            inv = pow(col[-1], -1, q)
+            modulus = [(c - a) * inv % q for c, a in zip([0, *col[:-1]], after)]
+            break
+    form = _Kronecker(modulus, q)
+    alpha = form.pack(cols[0])
+    if any(form.unpack(form.mul(alpha, 1 << form.w * i)) != tuple(c) for i, c in enumerate(cols)):
+        raise InternalInvariant("the columns are not a field element's multiplication matrix")
+    row, slot, mask = form.pack(trace[::-1]), (n - 1) * form.w, form.mask
+    power = 1
     for k in range(total):
-        counts[k % p][sum(map(mul, trace, state)) % q] += 1
-        state = [sum(map(mul, row, state)) % q for row in rows]
+        counts[k % p][(power * row >> slot & mask) % q] += 1
+        power = form.mul(power, alpha)
 
 
 def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy"):

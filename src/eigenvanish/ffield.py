@@ -8,9 +8,14 @@ alpha is the lexicographically least primitive element under the same
 encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 
-The modulus search runs Ben-Or's irreducibility test on each candidate, so a
-reducible one is rejected at the degree of its smallest factor. Field
-arithmetic is private: `_Kronecker` alone stores residues and polynomials
+The modulus search goes up in encoding order and runs Ben-Or's
+irreducibility test, which rejects a reducible candidate at the degree of its
+smallest factor, only on a candidate that is the least of its F_q^*-scaling
+orbit (`_orbit_leaders`): the others are reducible, because a smaller member
+of their orbit was rejected before them. A linear element's powers, which
+decide primitivity and give zeta = alpha^f, are taken by base-q digits over
+its Frobenius conjugates (`_Kronecker.conjugate_pow`). Field arithmetic is
+private: `_Kronecker` alone stores residues and polynomials
 (packed ints, one slot per coefficient) and subtracts, multiplies and takes
 gcds of them. A product is one integer multiplication, a slot-by-slot
 reduction of the high slots from the top, and a multiply-and-shift fold that
@@ -25,7 +30,7 @@ private `_nt` module, so building a field loads neither sympy nor numpy.
 """
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from math import gcd
 
 from ._nt import cyclotomic_value, factor, is_prime
@@ -151,7 +156,9 @@ class _Kronecker:
     `mul` and `sub` the fold input is below 2^(n·w), so x·m >> k leaves it 0.
     """
 
-    __slots__ = ("q", "n", "w", "mask", "top", "f", "high", "low", "k", "m", "quotients")
+    __slots__ = (
+        "q", "n", "w", "mask", "top", "f", "high", "low", "k", "m", "quotients", "_frobenius"
+    )
 
     def __init__(self, modulus, q: int):
         n = len(modulus)
@@ -167,6 +174,7 @@ class _Kronecker:
         # the low w - k bits of slots n ... 0: where x·m >> k leaves x // q
         self.quotients = ((1 << self.top + w) - 1) // self.mask * ((1 << w - self.k) - 1)
         self.f = self.pack(modulus) | 1 << self.top
+        self._frobenius = None
 
     def pack(self, a) -> int:
         w, packed = self.w, 0
@@ -229,6 +237,40 @@ class _Kronecker:
                 result = self.mul(result, x)
         return result
 
+    def frobenius(self) -> tuple[int, ...]:
+        """x^(q^j) for j < n, packed: made on first use by n - 1 powers by q
+        (n >= 2), then kept with the form."""
+        if self._frobenius is None:
+            conjugates = [1 << self.w]
+            for _ in range(self.n - 1):
+                conjugates.append(self.pow(conjugates[-1], self.q))
+            self._frobenius = tuple(conjugates)
+        return self._frobenius
+
+    def conjugate_pow(self, conjugates, exponent: int) -> int:
+        """y^exponent for 0 <= exponent < q^n, given conjugates[j] = y^(q^j),
+        j < n, packed.
+
+        With exponent = sum_j e_j q^j in base q, y^exponent = prod_j
+        (y^(q^j))^(e_j), and the n powers share their squarings (Straus): one
+        squaring per bit of the largest digit below its top bit, one product
+        per further set bit of the digits. Binary powering squares once per
+        bit of the exponent, n times as many. A squaring of 1 and a product
+        by 1 are skipped, which changes no result.
+        """
+        q, digits = self.q, []
+        while exponent:
+            exponent, digit = divmod(exponent, q)
+            digits.append(digit)
+        result = 1
+        for bit in reversed(range(max(digits, default=0).bit_length())):
+            if result != 1:
+                result = self.mul(result, result)
+            for conjugate, digit in zip(conjugates, digits):
+                if digit >> bit & 1:
+                    result = conjugate if result == 1 else self.mul(result, conjugate)
+        return result
+
 
 def _is_irreducible(coeffs, q: int) -> bool:
     """Ben-Or's test for the monic polynomial f = x^n + sum coeffs[i] x^i.
@@ -250,6 +292,66 @@ def _is_irreducible(coeffs, q: int) -> bool:
         if not form.coprime(form.f, form.sub(frob, x)):
             return False
     return True
+
+
+def _orbit_leaders(q: int, n: int):
+    """Every monic f = x^n + sum c_i x^i over F_q that is the least member of
+    its F_q^*-scaling orbit, as (c_0, ..., c_(n-1)), in encoding order, with
+    no work proportional to q.
+
+    f_lam = lam^(-n)·f(lam·x), lam in F_q^*, has the coefficients
+    c_i·lam^(i-n) and the factor degrees of f, since x -> lam·x is a ring
+    automorphism of F_q[x]. x^n is its own orbit, and comes first. Otherwise
+    let j be the top index below n with c_j != 0, t = n - j,
+    d = gcd(t, q - 1) and e = (q - 1)/d. The f with top index j are the
+    encodings in [q^j, q^(j+1)), in order of c_j, then of the tail
+    (c_(j-1), ..., c_0), and every f_lam has the same top index. So the least
+    member has the least top coefficient c_j·lam^(-t); the t-th powers are
+    the d-th powers, the subgroup of order e, so those top coefficients are
+    the u with u^e = c_j^e, and c_j must be the least of its coset: the u
+    that give a new value u^e, until all d values are met. The lam that keep
+    c_j are those with lam^t = 1, that is lam^d = 1: the d-th roots of unity,
+    the values u^e, a group, so lam^(-1) runs over them too. For such a lam,
+    c_i·lam^(i-n) = c_i·lam^(i-j), and the tail scaled to (c_(j-1)·lam, ...,
+    c_0·lam^j) must not be less than the tail.
+    """
+    yield (0,) * n
+    for j in range(n):
+        d = gcd(n - j, q - 1)
+        e = (q - 1) // d
+        roots, u = {1}, 2
+        while len(roots) < d:  # the d <= n d-th roots of unity
+            roots.add(pow(u, e, q))
+            u += 1
+        scales = [[pow(lam, i, q) for i in range(1, j + 1)] for lam in roots - {1}]
+        weights = [q**i for i in reversed(range(j))]
+        cosets = set()
+        for top in range(1, q):
+            if len(cosets) == d:
+                break  # at the least member of the last coset met, far below q
+            if (coset := pow(top, e, q)) in cosets:
+                continue  # a smaller top coefficient lies in its coset
+            cosets.add(coset)
+            high = (top,) + (0,) * (n - 1 - j)
+            for rest in range(q**j):
+                tail = tuple(rest // weight % q for weight in weights)  # c_(j-1), ..., c_0
+                if all(tuple(c * s % q for c, s in zip(tail, lam)) >= tail for lam in scales):
+                    yield tail[::-1] + high
+
+
+def _least_irreducible(q: int, n: int) -> tuple[int, ...]:
+    """The lexicographically least monic irreducible polynomial of degree n
+    over F_q, as its non-leading coefficients.
+
+    Ben-Or's test runs only on the orbit leaders, in encoding order. That
+    skips no irreducible polynomial: a skipped f has a smaller member g of its
+    orbit, whose leader the search met and rejected first, and f has the
+    factor degrees of g.
+    """
+    for cand in _orbit_leaders(q, n):
+        if _is_irreducible(cand, q):
+            return cand
+    raise InternalInvariant("no irreducible polynomial found")
 
 
 def _group_order_primes(q: int, n: int) -> list[int]:
@@ -309,15 +411,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
         raise FieldTooLarge(f"q^n = {size} exceeds cap {cap}")
     factors = _group_order_primes(q, n)  # refuses an uncertifiable q^n - 1 first
 
-    modulus = None
-    for k in range(size):
-        cand = _int_to_coeffs(k, n, q)
-        if _is_irreducible(cand, q):
-            modulus = cand
-            break
-    if modulus is None:
-        raise InternalInvariant("no irreducible polynomial found")
-
+    modulus = _least_irreducible(q, n)
     alpha = None
     form = _Kronecker(modulus, q)
     for k in range(q, size):  # constants are never primitive for n >= 2
@@ -372,7 +466,10 @@ def _is_primitive(x, form: _Kronecker, primes) -> bool:
     value (-c1)^n·F(-c0/c1) of the monic modulus F, with no field product;
     one packed power x^N otherwise) and those primes are tested with int
     powers mod q before any field power. Only the primes that do not divide
-    q - 1 take field powers."""
+    q - 1 take field powers, by `_powers`: (q^n-1)/ell < q^n, and the
+    Frobenius sigma(y) = y^q fixes F_q, so a linear x has the conjugates
+    sigma^j(x) = c1·X^(q^j) + c0, from which `conjugate_pow` takes the power
+    by its base-q digits; any other x is powered by its binary digits."""
     q = form.q
     order = q**form.n - 1
     small = [ell for ell in primes if (q - 1) % ell == 0]
@@ -380,8 +477,22 @@ def _is_primitive(x, form: _Kronecker, primes) -> bool:
         norm = _norm(x, form)
         if any(pow(norm, (q - 1) // ell, q) == 1 for ell in small):
             return False
-    packed = form.pack(x)
-    return all(form.pow(packed, order // ell) != 1 for ell in primes if ell not in small)
+    power = _powers(x, form)
+    return all(power(order // ell) != 1 for ell in primes if ell not in small)
+
+
+def _is_linear(x) -> bool:
+    return len(x) > 1 and x[1] != 0 and not any(x[2:])
+
+
+def _powers(x, form: _Kronecker):
+    """E -> x^E packed, for E < q^n: by base-q digits over the conjugates
+    c1·X^(q^j) + c0 for a linear x = c1·X + c0 (`_Kronecker.conjugate_pow`),
+    by binary powering (`_Kronecker.pow`) for any other x."""
+    if _is_linear(x):
+        c0, c1 = x[0], x[1]
+        return partial(form.conjugate_pow, [form._fold(c1 * y + c0) for y in form.frobenius()])
+    return partial(form.pow, form.pack(x))
 
 
 def _norm(x, form: _Kronecker) -> int:
@@ -389,7 +500,7 @@ def _norm(x, form: _Kronecker) -> int:
     is the product of c1·theta + c0 over the roots theta of the modulus F,
     (-c1)^n·F(-c0/c1) by Horner; any other x takes one packed power."""
     q, n = form.q, form.n
-    if n > 1 and x[1] and not any(x[2:]):
+    if _is_linear(x):
         root = -x[0] * pow(x[1], -1, q) % q
         value = 1  # F is monic: Horner from its leading 1 down
         for c in reversed(form.unpack(form.f)):
@@ -400,8 +511,9 @@ def _norm(x, form: _Kronecker) -> int:
 
 def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha) -> FieldContext:
     """The context of alpha mod `modulus`, whose packed form is `form`. alpha
-    is primitive, so zeta = alpha^f has order (q^n - 1)/f = p exactly."""
-    zeta = form.unpack(form.pow(form.pack(alpha), setup.f))
+    is primitive, so zeta = alpha^f has order (q^n - 1)/f = p exactly; f < q^n,
+    so `_powers` takes it."""
+    zeta = form.unpack(_powers(alpha, form)(setup.f))
     return FieldContext(
         q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta, kronecker=form
     )

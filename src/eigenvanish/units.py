@@ -14,12 +14,14 @@ sum_(j<n) q^(j(1-r)), which is n when q^(1-r) = 1 and 0 otherwise:
     i_r = 0                                        otherwise.
 
 So a whole field's indices cost one walk of <zeta>, whose table of p powers
-holds every zeta^(g^k) and every discrete log, and e field powers, which
-build the targets (1 - zeta^(g^k))^f (`index_vector`); every r is then a sum
-of e terms mod p. The second case is the "admissible orders" obstruction: a
-witness whose order n does not divide p - r can never certify the r-th
-eigenspace. A nonzero i_r certifies that the r-th even eigenspace of the
-p-part of the class group is trivial; i_r = 0 decides nothing.
+holds every zeta^(g^k), every discrete log and every Frobenius conjugate
+1 - zeta^(g^k·q^j) of a base, and e field powers, which build the targets
+(1 - zeta^(g^k))^f (`index_vector`), e/2 of them for odd n, where the coset
+of -g^k pairs with that of g^k; every r is then a sum of e terms mod p. The
+second case is the "admissible orders" obstruction: a witness whose order n
+does not divide p - r can never certify the r-th eigenspace. A nonzero i_r
+certifies that the r-th even eigenspace of the p-part of the class group is
+trivial; i_r = 0 decides nothing.
 """
 
 from dataclasses import dataclass
@@ -71,21 +73,39 @@ class IndexVector:
 
 def index_vector(ctx: FieldContext, setup: CyclotomicSetup) -> IndexVector:
     """The field's IndexVector: one walk of <zeta> tabulates its p powers, and
-    the table gives every zeta^(g^k) and every discrete log; each coset of
-    <q> then costs one field power, (1 - zeta^(g^k))^f."""
-    p, g = setup.p, setup.g
+    the table gives every zeta^(g^k) and every discrete log.
+
+    A coset's target (1 - zeta^m)^f, m = g^k, is a power by the base-q digits
+    of f < q^n (`_Kronecker.conjugate_pow`) over the conjugates
+    sigma^j(1 - zeta^m) = (1 - zeta^m)^(q^j) = 1 - zeta^(m·q^j), which the
+    table holds, so it needs no other power.
+
+    For odd n only the first e/2 cosets take one: 1 - zeta^(-m) =
+    -zeta^(-m)·(1 - zeta^m), and (-1)^f = 1 (f = (q^n - 1)/p is even for odd
+    q, and -1 = 1 for q = 2), so c_(-m) = c_m - m·f mod p. -1 = g^((p-1)/2)
+    is outside <q>, whose order n is odd, and u = -g^(e/2) = g^(e(n+1)/2) is
+    in <q> = <g^e>, so g^(k+e/2) = u·(-g^k) with u = q^i for some i; since
+    (1 - zeta^m)^(q^i) = 1 - zeta^(m·q^i), c_(u·m) = u·c_m, and so
+    c[k + e/2] = u·(c[k] - g^k·f) mod p."""
+    p, g, q, n, f = setup.p, setup.g, setup.q, setup.n, setup.f
     logs = dlog_order_p(ctx, p)
     powers = list(logs)  # powers[k] = zeta^k, packed
     form = ctx.kronecker
+    frobenius = [pow(q, j, p) for j in range(n)]
+    paired = n % 2
     c = []
     gk = 1
-    for _ in range(setup.e):
-        target = form.pow(form.sub(1, powers[gk]), setup.f)
+    for _ in range(setup.e // 2 if paired else setup.e):
+        conjugates = [form.sub(1, powers[gk * qj % p]) for qj in frobenius]
+        target = form.conjugate_pow(conjugates, f)
         if target not in logs:
             raise NotInSubgroup("(1 - zeta^i)^f is not a p-th root of unity")
         c.append(logs[target])
         gk = gk * g % p
-    return IndexVector(p=p, n=setup.n, g=g, c=tuple(c))
+    if paired:
+        u = -pow(g, setup.e // 2, p)
+        c += [u * (ck - pow(g, k, p) * f) % p for k, ck in enumerate(c)]
+    return IndexVector(p=p, n=n, g=g, c=tuple(c))
 
 
 def index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> int:

@@ -1,10 +1,18 @@
 import json
+from functools import cache
 from pathlib import Path
 
 import pytest
 from sympy import primerange
 
-from eigenvanish import CyclotomicSetup, NotInSubgroup, build_field, multiplicative_order
+from eigenvanish import (
+    CyclotomicSetup,
+    NotInSubgroup,
+    build_field,
+    certify_half_plus,
+    multiplicative_order,
+    vandiver_scan,
+)
 
 _acceptance_lines: dict[int, str] = {}
 
@@ -132,6 +140,20 @@ def grid_setups() -> list[CyclotomicSetup]:
             if q != p and q % p != 1 and q ** multiplicative_order(q, p) <= 1 << 24:
                 out.append(CyclotomicSetup.create(p, q))
     return out
+
+
+@cache
+def production_setups() -> tuple[CyclotomicSetup, ...]:
+    """The 44 grid setups, every witness field of `certify_half_plus(p)` for
+    p = 19, 23, 31, 43, 47, 59, and every witness field of `vandiver_scan(43)`."""
+    setups = grid_setups()
+    for p in (19, 23, 31, 43, 47, 59):
+        cert = certify_half_plus(p)
+        setups += [CyclotomicSetup.create(p, q) for q, _, _ in cert.field_choices]
+    report = vandiver_scan(43)
+    qs = sorted({t[0] for s in report.scans for t in s.tried})
+    setups += [CyclotomicSetup.create(43, q) for q in qs]
+    return tuple(setups)
 
 
 def record_acceptance(num: int, ok: bool, detail: str) -> None:

@@ -1,10 +1,12 @@
 import itertools
+import random
 from dataclasses import replace
 from functools import cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from conftest import grid_setups, schoolbook_mulmod, schoolbook_powmod, trace
+from conftest import grid_setups, production_setups, schoolbook_mulmod, schoolbook_powmod, trace
 from sympy import Poly, Symbol, factorint, isprime, primerange
 
 from eigenvanish import (
@@ -27,7 +29,10 @@ from eigenvanish.ffield import (
     _int_to_coeffs,
     _is_irreducible,
     _is_primitive,
+    _least_irreducible,
     _norm,
+    _orbit_leaders,
+    _powers,
     dlog_order_p,
     generator_recurrence,
 )
@@ -526,8 +531,8 @@ def test_ben_or_runs_on_packed_ints_alone(monkeypatch, p, q):
 
 
 # no prime divides q - 1 for q = 2, so only field powers run there;
-# q - 1 = 2, 2·3·5, 2·3·7 and 2^2·3 for the others
-NORM_FIELDS = [(2, 5), (2, 6), (3, 4), (31, 2), (43, 2), (13, 3)]
+# q - 1 = 2, 2^2, 2·3·5, 2·3·7 and 2^2·3 for the others
+NORM_FIELDS = [(2, 5), (2, 6), (2, 8), (3, 4), (5, 4), (31, 2), (43, 2), (13, 3)]
 
 
 def _outer_moduli(q, n):
@@ -601,14 +606,7 @@ def test_power_sums_match_frobenius_traces():
     """Basis traces from the modulus, which the recurrence returns as its
     trace row, on the grid, every witness field of the two tests above, and
     (67, 2) with n = 66."""
-    setups = grid_setups()
-    for p in (19, 23, 31, 43, 47, 59):
-        cert = certify_half_plus(p)
-        setups += [CyclotomicSetup.create(p, q) for q, _, _ in cert.field_choices]
-    report = vandiver_scan(43)
-    setups += [CyclotomicSetup.create(43, q) for q in {t[0] for s in report.scans for t in s.tried}]
-    setups.append(CyclotomicSetup.create(67, 2))
-    for setup in setups:
+    for setup in production_setups() + (CyclotomicSetup.create(67, 2),):
         ctx = build_field(setup)
         _, trace_row = generator_recurrence(ctx)
         assert trace_row == frobenius_traces(ctx.modulus, ctx.q), (setup.p, setup.q)
@@ -617,9 +615,10 @@ def test_power_sums_match_frobenius_traces():
 @pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
 def test_build_field_product_count(monkeypatch, p, q):
     # the whole build (modulus search, generator search, zeta) in packed
-    # field products: 2,547 and 3,016 here (2,775 and 3,601 while every
-    # prime of q^n - 1 took a field power); a full Rabin test per modulus
-    # candidate would take far more than the bound
+    # field products: 548 and 657 here, since Ben-Or runs on orbit leaders
+    # only and a linear element is powered by base-q digits (2,547 and 3,016
+    # before; 2,775 and 3,601 while every prime of q^n - 1 took a field
+    # power); a full Rabin test per modulus candidate would take far more
     calls = 0
     packed_mul = ffield._Kronecker.mul
 
@@ -630,4 +629,111 @@ def test_build_field_product_count(monkeypatch, p, q):
 
     monkeypatch.setattr(ffield._Kronecker, "mul", counting_mul)
     build_field(CyclotomicSetup.create(p, q))
-    assert 0 < calls <= 3500
+    assert 0 < calls <= 1000
+
+
+# ---------------------------------------------------------------------------
+# the F_q identities of the field search: scaling orbits and Frobenius digits
+
+
+def brute_orbit_leaders(q, n, stop):
+    """Encodings k < stop of the monic f of degree n over F_q that are the
+    least member of their F_q^*-scaling orbit, from every member
+    f_lam = lam^(-n)·f(lam·x), lam in F_q^*, in numpy blocks of candidates:
+    the oracle of `_orbit_leaders`."""
+    out = []
+    for lo in range(0, stop, 1 << 16):
+        k = np.arange(lo, min(stop, lo + (1 << 16)), dtype=np.int64)
+        digits = [k // q**i % q for i in range(n)]
+        least = k.copy()
+        for lam in range(2, q):
+            member = sum(digits[i] * pow(lam, i - n, q) % q * q**i for i in range(n))
+            np.minimum(least, member, out=least)
+        out += k[least == k].tolist()
+    return out
+
+
+def plain_least_irreducible(q, n):
+    """The first encoding that passes Ben-Or's test, every candidate tested:
+    the modulus search without the orbit rule."""
+    return next(
+        c for c in (_int_to_coeffs(k, n, q) for k in range(q**n)) if _is_irreducible(c, q)
+    )
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_orbit_leaders_match_brute_force_exhaustively(q):
+    for n in range(1, 7):
+        got = [_coeffs_to_int(c, q) for c in _orbit_leaders(q, n)]
+        assert got == brute_orbit_leaders(q, n, q**n), (q, n)
+
+
+@pytest.mark.parametrize("q", list(primerange(2, 48)))
+def test_orbit_leaders_match_brute_force_from_the_start(q):
+    # the first 300 leaders, the candidates a search meets first, for n <= 8
+    for n in range(1, 9):
+        got = [_coeffs_to_int(c, q) for c in itertools.islice(_orbit_leaders(q, n), 300)]
+        assert got == brute_orbit_leaders(q, n, got[-1] + 1), (q, n)
+
+
+def test_least_irreducible_matches_the_plain_search():
+    small = [(q, n) for q in primerange(2, 51) for n in range(1, 21) if q**n <= 1 << 20]
+    assert len(small) == 89
+    for q, n in small:
+        assert _least_irreducible(q, n) == plain_least_irreducible(q, n), (q, n)
+    for setup in production_setups():
+        want = plain_least_irreducible(setup.q, setup.n)
+        assert build_field(setup).modulus == want, (setup.p, setup.q)
+
+
+def test_modulus_search_does_no_work_proportional_to_q(monkeypatch):
+    # q = 1,000,000,241 is 2 mod 3, so every x^3 + c has a root: only x^3
+    # and x^3 + 1 lead their orbits, where a search that tried every binomial
+    # would run q Ben-Or tests before x^3 + x + 1; a loop over F_q^* (a table
+    # of scalings, or a scan of every top coefficient) fails on the count of
+    # int powers instead of running for minutes
+    calls = []
+    ben_or = ffield._is_irreducible
+    powers = 0
+
+    def counting(coeffs, q):
+        calls.append(coeffs)
+        assert len(calls) <= 10, "the search tests too many candidates"
+        return ben_or(coeffs, q)
+
+    def counting_pow(*args):
+        nonlocal powers
+        powers += 1
+        assert powers <= 1000, "the field layer took too many int powers"
+        return pow(*args)
+
+    monkeypatch.setattr(ffield, "_is_irreducible", counting)
+    monkeypatch.setattr(ffield, "pow", counting_pow, raising=False)
+    searches = [(2**31 - 1, 2, (1, 0)), (67_108_879, 2, (1, 0)), (1_000_000_241, 3, (1, 1, 0))]
+    for q, n, want in searches:
+        calls.clear()
+        assert _least_irreducible(q, n) == want, q
+    assert calls == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
+    for p, q in [(5, 67_108_879), (7, 1_000_000_241)]:
+        calls.clear()
+        ctx = build_field(CyclotomicSetup.create(p, q))
+        assert schoolbook_powmod(ctx.zeta, p, ctx.modulus, q) == (1,) + (0,) * (ctx.n - 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 13, 47, 2**31 - 1])
+def test_conjugate_pow_matches_pow_and_schoolbook(q):
+    rng = random.Random(q)
+    for n in (2, 3, 5, 8):
+        modulus = _least_irreducible(q, n)
+        form = _Kronecker(modulus, q)
+        x = (0, 1) + (0,) * (n - 2)
+        for j, conjugate in enumerate(form.frobenius()):
+            assert form.unpack(conjugate) == schoolbook_powmod(x, q**j, modulus, q), (n, j)
+        for trial in range(12):
+            y = (rng.randrange(q), rng.randrange(1, q)) + (0,) * (n - 2)
+            if trial % 4 == 3:  # not linear: binary powering
+                y = y[:-1] + (rng.randrange(1, q),)
+            for exponent in (0, 1, q - 1, q, q**n - 1, rng.randrange(q**n)):
+                got = form.unpack(_powers(y, form)(exponent))
+                assert got == form.unpack(form.pow(form.pack(y), exponent)), (n, y, exponent)
+                assert got == schoolbook_powmod(y, exponent, modulus, q), (n, y, exponent)

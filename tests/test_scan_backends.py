@@ -206,6 +206,18 @@ def test_python_reference_direct(f8):
     assert np.array_equal(got, scan_counts(cols, trace, ctx.order, setup.p, setup.q))
 
 
+def test_python_reference_refuses_columns_of_no_field_element(f8):
+    # the oracle reads the modulus off two columns and alpha off the first,
+    # and must get every column back; alpha·x^i != cols[i] once alpha = x + 1
+    setup, ctx = f8
+    cols, trace = generator_recurrence(ctx)
+    assert cols[0] == (0, 1, 0)
+    forged = ((1, 1, 0),) + cols[1:]
+    got = np.zeros((setup.p, setup.q), dtype=np.int64)
+    with pytest.raises(InternalInvariant, match="multiplication matrix"):
+        _scan_python(forged, trace, ctx.order, setup.p, setup.q, got)
+
+
 def test_unknown_backend_rejected(f8):
     setup, ctx = f8
     cols, trace = generator_recurrence(ctx)

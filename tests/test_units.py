@@ -1,7 +1,7 @@
 from dataclasses import replace
 
 import pytest
-from conftest import schoolbook_mulmod, schoolbook_powmod, tuple_dlog
+from conftest import production_setups, schoolbook_mulmod, schoolbook_powmod, tuple_dlog
 
 from eigenvanish import (
     BadEigenspaceIndex,
@@ -19,7 +19,7 @@ from eigenvanish import (
     verify_identity_i,
 )
 from eigenvanish import units
-from eigenvanish.ffield import dlog_order_p
+from eigenvanish.ffield import _Kronecker, dlog_order_p
 from eigenvanish.units import TRIVIAL, UNKNOWN, verdict
 
 
@@ -142,6 +142,39 @@ def test_index_vector_takes_one_walk_per_field(monkeypatch):
         for r in range(2, p - 1):
             vector.at(r)
         assert calls == [p]
+
+
+def unpaired_vector(ctx, setup):
+    """c[k] = dlog_zeta((1 - zeta^(g^k))^f) for every k < e, each target by
+    binary powering: the index vector without the coset pairing and without
+    the Frobenius digits."""
+    p, form = setup.p, ctx.kronecker
+    logs = dlog_order_p(ctx, p)
+    powers = list(logs)
+    return tuple(
+        logs[form.pow(form.sub(1, powers[pow(setup.g, k, p)]), setup.f)] for k in range(setup.e)
+    )
+
+
+def test_index_vector_matches_the_unpaired_vector(monkeypatch):
+    # every grid, certify and vandiver-43 field; for odd n (q = 2 among them)
+    # only the first e/2 cosets take a field power
+    powers = []
+    conjugate_pow = _Kronecker.conjugate_pow
+
+    def counting(*args):
+        powers.append(args)
+        return conjugate_pow(*args)
+
+    monkeypatch.setattr(_Kronecker, "conjugate_pow", counting)
+    setups = production_setups()
+    assert any(s.n % 2 and s.q == 2 for s in setups) and any(s.n % 2 == 0 for s in setups)
+    for setup in setups:
+        ctx = build_field(setup)
+        powers.clear()
+        vector = index_vector(ctx, setup)
+        assert vector.c == unpaired_vector(ctx, setup), (setup.p, setup.q)
+        assert len(powers) == (setup.e // 2 if setup.n % 2 else setup.e), (setup.p, setup.q)
 
 
 @pytest.mark.parametrize("bad", ["one", "alpha"])
