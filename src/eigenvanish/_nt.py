@@ -26,12 +26,27 @@ _RHO_BUDGET = 1 << 20  # rho iterations per cofactor, over all constants
 
 
 def prime_sieve(limit: int) -> bytearray:
-    """sieve[k] == 1 exactly when k <= limit is prime; limit >= 1."""
-    sieve = bytearray([1]) * (limit + 1)
+    """sieve[k] == 1 exactly when k <= limit is prime; limit >= 1.
+
+    The sieve is one zeroed allocation of limit + 1 bytes, filled with ones
+    by doubling copies inside itself: no bytearray repeat (whose failed
+    allocation can raise a SystemError beside the MemoryError in CPython
+    3.11) and no second full-size buffer; the largest temporary is the
+    zeros for the multiples of 2, about limit/2 bytes. Each multiple-of-i
+    slice has (limit - i^2) // i + 1 entries, so no slice is copied to be
+    measured."""
+    sieve = bytearray(limit + 1)
+    with memoryview(sieve) as view:
+        view[0] = 1
+        done = 1
+        while done <= limit:
+            step = min(done, limit + 1 - done)
+            view[done : done + step] = view[:step]
+            done += step
     sieve[0:2] = b"\x00\x00"
     for i in range(2, isqrt(limit) + 1):
         if sieve[i]:
-            sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
+            sieve[i * i :: i] = bytes((limit - i * i) // i + 1)
     return sieve
 
 

@@ -14,8 +14,10 @@ smallest factor, only on a candidate that is the least of its F_q^*-scaling
 orbit (`_orbit_leaders`): the others are reducible, because a smaller member
 of their orbit was rejected before them. A linear element's powers, which
 decide primitivity and give zeta = alpha^f, are taken by base-q digits over
-its Frobenius conjugates (`_Kronecker.conjugate_pow`). Field arithmetic is
-private: `_Kronecker` alone stores residues and polynomials
+its Frobenius conjugates (`_Kronecker.conjugate_pow`); the generator search
+takes them once per monic associate X + c0/c1 of its linear candidates,
+since a scalar c1 in F_q^* changes only the norm (`build_field`). Field
+arithmetic is private: `_Kronecker` alone stores residues and polynomials
 (packed ints, one slot per coefficient) and subtracts, multiplies and takes
 gcds of them. A product is one integer multiplication, a slot-by-slot
 reduction of the high slots from the top, and a multiply-and-shift fold that
@@ -404,6 +406,19 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     `cap` bounds the field size for element-enumeration work (the period
     scan); index-only callers pass None, since building the context costs
     polynomial time in n and log q regardless of q^n.
+
+    The generator search (`_least_primitive`) decides primitivity once per
+    monic associate. A linear candidate c1·X + c0 is c1·(X + t) with
+    t = c0/c1. For a prime ell of q^n - 1 with ell ∤ q - 1, ell divides
+    N = (q^n-1)/(q-1), so (q^n-1)/ell = (q-1)·(N/ell) and
+    c^((q^n-1)/ell) = (c^(q-1))^(N/ell) = 1 for every c in F_q^*: c1·(X + t)
+    passes ell exactly when X + t does. For ell | q - 1 the test reads the
+    norm, and Nm(c1·(X + t)) = c1^n·Nm(X + t), as Nm is multiplicative and
+    Nm(c) = c^n for c in F_q. So per t the search keeps Nm(X + t), from
+    `_norm` when t is first met, and the verdict for the primes ell ∤ q - 1,
+    from `_powers` when a candidate with that t first passes its norm test;
+    every other candidate costs int powers mod q only. Both records live in
+    one call. Non-linear candidates go through `_is_primitive`.
     """
     q, n = setup.q, setup.n
     size = q**n
@@ -412,16 +427,41 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     factors = _group_order_primes(q, n)  # refuses an uncertifiable q^n - 1 first
 
     modulus = _least_irreducible(q, n)
-    alpha = None
     form = _Kronecker(modulus, q)
-    for k in range(q, size):  # constants are never primitive for n >= 2
+    return _field_context(setup, form, modulus, _least_primitive(form, factors))
+
+
+def _least_primitive(form: _Kronecker, primes) -> tuple[int, ...]:
+    """The lexicographically least primitive element of F_{q^n}, n >= 2,
+    given its packed form and the primes of q^n - 1: the linear candidates
+    as (c1, c0) in encoding order, with one norm and one field-power verdict
+    per t = c0/c1 (see `build_field`), then the rest by `_is_primitive`.
+    Constants are never primitive for n >= 2."""
+    q, n = form.q, form.n
+    order = q**n - 1
+    small = [(q - 1) // ell for ell in primes if (q - 1) % ell == 0]
+    large = [order // ell for ell in primes if (q - 1) % ell]
+    pad = (0,) * (n - 2)
+    norms, verdicts = {}, {}  # t -> Nm(X + t); t -> X + t passes every ell ∤ q - 1
+    for c1 in range(1, q):
+        scale, inverse = pow(c1, n, q), pow(c1, -1, q)
+        for c0 in range(q):
+            t = c0 * inverse % q
+            if t not in norms:
+                norms[t] = _norm((t, 1) + pad, form)
+            norm = scale * norms[t] % q
+            if any(pow(norm, exponent, q) == 1 for exponent in small):
+                continue
+            if t not in verdicts:
+                power = _powers((t, 1) + pad, form)
+                verdicts[t] = all(power(exponent) != 1 for exponent in large)
+            if verdicts[t]:
+                return (c0, c1) + pad
+    for k in range(q * q, q**n):
         cand = _int_to_coeffs(k, n, q)
-        if _is_primitive(cand, form, factors):
-            alpha = cand
-            break
-    if alpha is None:
-        raise InternalInvariant("no primitive element found")
-    return _field_context(setup, form, modulus, alpha)
+        if _is_primitive(cand, form, primes):
+            return cand
+    raise InternalInvariant("no primitive element found")
 
 
 def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> FieldContext:
@@ -469,7 +509,12 @@ def _is_primitive(x, form: _Kronecker, primes) -> bool:
     q - 1 take field powers, by `_powers`: (q^n-1)/ell < q^n, and the
     Frobenius sigma(y) = y^q fixes F_q, so a linear x has the conjugates
     sigma^j(x) = c1·X^(q^j) + c0, from which `conjugate_pow` takes the power
-    by its base-q digits; any other x is powered by its binary digits."""
+    by its base-q digits; any other x is powered by its binary digits.
+
+    The generator search applies this rule to a linear candidate through its
+    monic associate X + c0/c1 (proof in `build_field`): the norm scaled by
+    c1^n, and the field-power verdict of X + c0/c1, taken once per search.
+    `field_from_choice` and the search's non-linear candidates call this."""
     q = form.q
     order = q**form.n - 1
     small = [ell for ell in primes if (q - 1) % ell == 0]

@@ -72,7 +72,7 @@ def compute_period_table(
     p, q, f = setup.p, setup.q, setup.f
     cols, trace = generator_recurrence(ctx)
     counts = scan_counts(cols, trace, ctx.order, p, q, backend=backend)
-    rows = tuple(tuple(int(c) for c in row) for row in counts)
+    rows = tuple(map(tuple, counts.tolist()))  # Python ints, in one C call
     values = []
     for m, row in enumerate(rows):
         if sum(row) != f:

@@ -1,6 +1,8 @@
 import argparse
 import inspect
 import json
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -420,6 +422,39 @@ def test_out_of_memory_exits_2_with_a_report(capsys, monkeypatch, message):
     assert report["result"] is None
     assert report["error"] == {"type": "MemoryError", "message": message or "MemoryError"}
     assert err == f"resource limit: {message or 'MemoryError'}\n"
+
+
+def test_sieve_out_of_memory_writes_one_stderr_line():
+    # a real failed allocation: density's 10^10 + 1 byte sieve in a child
+    # that caps its own address space at 3 GiB. A failed bytearray repeat
+    # frees an object whose export count was never set, and prints
+    # "SystemError: deallocated bytearray object has exported buffers" when
+    # that memory held a nonzero word, which varies with the heap's history.
+    # An empty environment and fixed hash seeds make each run repeatable (at
+    # the bytearray repeat, 5 of these 6 printed it); each must end with one
+    # report and one stderr line
+    resource = pytest.importorskip("resource")
+    cap = 3 << 30
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    if hard != resource.RLIM_INFINITY and hard < cap:
+        pytest.skip(f"the address-space limit {hard} is below {cap}")
+    code = (
+        "import resource, runpy, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "sys.argv[1:] = ['density', '--p', '7', '--bound', str(10**10), '--json']\n"
+        "runpy.run_module('eigenvanish.cli', run_name='__main__')\n"
+    )
+    # run from the directory that holds the imported package, so that the
+    # child finds it with neither PYTHONPATH nor an install
+    root = Path(cli.__file__).parents[1]
+    for seed in range(6):
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, cwd=root,
+            env={"PYTHONHASHSEED": str(seed), "PYTHONDONTWRITEBYTECODE": "1"},
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr == "resource limit: MemoryError\n"
+        assert json.loads(out.stdout)["error"] == {"type": "MemoryError", "message": "MemoryError"}
 
 
 def test_big_integers_serialized_as_strings(capsys):

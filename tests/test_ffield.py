@@ -30,6 +30,7 @@ from eigenvanish.ffield import (
     _is_irreducible,
     _is_primitive,
     _least_irreducible,
+    _least_primitive,
     _norm,
     _orbit_leaders,
     _powers,
@@ -684,6 +685,74 @@ def test_least_irreducible_matches_the_plain_search():
     for setup in production_setups():
         want = plain_least_irreducible(setup.q, setup.n)
         assert build_field(setup).modulus == want, (setup.p, setup.q)
+
+
+def plain_least_primitive(q, n):
+    """The first encoding k >= q that `_is_primitive` accepts, every
+    candidate tested in turn: the generator search without the monic
+    associates."""
+    form = _Kronecker(_least_irreducible(q, n), q)
+    primes = _group_order_primes(q, n)
+    return next(
+        k for k in range(q, q**n) if _is_primitive(_int_to_coeffs(k, n, q), form, primes)
+    )
+
+
+def searched_generator(q, n):
+    form = _Kronecker(_least_irreducible(q, n), q)
+    return _coeffs_to_int(_least_primitive(form, _group_order_primes(q, n)), q)
+
+
+def test_least_primitive_matches_the_plain_search():
+    small = [(q, n) for q in primerange(2, 51) for n in range(2, 21) if q**n <= 1 << 20]
+    assert len(small) == 74
+    for q, n in small:
+        assert searched_generator(q, n) == plain_least_primitive(q, n), (q, n)
+    # non-linear generators: x^2 + x + 1 in F_{17^4}, x^3 + x in F_{2^18}
+    assert searched_generator(17, 4) == 307
+    assert searched_generator(2, 18) == 10
+    for setup in production_setups():
+        ctx = build_field(setup)
+        assert ctx.encode(ctx.alpha) == plain_least_primitive(setup.q, setup.n), (setup.p, setup.q)
+
+
+@pytest.mark.parametrize("q, n", [(17, 4), (47, 4)])
+def test_one_field_power_verdict_per_monic_associate(monkeypatch, q, n):
+    # within one search: one norm per t = c0/c1 met, and field powers for a
+    # t only once, at the first candidate c1·(X + t) whose own norm passes;
+    # a second search repeats every call, so nothing is kept across searches
+    form = _Kronecker(_least_irreducible(q, n), q)
+    primes = _group_order_primes(q, n)
+    alpha = _least_primitive(form, primes)
+    stop = _coeffs_to_int(alpha, q) + 1 if not any(alpha[2:]) else q * q
+    small = [ell for ell in primes if (q - 1) % ell == 0]
+    norms_want, powers_want = [], []
+    for k in range(q, stop):  # the linear candidates up to the answer
+        cand = _int_to_coeffs(k, n, q)
+        t = cand[0] * pow(cand[1], -1, q) % q
+        if t not in norms_want:
+            norms_want.append(t)
+        norm = _norm(cand, form)
+        if all(pow(norm, (q - 1) // ell, q) != 1 for ell in small) and t not in powers_want:
+            powers_want.append(t)
+    linear = {"_norm": [], "_powers": []}
+
+    def counting(name, real):
+        def call(x, form):
+            if not any(x[2:]):
+                assert x[1] == 1, "a field call on a candidate, not its monic associate"
+                linear[name].append(x[0])
+            return real(x, form)
+        return call
+
+    monkeypatch.setattr(ffield, "_norm", counting("_norm", _norm))
+    monkeypatch.setattr(ffield, "_powers", counting("_powers", _powers))
+    for _ in range(2):
+        linear["_norm"].clear()
+        linear["_powers"].clear()
+        assert _least_primitive(form, primes) == alpha
+        assert linear["_norm"] == norms_want
+        assert linear["_powers"] == powers_want
 
 
 def test_modulus_search_does_no_work_proportional_to_q(monkeypatch):

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from conftest import schoolbook_mulmod, trace
 
@@ -70,11 +71,12 @@ def test_eta_invariants(f27):
 
 
 def _forge(m, row):
-    """scan_counts with row m of its result replaced by `row`."""
+    """scan_counts with row m of its result replaced by `row`, returned as
+    the int64 array that scan_counts returns."""
     def scan(*args, **kwargs):
         counts = [list(r) for r in scan_counts(*args, **kwargs)]
         counts[m] = list(row)
-        return counts
+        return np.array(counts, dtype=np.int64)
     return scan
 
 
