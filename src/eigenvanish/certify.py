@@ -36,6 +36,7 @@ from .ffield import (
     check_modulus_length,
     check_primitive_root,
     field_from_choice,
+    least_primitive_root,
     multiplicative_order,
 )
 from .periods import compute_period_table, compute_v
@@ -61,9 +62,18 @@ def _primes_of_order(p: int, n: int, qbound: int):
     ells = factor(n)
     classes = [
         a for a in range(1, min(p, qbound + 1))
-        if (a + p <= qbound or is_prime(a))
+        if _holds_a_prime(a, p, qbound)
         and pow(a, n, p) == 1 and all(pow(a, n // ell, p) != 1 for ell in ells)
     ]
+    return _progression_primes(p, classes, qbound)
+
+
+def _holds_a_prime(a: int, p: int, qbound: int) -> bool:
+    return a + p <= qbound or is_prime(a)
+
+
+def _progression_primes(p: int, classes, qbound: int):
+    """The primes <= qbound in the classes a mod p, ascending classes given."""
     return filter(is_prime, merge(*(range(a, qbound + 1, p) for a in classes)))
 
 
@@ -317,10 +327,10 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise BadInput(f"malformed certificate: {exc}") from None
 
 
-def _fields_of_order(p: int, n: int, qbound: int, field_cap: int):
-    """(field size, q, n) for the primes q of order n mod p, ascending, up to
-    the first q with q^n > field_cap."""
-    for q in _primes_of_order(p, n, qbound):
+def _fields_of_order(n: int, primes, field_cap: int):
+    """(field size, q, n) for the ascending primes q of order n, up to the
+    first q with q^n > field_cap."""
+    for q in primes:
         if (size := q**n) > field_cap:
             return
         yield size, q, n
@@ -330,10 +340,24 @@ def _witness_fields(p: int, qbound: int, field_cap: int):
     """(field size, q, n) for every candidate witness prime, smallest fields
     first. The order n of q mod p divides p - 1, and n < the cap's bit length,
     else q^n >= 2^n > field_cap. The fields are yielded lazily, merged from one
-    ascending stream per n, so a caller that reads k of them lists no more."""
+    ascending stream per n, so a caller that reads k of them lists no more.
+
+    The residue classes of every such order come from one walk of g^k,
+    k < p - 1, g the least primitive root: g^k has order
+    (p - 1)/gcd(k, p - 1). The walk is Θ(p), as is `vandiver_scan`'s loop
+    over the even r; the classes a <= qbound that `_primes_of_order` would
+    keep are kept, in ascending order."""
+    classes = {n: [] for n in range(2, min(p, field_cap.bit_length())) if (p - 1) % n == 0}
+    if classes:  # p = 2, which has no primitive root, has no order n >= 2
+        g, a = least_primitive_root(p), 1
+        for k in range(p - 1):
+            n = (p - 1) // gcd(k, p - 1)
+            if a <= qbound and n in classes and _holds_a_prime(a, p, qbound):
+                classes[n].append(a)
+            a = a * g % p
     return merge(*(
-        _fields_of_order(p, n, qbound, field_cap)
-        for n in range(2, min(p, field_cap.bit_length())) if (p - 1) % n == 0
+        _fields_of_order(n, _progression_primes(p, sorted(residues), qbound), field_cap)
+        for n, residues in classes.items()
     ))
 
 

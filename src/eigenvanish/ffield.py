@@ -19,13 +19,14 @@ takes them once per monic associate X + c0/c1 of its linear candidates,
 since a scalar c1 in F_q^* changes only the norm (`build_field`). Field
 arithmetic is private: `_Kronecker` alone stores residues and polynomials
 (packed ints, one slot per coefficient) and subtracts, multiplies and takes
-gcds of them. A product is one integer multiplication, a slot-by-slot
-reduction of the high slots from the top, and a multiply-and-shift fold that
-takes all slots mod q at once; a difference and each Euclid step are the
-same fold. `FieldContext` is data (coefficient tuples, trace data, and the
-packed form that the search built, kept out of equality and repr); the
-discrete-log table of <zeta> is keyed by packed residues. All of it is
-exact, so the choices above do not depend on it.
+gcds of them. A product is one integer multiplication, reduced by Barrett's
+method: two more integer products, by the form's constant -floor(X^(2n-2)/F)
+and by F, and multiply-and-shift folds that take all slots mod q at once; a
+difference and each Euclid step are the same fold. `FieldContext` is data
+(coefficient tuples, trace data, and the packed form that the search built,
+kept out of equality and repr); the discrete-log table of <zeta> is keyed by
+packed residues. All of it is exact, so the choices above do not depend on
+it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
@@ -147,19 +148,23 @@ class _Kronecker:
     A packed residue is canonical (slots below q): in F_q exactly when < q.
     x - y folds x + (q-1)·y, whose slots are below q + (q-1)^2 < q^2 < 2^b.
 
-    Slot bound: a product leaves every slot below 2nq^2 < 2^b, b the bit
-    length of 2nq^2. The fold divides the n + 1 slots n ... 0 by q at once:
-    with k = b + (bit length of q) and m = ceil(2^k / q), floor(x·m / 2^k) =
-    floor(x / q) for every x < 2^b, since x·m / 2^k exceeds x / q by
-    x·(mq - 2^k) / (q·2^k) < 2^b·q / (q·2^k) <= 1/q; and x·m < 2^(b+k).
-    So slots of w = b + k bits never carry into each other. A step of
-    `coprime` adds (q - c)·y, shifted, to x (slots below q), so its slots stay
-    below q + (q-1)^2 < q^2 as well. Slot n is folded for `coprime` alone: for
-    `mul` and `sub` the fold input is below 2^(n·w), so x·m >> k leaves it 0.
+    Slot bound: b is the bit length of 2nq^2. The fold divides the n + 1
+    slots n ... 0 by q at once: with k = b + (bit length of q) and
+    m = ceil(2^k / q), floor(x·m / 2^k) = floor(x / q) for every x < 2^b,
+    since x·m / 2^k exceeds x / q by x·(mq - 2^k) / (q·2^k) < 2^b·q / (q·2^k)
+    <= 1/q; and x·m < 2^(b+k). So slots of w = b + k bits never carry into
+    each other, as long as every slot stays below 2^b. In `mul` the slots of
+    x·y are below n(q-1)^2, and so are the slots of its high part h; the
+    slots of h·mu_neg are below (n-1)(q-1)^2, and the low slots of
+    low + t·F below 2n(q-1)^2 < 2nq^2 < 2^b. A step of `coprime` adds
+    (q - c)·y, shifted, to x (slots below q), so its slots stay below
+    q + (q-1)^2 < q^2 as well. Slot n is folded for `coprime` alone; every
+    other fold input has no slot above n - 1, and x·m >> k leaves 0 there.
     """
 
     __slots__ = (
-        "q", "n", "w", "mask", "top", "f", "high", "low", "k", "m", "quotients", "_frobenius"
+        "q", "n", "w", "mask", "top", "f", "mu_neg", "cut", "low", "k", "m", "quotients",
+        "_frobenius",
     )
 
     def __init__(self, modulus, q: int):
@@ -170,12 +175,19 @@ class _Kronecker:
         w = b + self.k
         self.q, self.n, self.w, self.mask = q, n, w, (1 << w) - 1
         self.top = n * w  # the offset of slot n, F's leading 1
-        # offsets of slots 2n-2 ... n, less `top`
-        self.high = tuple(range(self.top - 2 * w, -1, -w))
         self.low = (1 << self.top) - 1  # slots n-1 ... 0
         # the low w - k bits of slots n ... 0: where x·m >> k leaves x // q
         self.quotients = ((1 << self.top + w) - 1) // self.mask * ((1 << w - self.k) - 1)
         self.f = self.pack(modulus) | 1 << self.top
+        # mu_neg = -floor(X^(2n-2) / F) mod q, packed, for `mul`: X^(2n-2)'s
+        # slots 2n-2 ... n are eliminated from the top, slot i by adding
+        # c·F·X^(i-n) with c = -(slot i) mod q, and c is slot i - n of mu_neg
+        self.cut = max(n - 2, 0) * w  # the offset of slot n - 2, 0 for n = 1
+        rest, self.mu_neg = 1 << (2 * n - 2) * w, 0
+        for shift in range(self.top - 2 * w, -1, -w):
+            c = -((rest >> self.top + shift) & self.mask) % q
+            rest += c * self.f << shift
+            self.mu_neg |= c << shift
         self._frobenius = None
 
     def pack(self, a) -> int:
@@ -189,21 +201,25 @@ class _Kronecker:
         return tuple((x >> shift) & mask for shift in range(0, self.top, self.w))
 
     def mul(self, x: int, y: int) -> int:
-        """Packed product of two packed residues, the one product kernel.
+        """Packed product of two packed residues, the one product kernel, by
+        Barrett reduction (two int products and three folds for any n).
 
-        Each high slot i = 2n-2 ... n of x·y is made divisible by q by adding
-        (q - c)·F·X^(i-n), c = slot_i mod q, X = 2^w, which leaves the residue
-        mod (F, q) unchanged. All slots stay nonnegative and below
-        n(q-1)^2 + (n-1)q(q-1) < 2nq^2, so no slot carries into the next. The
-        n low slots, each taken mod q by the fold, are the packed result.
+        Write A = x·y = H·X^n + L over F_q, X = 2^w, deg H <= n-2, and
+        X^(2n-2) = mu·F + rho with deg rho < n; the form keeps
+        mu_neg = -mu mod q. Let Q' = floor(H·mu / X^(n-2)), that is
+        H·mu = Q'·X^(n-2) + E with deg E < n-2. Then
+        Q'·F·X^(n-2) = H·mu·F - E·F = H·X^(2n-2) - H·rho - E·F, and the last
+        two terms have degree <= 2n-3, so Q'·F - H·X^n has degree < n, and so
+        has A - Q'·F: Q' = floor(A / F) exactly, with no correction step, for
+        any monic F, irreducible or not. So h = H with its slots mod q,
+        t = -Q' with its slots mod q (slots n-2 ... 2n-4 of h·mu_neg, shifted
+        down by `cut`), and the result is the low n slots of A + t·F, each
+        taken mod q by the fold. No slot carries (see the slot bound).
         """
-        q, mask, top, f = self.q, self.mask, self.top, self.f
         prod = x * y
-        for shift in self.high:
-            c = ((prod >> (top + shift)) & mask) % q
-            if c:
-                prod += ((q - c) * f) << shift
-        return self._fold(prod & self.low)
+        h = self._fold(prod >> self.top)
+        t = self._fold(h * self.mu_neg >> self.cut)
+        return self._fold((prod & self.low) + (t * self.f & self.low))
 
     def sub(self, x: int, y: int) -> int:
         """Packed x - y, folded from x + (q-1)·y (see the slot bound)."""

@@ -388,6 +388,48 @@ def test_mulmod_at_the_slot_bound(q):
             assert form.unpack(form.mul(y, x)) == zero
 
 
+# small q, and the large q of the modulus-search tests, where the slots are
+# widest
+BARRETT_QS = [2, 3, 47, 2**31 - 1, 67_108_879, 1_000_000_241]
+
+
+def _quotient_of_top_power(modulus, q):
+    """floor(X^(2n-2) / F) over F_q for the monic F = X^n + sum modulus[i]
+    X^i, by long division from the top: its n - 1 coefficients (none for
+    n = 1), the oracle for the form's Barrett constant."""
+    n = len(modulus)
+    rest = [0] * (2 * n - 2) + [1]
+    quotient = [0] * (n - 1)
+    for i in range(2 * n - 2, n - 1, -1):
+        c = quotient[i - n] = rest[i]
+        rest[i] = 0
+        for j in range(n):
+            rest[i - n + j] = (rest[i - n + j] - c * modulus[j]) % q
+    return quotient
+
+
+@pytest.mark.parametrize("q", BARRETT_QS)
+def test_barrett_product_matches_schoolbook_on_every_width(q):
+    # random monic moduli, reducible ones included (modulus[0] = 0 among
+    # them), random operands and operands with every slot at q - 1, for
+    # every n up to 40; the Barrett constant against long division
+    rng = random.Random(q)
+    for n in range(1, 41):
+        moduli = [(0,) * n, (q - 1,) * n] + [
+            tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)
+        ]
+        for modulus in moduli:
+            form = _Kronecker(modulus, q)
+            quotient = _quotient_of_top_power(modulus, q)
+            assert form.mu_neg == form.pack(tuple(-c % q for c in quotient)), (n, modulus)
+            operands = [(q - 1,) * n] + [
+                tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)
+            ]
+            for a, b in itertools.combinations_with_replacement(operands, 2):
+                got = form.unpack(form.mul(form.pack(a), form.pack(b)))
+                assert got == schoolbook_mulmod(a, b, modulus, q), (n, modulus, a, b)
+
+
 # n = 18, 21, 4 and 3: the widest and the largest-q fields the benchmark
 # builds, and F_27
 SUB_FIELDS = [(19, 2), (43, 13), (5, 107), (13, 3)]
