@@ -1,35 +1,59 @@
 """Hot kernel: the table of (k mod p, Tr(alpha^k)) counts over k < q^n - 1,
-from one decimated, projective trace sequence per coset of <q> mod p.
+from one decimated trace sequence per coset of <q> mod p, read one
+F_{q^d}^*-orbit a term.
 
 The scan reads the field in its basis x^i: A, the matrix of multiplication
 by alpha, and the trace row T_i = Tr(x^i). alpha^k has the coefficients
-s_k = A^k·e_0, and Tr(alpha^k) = T·s_k as Tr is F_q-linear. With
-N = (q^n - 1)/(q - 1), three identities cut the q^n - 1 trace terms of the
-full scan to N/p per column, in e + 1 columns:
+s_k = A^k·e_0, and Tr(alpha^k) = T·s_k as Tr is F_q-linear. Let d be the
+largest proper divisor of n (d = 1 for a prime n) and N_d = (q^n-1)/(q^d-1).
+Four identities cut the q^n - 1 trace terms of the full scan to N_d/p
+orbits per column, in e + 1 columns of d terms:
 
 - Cosets. k -> qk permutes the exponents mod q^n - 1, keeps traces and maps
   the residue m to qm mod p, so row m equals row qm. Only m = 0 and the least
   element of each coset of <q> in (Z/p)^* are counted.
 - Decimation. The terms with k ≡ m (mod p) are t_j = Tr(alpha^m·beta^j),
   beta = alpha^p, so t_j = T·M^j·s_m with M = A^p, the matrix of beta.
-- Projective step. p divides N, and c = alpha^N, the norm of alpha,
-  generates F_q^*: A^N = c·I, so t_{j+N/p} = c·t_j. With Z_m zeros among the
-  first N/p terms, row m holds (q-1)·Z_m at trace 0 and N/p - Z_m at each
-  nonzero trace.
+- Subfield orbits. As ord_p(q) = n, p does not divide q^d - 1, so p(q^d-1)
+  divides q^n - 1 and F_{q^d}^* lies in <beta>: it is generated by
+  gamma = alpha^(N_d) = beta^(N_d/p), whose matrix is Γ = M^(N_d/p). So
+  alpha^m·<beta> is the union of the N_d/p orbits alpha^m·beta^j·F_{q^d}^*,
+  j < N_d/p. For d = 1 this is the projective step over F_q: Γ = A^N = c·I,
+  c the norm of alpha.
+- Traces on an orbit. Tr = Tr_{F_{q^d}/F_q} ∘ Tr_{F_{q^n}/F_{q^d}}
+  (Lidl–Niederreiter, Finite Fields, Thm 2.26). If the relative trace z of
+  x is 0, all q^d - 1 elements x·y of its orbit have trace 0; otherwise
+  y·z runs over F_{q^d}^* and q^(d-1) - 1 of them have trace 0 and
+  q^(d-1) have each nonzero trace. As gamma^i, i < d, is a basis of
+  F_{q^d} and the trace form is nondegenerate, z = 0 exactly when
+  Tr(gamma^i·x) = T·M^j·Γ^i·s_m is 0 for every i < d (Γ commutes with M).
+  With Y_m such j among the first N_d/p, row m holds
+  (q^d-1)·Y_m + (q^(d-1)-1)·(N_d/p - Y_m) at trace 0 and
+  q^(d-1)·(N_d/p - Y_m) at each nonzero trace.
 
-The zero counter `_count_zeros` reads a block of terms of every column per
-matmul from a power table built by doubling. All of it is float64 matrix
-arithmetic mod q on integers below n(q-1)^2, exact while that stays below
-2^53, so a field with n(q-1)^2 >= 2^53 is refused. `_scan_python`
-walks all q^n - 1 powers alpha^k by the packed field product, the oracle the
-production path must match bit for bit.
+The premise, that gamma generates F_{q^d}^*, is checked. A^N =
+Γ^((q^d-1)/(q-1)) must be c·I with c of order q - 1, which covers the primes
+of q - 1. For every other prime ell of q^d - 1, Γ^((q^d-1)/(ell(q-1))) must
+not be a scalar matrix, since gamma^((q^d-1)/ell) = 1 exactly when
+gamma^((q^d-1)/(ell(q-1))) lies in F_q^*.
+
+Every matrix comes from one squaring chain (`_chain`): M and the start
+columns alpha^m by doubling from the squares of A; the power table, the
+state jump and Γ from the squares of M; the premise's powers and the d start
+columns Γ^i·s_m from the squares of Γ. The zero counter `_count_zeros`
+reads a block of terms of every column per matmul from the power table. All
+of it is float64 matrix arithmetic mod q on integers below n(q-1)^2, exact
+while that stays below 2^53, so a field with n(q-1)^2 >= 2^53 is refused.
+`_scan_python` walks all q^n - 1 powers alpha^k by the packed field product,
+the oracle the production path must match bit for bit.
 
 numpy is imported inside the functions that use it, so it loads only when a
 scan runs; importing the package, or a command that never scans, leaves it out.
 """
 
 from .errors import FieldTooLarge, InternalInvariant
-from .ffield import _Kronecker, multiplicative_order
+from ._nt import factor
+from .ffield import _Kronecker
 
 _BLOCK = 1 << 12
 
@@ -42,16 +66,64 @@ def _mod(y, q):
     return y
 
 
-def _count_zeros(mult, trace, states, total, q):
+def _chain(a, q, steps: int, exponents=(), block=None, grow: int = 0):
+    """`steps` steps of one squaring chain of the n×n float64 matrix a over
+    F_q. Returns the squares a^(2^k), k < steps; a^E for each exponent
+    1 <= E < 2^steps; and `block` (n rows, or None) after `grow` <= steps
+    doublings X -> [X, a^(2^k)·X], so that its i-th slice of the starting
+    width is a^i·block for i < 2^grow.
+
+    Step k multiplies by s = a^(2^k), in one matmul and one `_mod`, every
+    operand that needs it: s itself when a later step reads s^2, the block
+    while k < grow, and each power whose exponent has bit k set (at the
+    lowest such bit the power is s itself, no product)."""
+    import numpy as np
+
+    n = len(a)
+    squares, powers = [a], [None] * len(exponents)
+    for k in range(steps):
+        s, square, grows = squares[k], k + 1 < steps, k < grow
+        ops = [s] if square else []
+        if grows:
+            ops.append(block)
+        acc = []
+        for i, e in enumerate(exponents):
+            if e >> k & 1:
+                if powers[i] is None:
+                    powers[i] = s
+                else:
+                    ops.append(powers[i])
+                    acc.append(i)
+        if not ops:
+            continue
+        y = _mod(s @ (ops[0] if len(ops) == 1 else np.concatenate(ops, axis=1)), q)
+        c = 0
+        if square:
+            squares.append(y[:, :n])
+            c = n
+        if grows:
+            w = block.shape[1]
+            block = np.concatenate((block, y[:, c : c + w]), axis=1)
+            c += w
+        for i in acc:
+            powers[i] = y[:, c : c + n]
+            c += n
+    return squares, powers, block
+
+
+def _count_zeros(mult, trace, states, total, q, joint=1):
     """Zeros among the terms trace·M^j·s, j < `total`, for each column s of
-    `states`, M = `mult` an n×n matrix and `trace` a row of n, all over F_q.
+    `states`, M an n×n matrix and `trace` a row of n, all over F_q. `mult`
+    is M, or the list M, M^2, M^4, ... of its squarings, up to M^B at least
+    (B below), when the caller has them. With `joint` = d > 1 the columns are
+    d blocks of R, [S, Γ·S, ..., Γ^(d-1)·S], and entry c of the result
+    counts the j at which the terms of column c of every block all vanish.
 
     Row j of the power table U is trace·M^j, so S^T @ U^T yields terms
     k .. k+B-1 of every column at once, one column's terms to a contiguous
     row, when S holds the columns' states M^k·s. U is filled by doubling,
     U[h:2h] = U[:h] @ M^h. Its height B is the greatest power of two up to
-    min(_BLOCK, total), so the doubling's last squaring is M^B, the state
-    jump S_{k+B} = M^B S_k.
+    min(_BLOCK, total), and M^B is the state jump S_{k+B} = M^B S_k.
 
     Every product is a float64 matmul, and it is exact. Each entry is an
     integer dot product of n terms below q, so it lies below n(q-1)^2 < 2^53
@@ -64,36 +136,32 @@ def _count_zeros(mult, trace, states, total, q):
     import numpy as np
 
     height = 1 << min(_BLOCK, total).bit_length() - 1
+    top = height.bit_length()  # the squares M^(2^k) read, k < top
+    if isinstance(mult, list):
+        squares = mult
+    else:
+        squares = _chain(np.asarray(mult, dtype=np.float64), q, top)[0]
     u = np.empty((height, len(trace)))
     u[0] = trace
-    step = np.asarray(mult, dtype=np.float64)  # M^h for the h rows filled so far
-    h = 1
-    while h < height:
-        _mod(np.matmul(u[:h], step, out=u[h : 2 * h]), q)
-        step = _mod(step @ step, q)
-        h *= 2
+    for k in range(top - 1):
+        h = 1 << k
+        _mod(np.matmul(u[:h], squares[k], out=u[h : 2 * h]), q)
 
     state = np.asarray(states, dtype=np.float64)
-    zeros = np.zeros(state.shape[1], dtype=np.int64)
+    zeros = np.zeros(state.shape[1] // joint, dtype=np.int64)
     done = 0
-    while done < total:
+    while True:
         cnt = min(height, total - done)
         ratio = state.T @ u[:cnt].T  # row c holds column c's terms
         ratio /= q
-        zeros += np.count_nonzero(ratio == np.floor(ratio), axis=1)
-        state = _mod(step @ state, q)
+        zero = ratio == np.floor(ratio)
+        if joint > 1:
+            zero = zero.reshape(joint, -1, cnt).all(axis=0)
+        zeros += zero.sum(axis=1)
         done += cnt
-    return zeros
-
-
-def _mat_pow(a, exponent: int, q: int):
-    """a^exponent mod q for a square float64 matrix, exponent >= 1."""
-    result = a
-    for bit in bin(exponent)[3:]:
-        result = _mod(result @ result, q)
-        if bit == "1":
-            result = _mod(result @ a, q)
-    return result
+        if done == total:
+            return zeros
+        state = _mod(squares[top - 1] @ state, q)
 
 
 def _coset_owners(p: int, q: int) -> list[int]:
@@ -107,29 +175,51 @@ def _coset_owners(p: int, q: int) -> list[int]:
     return owner
 
 
-def _projective_counts(cols, trace, p: int, q: int):
+def _subfield_degree(n: int) -> int:
+    """d, the largest proper divisor of n (1 for a prime n or n = 1)."""
+    return next((n // k for k in range(2, n) if n % k == 0), 1)
+
+
+def _projective_counts(cols, trace, p: int, q: int, d: int):
     import numpy as np
 
     n = len(cols)
-    span = (q**n - 1) // (q - 1) // p  # N/p terms per column
-    a = np.array(cols, dtype=np.float64).T  # column i is alpha·x^i
-    mult = _mat_pow(a, p, q)  # M, the matrix of beta = alpha^p
-    norm = _mat_pow(mult, span, q)  # A^N = c·I when alpha^N = c is in F_q
-    c = int(norm[0, 0])
-    if not (np.array_equal(norm, c * np.eye(n)) and c and multiplicative_order(c, q) == q - 1):
-        raise InternalInvariant(f"alpha^N = {norm[:, 0].tolist()} does not generate F_{q}^*")
+    qd = q**d - 1
+    span = (q**n - 1) // qd // p  # N_d/p orbits of F_{q^d}^* per column
     owner = _coset_owners(p, q)
     reps = sorted(set(owner))
-    powers = [np.eye(n, 1)]  # the coefficients of alpha^m
-    for _ in range(reps[-1]):
-        powers.append(_mod(a @ powers[-1], q))
-    zeros = _count_zeros(mult, trace, np.hstack([powers[m] for m in reps]), span, q)
 
+    # alpha^m for every m below 2^t > the largest coset leader, and M = A^p
+    a = np.array(cols, dtype=np.float64).T  # column i is alpha·x^i
+    _, (mult,), powers = _chain(a, q, p.bit_length(), [p], np.eye(n, 1), reps[-1].bit_length())
+    # M^(2^k) for 2^k <= span: the power table, the state jump and Γ = M^span
+    squares, (gamma,), _ = _chain(mult, q, span.bit_length(), [span])
+    # the premise's Γ^norm = A^N and Γ^(norm/ell); the d start blocks Γ^i·S
+    norm = qd // (q - 1)  # N = (q^n - 1)/(q - 1) = p·span·norm
+    primes = factor(qd)
+    others = [ell for ell in primes if (q - 1) % ell]  # the primes of norm alone
+    exps = [norm] + [norm // ell for ell in others]
+    _, (cnorm, *checks), states = _chain(
+        gamma, q, max(exps).bit_length(), exps, powers[:, reps], (d - 1).bit_length()
+    )
+    c = int(cnorm[0, 0])
+    if not (
+        np.array_equal(cnorm, c * np.eye(n))
+        and c
+        and all(pow(c, (q - 1) // ell, q) != 1 for ell in primes if ell not in others)
+    ):
+        raise InternalInvariant(f"alpha^N = {cnorm[:, 0].tolist()} does not generate F_{q}^*")
+    if any(np.array_equal(x, x[0, 0] * np.eye(n)) for x in checks):
+        raise InternalInvariant(
+            f"alpha^N_d = {gamma[:, 0].astype(int).tolist()} does not generate F_{{{q}^{d}}}^*"
+        )
+    zeros = _count_zeros(squares, trace, states[:, : d * len(reps)], span, q, d)
+
+    at = {m: i for i, m in enumerate(reps)}
+    y = zeros[[at[m] for m in owner]]
     rows = np.empty((p, q), dtype=np.int64)
-    zeros_of = dict(zip(reps, zeros.tolist()))
-    for m in range(p):
-        rows[m, 0] = (q - 1) * zeros_of[owner[m]]
-        rows[m, 1:] = span - zeros_of[owner[m]]
+    rows[:, 0] = qd * y + (q ** (d - 1) - 1) * (span - y)
+    rows[:, 1:] = (q ** (d - 1) * (span - y))[:, None]
     return rows
 
 
@@ -167,10 +257,11 @@ def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy")
     basis x^i of the field, cols[i] = the coefficients of alpha·x^i and
     trace[i] = Tr(x^i), i < n.
 
-    `backend` is "numpy" (production: the projective scan, which covers the
-    whole group, so `total` must be q^n - 1 and p(q-1) must divide it, and
-    n(q-1)^2 < 2^53 must bound its dot products, so that float64 holds them
-    exactly) or "python" (the full slow oracle, for any `total`).
+    `backend` is "numpy" (production: the subfield-orbit scan, which covers
+    the whole group, so `total` must be q^n - 1 and p(q^d - 1) must divide
+    it, d the largest proper divisor of n, and n(q-1)^2 < 2^53 must bound
+    its dot products, so that float64 holds them exactly) or "python" (the
+    full slow oracle, for any `total`).
     """
     n = len(cols)
     if backend == "numpy":
@@ -178,11 +269,17 @@ def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy")
             raise ValueError(
                 f"the projective scan needs total = q^n - 1 divisible by p(q-1), got {total}"
             )
+        d = _subfield_degree(n)
+        if total % (p * (q**d - 1)):
+            raise ValueError(
+                f"the subfield scan needs p(q^d - 1) | q^n - 1 with d = {d}, "
+                f"so that F_{{q^d}}^* lies in <alpha^p>; p = {p} divides q^d - 1"
+            )
         if n * (q - 1) ** 2 >= 1 << 53:
             raise FieldTooLarge(
                 f"n(q-1)^2 = {n * (q - 1) ** 2} overflows the exact float64 integers (2^53)"
             )
-        return _projective_counts(cols, trace, p, q)
+        return _projective_counts(cols, trace, p, q, d)
     if backend == "python":
         import numpy as np
 

@@ -208,13 +208,23 @@ def check_certificate(cert: Certificate) -> list[str]:
     that made it, and compare it with the stored one field by field; also
     check p, r, the verdict, h(-p), g and each q. The stored modulus and
     generator are checked (irreducible, primitive), not searched for again.
-    Before a witness's modulus is long enough for degree n = (p-1)/2, only
-    checks that factor nothing run (q prime, q^n ≡ 1 mod p); the orders of
-    q and g, which factor p - 1, and h(-p) wait for it. Returns problems."""
+    A p above 2L + 1, L the bit length of the longest stored modulus, is
+    refused before any test of p. Before a witness's modulus is long enough
+    for degree n = (p-1)/2, only checks that factor nothing run (q prime,
+    q^n ≡ 1 mod p); the orders of q and g, which factor p - 1, and h(-p)
+    wait for it. Returns problems."""
     problems: list[str] = []
     p = cert.p
-    if p <= 3 or p % 4 != 3 or not is_prime(p):
+    # a modulus passes check_modulus_length only with more than n(b-1) >= n
+    # bits (b >= 2 the bit length of a prime q), so no p > 2L + 1, L the bit
+    # length of the longest stored modulus, has a witness: such a p is refused
+    # before any arithmetic mod p, and its witnesses get the length check only
+    longest = max((choice[1].bit_length() for choice in cert.field_choices), default=0)
+    bounded = p <= 2 * longest + 1
+    if p <= 3 or p % 4 != 3 or bounded and not is_prime(p):
         return [f"p={p} is not a prime ≡ 3 mod 4 above 3"]
+    if not bounded:
+        problems.append(f"p={p} > 2L + 1 = {2 * longest + 1}: no stored modulus is long enough")
     n = (p - 1) // 2
     if cert.r != (p + 1) // 2:
         problems.append(f"r={cert.r} is not (p+1)/2")
@@ -229,7 +239,13 @@ def check_certificate(cert: Certificate) -> list[str]:
     g_ok = cn = None
     for w, choice in zip(cert.witnesses, choices):
         tag = f"witness q={w.q}"
-        if gcd(w.q, p) != 1 or pow(w.q, n, p) != 1:
+        if not bounded:
+            if choice:
+                try:
+                    check_modulus_length(w.q, n, choice[1])
+                except EigenvanishError as exc:
+                    problems.append(f"{tag}: cannot recompute the record: {exc}")
+        elif gcd(w.q, p) != 1 or pow(w.q, n, p) != 1:
             problems.append(f"{tag}: order mismatch")
         elif not is_prime(w.q):
             problems.append(f"{tag}: q is not prime")

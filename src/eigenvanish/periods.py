@@ -7,8 +7,9 @@ digit-sum valuation; d_i are the scaled period differences and a_k their
 exact character-twisted sums.
 
 The rows come from `_scan.scan_counts`, which counts one row per coset of
-<q> mod p from a decimated, projective trace sequence of (q^n - 1)/(p(q - 1))
-terms, read off alpha's multiplication matrix in the field's basis x^i;
+<q> mod p from a decimated trace sequence of (q^n - 1)/(p(q^d - 1)) orbits
+of F_{q^d}^*, d the largest proper divisor of n, read off alpha's
+multiplication matrix in the field's basis x^i;
 `compute_period_table` checks every row's sum, rationality and the periods' sum.
 """
 

@@ -285,6 +285,24 @@ def test_verify_cost_is_bounded_by_the_document(p, kind, modulus):
     assert cpu < 1.0
 
 
+@pytest.mark.parametrize("kind", ["no-witnesses", "short-modulus"])
+def test_verify_bounds_p_by_the_stored_moduli_before_any_primality_test(monkeypatch, kind):
+    # a 14,000-bit p: one Miller–Rabin round on it alone takes seconds. No
+    # stored modulus is longer than 10 bits, so p > 2L + 1 is refused first,
+    # and neither p nor any q reaches is_prime
+    p = (1 << 13999) + 3  # 3 mod 4
+
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime ran on a {n.bit_length()}-bit number")
+
+    monkeypatch.setattr(certify, "is_prime", no_primality_test)
+    problems, cpu = _timed_problems(unencodable_certificates(p)[kind])
+    assert any("2L + 1 = " in msg for msg in problems), problems
+    want = "no witnesses" if kind == "no-witnesses" else "does not encode a monic"
+    assert any(want in msg for msg in problems), problems
+    assert cpu < 1.0
+
+
 @st.composite
 def _primes_3_mod_4(draw):
     p = nextprime(draw(st.integers(6, 10**12)))

@@ -267,3 +267,127 @@ def test_numpy_scan_refuses_float64_inexact(monkeypatch):
     cols, trace = ((0, 1), (q - 1, 0)), (2, 0)
     with pytest.raises(FieldTooLarge, match="overflows"):
         scan_counts(cols, trace, q**2 - 1, 5, q)
+
+
+# ---------------------------------------------------------------------------
+# the subfield step: F_{q^d}^*-orbits, d the largest proper divisor of n
+
+
+def _int_power(a, exponent, q):
+    """a^exponent mod q for a square int64 matrix, by plain binary powering."""
+    result = np.eye(len(a), dtype=np.int64)
+    for bit in bin(exponent)[2:]:
+        result = result @ result % q
+        if bit == "1":
+            result = result @ a % q
+    return result
+
+
+def _projective_rows(cols, trace, p, q):
+    """The rows by the projective step over F_q alone (d = 1): A^N = c·I, so
+    the N/p terms T·M^j·alpha^m of each coset leader m give the row
+    (q-1)·Z_m at trace 0 and N/p - Z_m elsewhere."""
+    a = np.array(cols, dtype=np.int64).T
+    n = len(a)
+    span = (q**n - 1) // (q - 1) // p
+    leader = [min(m * q**i % p for i in range(n)) for m in range(p)]
+    reps = sorted(set(leader))
+    states = np.hstack([_int_power(a, m, q)[:, :1] for m in reps])
+    zeros = dict(zip(reps, _scan._count_zeros(_int_power(a, p, q), trace, states, span, q)))
+    return np.array([[(q - 1) * zeros[m]] + [span - zeros[m]] * (q - 1) for m in leader])
+
+
+@pytest.mark.parametrize("pq, d, blocks", [
+    ((5, 293), 2, 5),  # 17,170 orbits per column, against 5,030,412 terms at d = 1
+    ((5, 107), 2, 1),
+    ((11, 7), 5, 1),
+    ((17, 3), 8, 1),
+    ((13, 1279), 2, 31),
+])
+def test_subfield_scan_matches_the_projective_step(pq, d, blocks):
+    p, q = pq
+    setup = CyclotomicSetup.create(p, q)
+    ctx = build_field(setup, cap=1 << 42)
+    cols, trace = generator_recurrence(ctx)
+    assert _scan._subfield_degree(ctx.n) == d
+    span = (q**ctx.n - 1) // (q**d - 1) // p
+    assert -(-span // _scan._BLOCK) == blocks
+    got = scan_counts(cols, trace, ctx.order, p, q)
+    assert np.array_equal(got, _projective_rows(cols, trace, p, q))
+
+
+def _alpha_power_columns(ctx, k):
+    """The multiplication matrix of alpha^k in the field's basis, as columns."""
+    power = schoolbook_powmod(ctx.alpha, k, ctx.modulus, ctx.q)
+    basis = [(0,) * i + (1,) + (0,) * (ctx.n - 1 - i) for i in range(ctx.n)]
+    return [schoolbook_mulmod(power, x, ctx.modulus, ctx.q) for x in basis]
+
+
+def test_subfield_premise_is_checked_not_only_the_norm():
+    # alpha^3 in F_{5^4}, p = 13: its norm alpha^468 has order 4 and generates
+    # F_5^*, so the projective step over F_5 still holds and matches the
+    # oracle; but gamma = alpha^(3·26) has order 8, not 24, so it does not
+    # generate F_25^*, and the subfield step would give other rows
+    setup = CyclotomicSetup.create(13, 5)
+    ctx = build_field(setup)
+    cols, trace = _alpha_power_columns(ctx, 3), ctx.basis_traces
+    oracle = scan_counts(cols, trace, ctx.order, 13, 5, backend="python")
+    assert np.array_equal(_projective_rows(cols, trace, 13, 5), oracle)
+    with pytest.raises(InternalInvariant, match=r"does not generate F_\{5\^2\}\^\*"):
+        scan_counts(cols, trace, ctx.order, 13, 5)
+
+
+def test_subfield_scan_needs_p_prime_to_q_to_the_d_minus_1():
+    # F_16 with p = 3: p(q - 1) divides 15, but p divides q^2 - 1 = 3, so
+    # F_4^* does not lie in <alpha^3>
+    setup = CyclotomicSetup.create(5, 2)
+    ctx = build_field(setup)
+    cols, trace = generator_recurrence(ctx)
+    with pytest.raises(ValueError, match="p\\(q\\^d - 1\\)"):
+        scan_counts(cols, trace, ctx.order, 3, 2)
+    got = scan_counts(cols, trace, ctx.order, 3, 2, backend="python")
+    assert int(got.sum()) == ctx.order
+
+
+def _python_zero_flags(mult, trace, column, total, q):
+    """Whether trace·M^j·s = 0, j < total, stepping s -> M·s in python."""
+    n = len(trace)
+    state, flags = [int(t) for t in column], []
+    for _ in range(total):
+        flags.append(sum(int(a) * b for a, b in zip(trace, state)) % q == 0)
+        state = [sum(int(mult[i][j]) * state[j] for j in range(n)) % q for i in range(n)]
+    return flags
+
+
+@pytest.mark.parametrize("joint", [2, 3])
+def test_joint_zeros_match_python(monkeypatch, joint):
+    # the count of j at which all `joint` columns of a group vanish, across
+    # block boundaries (an 8-row table)
+    monkeypatch.setattr(_scan, "_BLOCK", 8)
+    rng = np.random.default_rng(joint)
+    n, q, width = 4, 3, 5
+    mult, trace = rng.integers(0, q, (n, n)), rng.integers(0, q, n)
+    states = rng.integers(0, q, (n, joint * width))
+    states[:, width:2 * width] = states[:, :width]  # some joint zeros are the first block's
+    for total in (7, 8, 9, 25):
+        ref = []
+        for i in range(width):
+            group = range(i, joint * width, width)  # column i of each block
+            flags = [_python_zero_flags(mult, trace, states[:, c], total, q) for c in group]
+            ref.append(sum(map(all, zip(*flags))))
+        got = _scan._count_zeros(mult, trace, states, total, q, joint)
+        assert got.tolist() == ref, total
+        assert sum(ref) > 0
+
+
+def test_one_squaring_chain_gives_squares_powers_and_the_doubled_block():
+    rng = np.random.default_rng(7)
+    q, n = 11, 3
+    a = rng.integers(0, q, (n, n))
+    block = rng.integers(0, q, (n, 2))
+    exps = [1, 6, 13, 31]
+    squares, powers, grown = _scan._chain(a.astype(np.float64), q, 5, exps, block, 3)
+    assert [s.tolist() for s in squares] == [_int_power(a, 1 << k, q).tolist() for k in range(5)]
+    assert [x.tolist() for x in powers] == [_int_power(a, e, q).tolist() for e in exps]
+    want = np.hstack([_int_power(a, i, q) @ block % q for i in range(8)])
+    assert grown.tolist() == want.tolist()
