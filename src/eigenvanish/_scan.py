@@ -44,8 +44,9 @@ columns Γ^i·s_m from the squares of Γ. The zero counter `_count_zeros`
 reads a block of terms of every column per matmul from the power table. All
 of it is float64 matrix arithmetic mod q on integers below n(q-1)^2, exact
 while that stays below 2^53, so a field with n(q-1)^2 >= 2^53 is refused.
-`_scan_python` walks all q^n - 1 powers alpha^k by the packed field product,
-the oracle the production path must match bit for bit.
+`_scan_python`, a walk of all q^n - 1 powers alpha^k by the packed field
+product, is the oracle `scan_counts` must match bit for bit; only
+`periods.compute_period_table(..., backend=)` chooses between the two.
 
 numpy is imported inside the functions that use it, so it loads only when a
 scan runs; importing the package, or a command that never scans, leaves it out.
@@ -111,11 +112,11 @@ def _chain(a, q, steps: int, exponents=(), block=None, grow: int = 0):
     return squares, powers, block
 
 
-def _count_zeros(mult, trace, states, total, q, joint=1):
+def _count_zeros(squares, trace, states, total, q, joint=1):
     """Zeros among the terms trace·M^j·s, j < `total`, for each column s of
-    `states`, M an n×n matrix and `trace` a row of n, all over F_q. `mult`
-    is M, or the list M, M^2, M^4, ... of its squarings, up to M^B at least
-    (B below), when the caller has them. With `joint` = d > 1 the columns are
+    `states`, M an n×n matrix and `trace` a row of n, all over F_q.
+    `squares` is the list M, M^2, M^4, ... of M's squarings from `_chain`,
+    up to M^B at least (B below). With `joint` = d > 1 the columns are
     d blocks of R, [S, Γ·S, ..., Γ^(d-1)·S], and entry c of the result
     counts the j at which the terms of column c of every block all vanish.
 
@@ -137,10 +138,6 @@ def _count_zeros(mult, trace, states, total, q, joint=1):
 
     height = 1 << min(_BLOCK, total).bit_length() - 1
     top = height.bit_length()  # the squares M^(2^k) read, k < top
-    if isinstance(mult, list):
-        squares = mult
-    else:
-        squares = _chain(np.asarray(mult, dtype=np.float64), q, top)[0]
     u = np.empty((height, len(trace)))
     u[0] = trace
     for k in range(top - 1):
@@ -164,15 +161,18 @@ def _count_zeros(mult, trace, states, total, q, joint=1):
         state = _mod(squares[top - 1] @ state, q)
 
 
-def _coset_owners(p: int, q: int) -> list[int]:
-    """owner[m] is the least element of m's coset of <q> in Z/p (owner[0] = 0)."""
-    owner = [0] + [-1] * (p - 1)
+def _cosets(p: int, q: int) -> tuple[list[int], list[int]]:
+    """The cosets of <q> in Z/p: their least elements in ascending order, 0
+    first, and slot[m], the index in that list of m's coset's least element."""
+    leaders, slot = [0], [0] + [-1] * (p - 1)
     for m in range(1, p):
-        k = m
-        while owner[k] < 0:
-            owner[k] = m
-            k = k * q % p
-    return owner
+        if slot[m] < 0:  # the first element of a coset met is its least
+            k = m
+            while slot[k] < 0:
+                slot[k] = len(leaders)
+                k = k * q % p
+            leaders.append(m)
+    return leaders, slot
 
 
 def _subfield_degree(n: int) -> int:
@@ -186,12 +186,11 @@ def _projective_counts(cols, trace, p: int, q: int, d: int):
     n = len(cols)
     qd = q**d - 1
     span = (q**n - 1) // qd // p  # N_d/p orbits of F_{q^d}^* per column
-    owner = _coset_owners(p, q)
-    reps = sorted(set(owner))
+    leaders, slot = _cosets(p, q)
 
     # alpha^m for every m below 2^t > the largest coset leader, and M = A^p
     a = np.array(cols, dtype=np.float64).T  # column i is alpha·x^i
-    _, (mult,), powers = _chain(a, q, p.bit_length(), [p], np.eye(n, 1), reps[-1].bit_length())
+    _, (mult,), powers = _chain(a, q, p.bit_length(), [p], np.eye(n, 1), leaders[-1].bit_length())
     # M^(2^k) for 2^k <= span: the power table, the state jump and Γ = M^span
     squares, (gamma,), _ = _chain(mult, q, span.bit_length(), [span])
     # the premise's Γ^norm = A^N and Γ^(norm/ell); the d start blocks Γ^i·S
@@ -200,7 +199,7 @@ def _projective_counts(cols, trace, p: int, q: int, d: int):
     others = [ell for ell in primes if (q - 1) % ell]  # the primes of norm alone
     exps = [norm] + [norm // ell for ell in others]
     _, (cnorm, *checks), states = _chain(
-        gamma, q, max(exps).bit_length(), exps, powers[:, reps], (d - 1).bit_length()
+        gamma, q, max(exps).bit_length(), exps, powers[:, leaders], (d - 1).bit_length()
     )
     c = int(cnorm[0, 0])
     if not (
@@ -213,27 +212,29 @@ def _projective_counts(cols, trace, p: int, q: int, d: int):
         raise InternalInvariant(
             f"alpha^N_d = {gamma[:, 0].astype(int).tolist()} does not generate F_{{{q}^{d}}}^*"
         )
-    zeros = _count_zeros(squares, trace, states[:, : d * len(reps)], span, q, d)
+    zeros = _count_zeros(squares, trace, states[:, : d * len(leaders)], span, q, d)
 
-    at = {m: i for i, m in enumerate(reps)}
-    y = zeros[[at[m] for m in owner]]
+    y = zeros[slot]
     rows = np.empty((p, q), dtype=np.int64)
     rows[:, 0] = qd * y + (q ** (d - 1) - 1) * (span - y)
     rows[:, 1:] = (q ** (d - 1) * (span - y))[:, None]
     return rows
 
 
-def _scan_python(cols, trace, total, p, q, counts):
-    """Plain-python reference used by the cross-checking tests, sharing none of
-    the three identities: alpha^k walks by the packed field product, one a
-    term, and Tr(alpha^k) = T·s_k is slot n - 1 of one int product of the
-    packed s_k with the packed trace row reversed.
+def _scan_python(cols, trace, total, p, q):
+    """The table of `scan_counts` for any `total`, in plain python, sharing
+    none of the four identities: alpha^k walks by the packed field product,
+    one a term, and Tr(alpha^k) = T·s_k is slot n - 1 of one int product of
+    the packed s_k with the packed trace row reversed.
 
     The columns give the modulus F = X^n + sum F_i X^i: X·(alpha·X^i) is
     alpha·X^(i+1), so cols[i+1] = X·cols[i] - c·F with c = cols[i][n-1], and
     F = (X·cols[i] - cols[i+1])/c for any i with c != 0. There is one unless
     alpha is in F_q, and then any F serves. The form must give back every
     column."""
+    import numpy as np
+
+    cols, trace = [[int(c) for c in col] for col in cols], [int(t) for t in trace]
     n = len(cols)
     modulus = [0] * n
     for col, after in zip(cols, cols[1:]):
@@ -246,45 +247,32 @@ def _scan_python(cols, trace, total, p, q, counts):
     if any(form.unpack(form.mul(alpha, 1 << form.w * i)) != tuple(c) for i, c in enumerate(cols)):
         raise InternalInvariant("the columns are not a field element's multiplication matrix")
     row, slot, mask = form.pack(trace[::-1]), (n - 1) * form.w, form.mask
-    power = 1
+    counts, power = [[0] * q for _ in range(p)], 1
     for k in range(total):
         counts[k % p][(power * row >> slot & mask) % q] += 1
         power = form.mul(power, alpha)
+    return np.array(counts, dtype=np.int64)
 
 
-def scan_counts(cols, trace, total: int, p: int, q: int, backend: str = "numpy"):
-    """Histogram of (k mod p, Tr(alpha^k)) over k in [0, total), given, in a
-    basis x^i of the field, cols[i] = the coefficients of alpha·x^i and
-    trace[i] = Tr(x^i), i < n.
+def scan_counts(cols, trace, total: int, p: int, q: int):
+    """Histogram of (k mod p, Tr(alpha^k)) over k in [0, total), as a p×q
+    int64 table, given, in a basis x^i of the field, cols[i] = the
+    coefficients of alpha·x^i and trace[i] = Tr(x^i), i < n.
 
-    `backend` is "numpy" (production: the subfield-orbit scan, which covers
-    the whole group, so `total` must be q^n - 1 and p(q^d - 1) must divide
-    it, d the largest proper divisor of n, and n(q-1)^2 < 2^53 must bound
-    its dot products, so that float64 holds them exactly) or "python" (the
-    full slow oracle, for any `total`).
+    The subfield-orbit scan covers the whole group: `total` must be q^n - 1
+    and p(q^d - 1) must divide it, d the largest proper divisor of n, and
+    n(q-1)^2 < 2^53 must bound its dot products, so that float64 holds them
+    exactly. `_scan_python` is its oracle, for any `total`.
     """
     n = len(cols)
-    if backend == "numpy":
-        if total != q**n - 1 or total // (q - 1) % p:
-            raise ValueError(
-                f"the projective scan needs total = q^n - 1 divisible by p(q-1), got {total}"
-            )
-        d = _subfield_degree(n)
-        if total % (p * (q**d - 1)):
-            raise ValueError(
-                f"the subfield scan needs p(q^d - 1) | q^n - 1 with d = {d}, "
-                f"so that F_{{q^d}}^* lies in <alpha^p>; p = {p} divides q^d - 1"
-            )
-        if n * (q - 1) ** 2 >= 1 << 53:
-            raise FieldTooLarge(
-                f"n(q-1)^2 = {n * (q - 1) ** 2} overflows the exact float64 integers (2^53)"
-            )
-        return _projective_counts(cols, trace, p, q, d)
-    if backend == "python":
-        import numpy as np
-
-        py_counts = [[0] * q for _ in range(p)]
-        cols = [[int(c) for c in col] for col in cols]
-        _scan_python(cols, [int(t) for t in trace], total, p, q, py_counts)
-        return np.array(py_counts, dtype=np.int64)
-    raise ValueError(f"unknown scan backend {backend!r}")
+    d = _subfield_degree(n)
+    if total != q**n - 1 or total % (p * (q**d - 1)):
+        raise ValueError(
+            f"the subfield scan needs total = q^n - 1 divisible by p(q^d - 1) with d = {d}, "
+            f"so that F_{{q^d}}^* lies in <alpha^p>; got total = {total}, p = {p}"
+        )
+    if n * (q - 1) ** 2 >= 1 << 53:
+        raise FieldTooLarge(
+            f"n(q-1)^2 = {n * (q - 1) ** 2} overflows the exact float64 integers (2^53)"
+        )
+    return _projective_counts(cols, trace, p, q, d)

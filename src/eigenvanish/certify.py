@@ -497,9 +497,7 @@ def remark_explore(
         raise BadPrime(f"p={p} gives order {n} < 2")
     check_primitive_root(p, g)
     r = ((e - 1) * p + 1) // e
-    for q in _primes_of_order(p, n, qbound):
-        if q**n > field_cap:
-            break  # the primes ascend, so every later field is larger still
+    for _, q, _ in _fields_of_order(n, _primes_of_order(p, n, qbound), field_cap):
         setup = CyclotomicSetup.create(p, q, g=g)
         ctx = build_field(setup)
         table = compute_period_table(ctx, setup)

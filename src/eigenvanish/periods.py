@@ -9,7 +9,7 @@ exact character-twisted sums.
 The rows come from `_scan.scan_counts`, which counts one row per coset of
 <q> mod p from a decimated trace sequence of (q^n - 1)/(p(q^d - 1)) orbits
 of F_{q^d}^*, d the largest proper divisor of n, read off alpha's
-multiplication matrix in the field's basis x^i;
+multiplication matrix in the field's basis x^i, or from its oracle;
 `compute_period_table` checks every row's sum, rationality and the periods' sum.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .errors import DivisibilityFailure, InternalInvariant, NonIntegralPeriod
 from .ffield import CyclotomicSetup, FieldContext, generator_recurrence, multiplicative_order
-from ._scan import scan_counts
+from ._scan import _scan_python, scan_counts
 
 
 @dataclass(frozen=True)
@@ -70,9 +70,15 @@ def compute_a(setup: CyclotomicSetup, d, v: int) -> tuple[int, ...]:
 def compute_period_table(
     ctx: FieldContext, setup: CyclotomicSetup, backend: str = "numpy"
 ) -> PeriodTable:
+    """The checked period table of `ctx`. `backend` is the one scan switch:
+    "numpy" (production, `scan_counts`) or "python" (its slow oracle,
+    `_scan_python`); any other value raises ValueError."""
+    scan = {"numpy": scan_counts, "python": _scan_python}.get(backend)
+    if scan is None:
+        raise ValueError(f"unknown scan backend {backend!r}")
     p, q, f = setup.p, setup.q, setup.f
     cols, trace = generator_recurrence(ctx)
-    counts = scan_counts(cols, trace, ctx.order, p, q, backend=backend)
+    counts = scan(cols, trace, ctx.order, p, q)
     rows = tuple(map(tuple, counts.tolist()))  # Python ints, in one C call
     values = []
     for m, row in enumerate(rows):

@@ -12,25 +12,41 @@ from eigenvanish import (
     _scan,
     build_field,
     certify_half_plus,
+    compute_period_table,
 )
 from eigenvanish._scan import _scan_python, scan_counts
 from eigenvanish.certify import DEFAULT_FIELD_CAP
 from eigenvanish.ffield import _power_sums, generator_recurrence
 
-BACKENDS = ["python", "numpy"]
 FIELDS = [(7, 2), (13, 3), (11, 3), (19, 5)]
 
 
-def _counts(setup, backend):
-    ctx = build_field(setup, cap=1 << 22)
-    cols, trace = generator_recurrence(ctx)
-    return scan_counts(cols, trace, ctx.order, setup.p, setup.q, backend=backend)
+def _field(pq):
+    """(ctx, setup), the arguments of compute_period_table."""
+    setup = CyclotomicSetup.create(*pq)
+    return build_field(setup, cap=1 << 22), setup
+
+
+def _counts(pq):
+    ctx, setup = _field(pq)
+    return scan_counts(*generator_recurrence(ctx), ctx.order, setup.p, setup.q)
 
 
 @cache
-def _oracle_counts(pq):
+def _oracle_table(pq):
     # the python scan of (19, 5) takes seconds; run it once per module
-    return _counts(CyclotomicSetup.create(*pq), "python")
+    return compute_period_table(*_field(pq), backend="python")
+
+
+def _oracle_counts(pq):
+    return np.array(_oracle_table(pq).counts, dtype=np.int64)
+
+
+def _zeros(mult, trace, states, total, q, joint=1):
+    """`_scan._count_zeros` for the matrix `mult`, on its squarings from
+    `_scan._chain`: total.bit_length() of them reach the state jump M^B."""
+    squares = _scan._chain(np.asarray(mult, dtype=np.float64), q, total.bit_length())[0]
+    return _scan._count_zeros(squares, trace, states, total, q, joint)
 
 
 # ---------------------------------------------------------------------------
@@ -104,11 +120,10 @@ def test_projective_scan_matches_full_histogram(monkeypatch, block):
 
 @pytest.mark.parametrize("pq", FIELDS)
 def test_backends_bit_identical(pq):
-    setup = CyclotomicSetup.create(*pq)
-    ref = _oracle_counts(pq)
-    for backend in BACKENDS[1:]:
-        got = _counts(setup, backend)
-        assert np.array_equal(ref, got), backend
+    # the count table of the production scan, and the whole period table of
+    # compute_period_table's default route, against the python route
+    assert np.array_equal(_counts(pq), _oracle_counts(pq))
+    assert compute_period_table(*_field(pq)) == _oracle_table(pq)
 
 
 def _python_zeros(mult, trace, column, total, q):
@@ -128,7 +143,7 @@ def test_multi_block_matches_python(monkeypatch, block):
     # n > block makes the table shorter than the state
     monkeypatch.setattr(_scan, "_BLOCK", block)
     for pq in FIELDS:
-        got = _counts(CyclotomicSetup.create(*pq), "numpy")
+        got = _counts(pq)
         assert np.array_equal(got, _oracle_counts(pq)), pq
     rng = np.random.default_rng(block)
     for n in (3, block + 3):
@@ -138,7 +153,7 @@ def test_multi_block_matches_python(monkeypatch, block):
             trace, states = rng.integers(0, 5, n), rng.integers(0, 5, (n, 4))
             for total in (block - 1, block, block + 1, 2 * block + 1):
                 ref = [_python_zeros(mult, trace, states[:, c], total, 5) for c in range(4)]
-                got = _scan._count_zeros(mult, trace, states, total, 5)
+                got = _zeros(mult, trace, states, total, 5)
                 assert got.tolist() == ref, (n, total)
 
 
@@ -157,7 +172,7 @@ def test_float64_terms_exact_just_below_the_bound(monkeypatch):
                  rng.integers(0, q, (2, 2))):
         for total in (7, 8, 17):
             ref = [_python_zeros(mult, trace, states[:, c], total, q) for c in range(4)]
-            got = _scan._count_zeros(mult, trace, states, total, q)
+            got = _zeros(mult, trace, states, total, q)
             assert got.tolist() == ref, (mult.tolist(), total)
     assert sum(ref) > 0
 
@@ -193,7 +208,7 @@ def test_largest_certify_scan_allocates_little():
 def test_row_sums_equal_f(pq):
     # each period collects exactly f field elements
     setup = CyclotomicSetup.create(*pq)
-    counts = _counts(setup, "numpy")
+    counts = _counts(pq)
     assert counts.shape == (setup.p, setup.q)
     assert all(int(row.sum()) == setup.f for row in counts)
 
@@ -201,8 +216,8 @@ def test_row_sums_equal_f(pq):
 def test_python_reference_direct(f8):
     setup, ctx = f8
     cols, trace = generator_recurrence(ctx)
-    got = np.zeros((setup.p, setup.q), dtype=np.int64)
-    _scan_python(cols, trace, ctx.order, setup.p, setup.q, got)
+    got = _scan_python(cols, trace, ctx.order, setup.p, setup.q)
+    assert got.dtype == np.int64
     assert np.array_equal(got, scan_counts(cols, trace, ctx.order, setup.p, setup.q))
 
 
@@ -213,17 +228,15 @@ def test_python_reference_refuses_columns_of_no_field_element(f8):
     cols, trace = generator_recurrence(ctx)
     assert cols[0] == (0, 1, 0)
     forged = ((1, 1, 0),) + cols[1:]
-    got = np.zeros((setup.p, setup.q), dtype=np.int64)
     with pytest.raises(InternalInvariant, match="multiplication matrix"):
-        _scan_python(forged, trace, ctx.order, setup.p, setup.q, got)
+        _scan_python(forged, trace, ctx.order, setup.p, setup.q)
 
 
 def test_unknown_backend_rejected(f8):
     setup, ctx = f8
-    cols, trace = generator_recurrence(ctx)
     for backend in ("fortran", "numba"):
-        with pytest.raises(ValueError):
-            scan_counts(cols, trace, ctx.order, setup.p, setup.q, backend=backend)
+        with pytest.raises(ValueError, match="unknown scan backend"):
+            compute_period_table(ctx, setup, backend=backend)
 
 
 def test_projective_scan_needs_the_whole_group(f8):
@@ -231,7 +244,7 @@ def test_projective_scan_needs_the_whole_group(f8):
     cols, trace = generator_recurrence(ctx)
     with pytest.raises(ValueError):
         scan_counts(cols, trace, ctx.order - 1, setup.p, setup.q)
-    got = scan_counts(cols, trace, ctx.order - 1, setup.p, setup.q, backend="python")
+    got = _scan_python(cols, trace, ctx.order - 1, setup.p, setup.q)
     assert int(got.sum()) == ctx.order - 1
 
 
@@ -293,7 +306,7 @@ def _projective_rows(cols, trace, p, q):
     leader = [min(m * q**i % p for i in range(n)) for m in range(p)]
     reps = sorted(set(leader))
     states = np.hstack([_int_power(a, m, q)[:, :1] for m in reps])
-    zeros = dict(zip(reps, _scan._count_zeros(_int_power(a, p, q), trace, states, span, q)))
+    zeros = dict(zip(reps, _zeros(_int_power(a, p, q), trace, states, span, q)))
     return np.array([[(q - 1) * zeros[m]] + [span - zeros[m]] * (q - 1) for m in leader])
 
 
@@ -331,7 +344,7 @@ def test_subfield_premise_is_checked_not_only_the_norm():
     setup = CyclotomicSetup.create(13, 5)
     ctx = build_field(setup)
     cols, trace = _alpha_power_columns(ctx, 3), ctx.basis_traces
-    oracle = scan_counts(cols, trace, ctx.order, 13, 5, backend="python")
+    oracle = _scan_python(cols, trace, ctx.order, 13, 5)
     assert np.array_equal(_projective_rows(cols, trace, 13, 5), oracle)
     with pytest.raises(InternalInvariant, match=r"does not generate F_\{5\^2\}\^\*"):
         scan_counts(cols, trace, ctx.order, 13, 5)
@@ -345,7 +358,7 @@ def test_subfield_scan_needs_p_prime_to_q_to_the_d_minus_1():
     cols, trace = generator_recurrence(ctx)
     with pytest.raises(ValueError, match="p\\(q\\^d - 1\\)"):
         scan_counts(cols, trace, ctx.order, 3, 2)
-    got = scan_counts(cols, trace, ctx.order, 3, 2, backend="python")
+    got = _scan_python(cols, trace, ctx.order, 3, 2)
     assert int(got.sum()) == ctx.order
 
 
@@ -375,7 +388,7 @@ def test_joint_zeros_match_python(monkeypatch, joint):
             group = range(i, joint * width, width)  # column i of each block
             flags = [_python_zero_flags(mult, trace, states[:, c], total, q) for c in group]
             ref.append(sum(map(all, zip(*flags))))
-        got = _scan._count_zeros(mult, trace, states, total, q, joint)
+        got = _zeros(mult, trace, states, total, q, joint)
         assert got.tolist() == ref, total
         assert sum(ref) > 0
 
@@ -391,3 +404,18 @@ def test_one_squaring_chain_gives_squares_powers_and_the_doubled_block():
     assert [x.tolist() for x in powers] == [_int_power(a, e, q).tolist() for e in exps]
     want = np.hstack([_int_power(a, i, q) @ block % q for i in range(8)])
     assert grown.tolist() == want.tolist()
+
+
+def test_cosets_match_the_least_element_of_each_coset():
+    # brute force: the least of m·q^i mod p over i < p - 1, for every prime
+    # p < 200 and q < 60 with q mod p not 0 or 1
+    for p in (p for p in range(2, 200) if all(p % k for k in range(2, p))):
+        residues = np.arange(p)
+        for q in range(2, 60):
+            if q % p in (0, 1):
+                continue
+            powers = [pow(q, i, p) for i in range(p - 1)]
+            leader = (residues[:, None] * powers % p).min(axis=1).tolist()
+            leaders, slot = _scan._cosets(p, q)
+            assert leaders == sorted(set(leader)), (p, q)
+            assert [leaders[s] for s in slot] == leader, (p, q)

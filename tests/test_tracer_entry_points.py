@@ -4,6 +4,7 @@ layer in a benchmark run; these tests make it fail the test suite instead."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
@@ -33,3 +34,10 @@ def test_call_site_exists(module_name, attr):
 @pytest.mark.parametrize("attr", sorted(tracing.API_SPANS))
 def test_api_span_exists(attr):
     assert callable(getattr(eigenvanish, attr, None))
+
+
+def test_scan_counts_takes_the_element_count_third():
+    # the tracer reads the scan's element count as its third positional argument
+    periods = importlib.import_module("eigenvanish.periods")
+    params = list(inspect.signature(periods.scan_counts).parameters)
+    assert params[:5] == ["cols", "trace", "total", "p", "q"]
