@@ -30,6 +30,8 @@ from .errors import (
     InternalInvariant,
 )
 from .ffield import (
+    DEFAULT_FIELD_CAP,
+    DEFAULT_QBOUND,
     CyclotomicSetup,
     FieldContext,
     build_field,
@@ -42,9 +44,6 @@ from .ffield import (
 from .periods import compute_period_table, compute_v
 from .quadforms import ClassNumberData, class_number, represent_all
 from .units import TRIVIAL, UNKNOWN, IndexVector, index_mod_p, index_vector, verdict
-
-DEFAULT_FIELD_CAP = 1 << 27
-DEFAULT_QBOUND = 10_000
 
 INCONCLUSIVE = "Inconclusive"
 

@@ -11,39 +11,10 @@ are decimal strings; the only floats are density ratios.
 import argparse
 import json
 import sys
-from fractions import Fraction
-from math import gcd
 
 from ._nt import is_prime
-from .certify import (
-    DEFAULT_FIELD_CAP,
-    DEFAULT_QBOUND,
-    certificate_from_dict,
-    certificate_to_dict,
-    certify_half_plus,
-    check_certificate,
-    remark_explore,
-    vandiver_scan,
-)
 from .errors import BadInput, EigenvanishError, ResourceLimit
-from .ffield import CyclotomicSetup, build_field
-from .periods import compute_period_table
-from .quadforms import (
-    class_number,
-    cornacchia,
-    density_estimate,
-    reduced_forms_count,
-    represent_all,
-    stickelberger_sign,
-    stickelberger_target,
-)
-from .units import (
-    TRIVIAL,
-    beta_index_mod_p,
-    index_vector,
-    verify_congruences_ii,
-    verify_identity_i,
-)
+from .ffield import DEFAULT_FIELD_CAP, DEFAULT_QBOUND, CyclotomicSetup, build_field
 
 SCHEMA = "eigenvanish/1"
 
@@ -71,12 +42,14 @@ def _report(command: str, params: dict, result, checks: list) -> dict:
     }
 
 
-def _frac(x: Fraction) -> str:
+def _frac(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
 # --------------------------------------------------------------------------
-# subcommand handlers return (report, summary lines, exit code); a failed check exits 2
+# subcommand handlers return (report, summary lines, exit code); a failed check exits 2.
+# Each imports what it runs beyond the field layer in its own body, so a command
+# loads only the modules it runs: `setup` loads ffield, _nt and errors alone.
 
 
 def cmd_setup(args):
@@ -94,10 +67,14 @@ def cmd_setup(args):
             "basis_traces": list(ctx.basis_traces),
         },
     }
+    form = ctx.kronecker
+    zeta = form.pack(ctx.zeta)
     checks = [
-        _check("order-bookkeeping", True,
+        _check("order-bookkeeping",
+               (setup.p - 1) % setup.n == 0 and setup.p * setup.f == setup.q**setup.n - 1,
                f"n={setup.n} | p-1={setup.p - 1}; p*f = q^n - 1"),
-        _check("zeta-order-p", True, "zeta = alpha^f has exact order p"),
+        _check("zeta-order-p", zeta != 1 and form.pow(zeta, setup.p) == 1,
+               "zeta = alpha^f has exact order p"),
     ]
     summary = [
         f"p={setup.p} q={setup.q}: n={setup.n} e={setup.e} f={setup.f} g={setup.g}",
@@ -108,6 +85,8 @@ def cmd_setup(args):
 
 
 def cmd_periods(args):
+    from .periods import compute_period_table
+
     setup = CyclotomicSetup.create(args.p, args.q, g=args.g)
     ctx = build_field(setup, cap=args.field_cap)
     table = compute_period_table(ctx, setup)
@@ -137,6 +116,8 @@ def cmd_periods(args):
 
 
 def cmd_indices(args):
+    from .units import TRIVIAL, beta_index_mod_p
+
     setup = CyclotomicSetup.create(args.p, args.q, g=args.g)
     ctx = build_field(setup)
     rec = beta_index_mod_p(ctx, setup, args.r)
@@ -156,6 +137,9 @@ def cmd_indices(args):
 
 
 def cmd_identity(args):
+    from .periods import compute_period_table
+    from .units import index_vector, verify_congruences_ii, verify_identity_i
+
     setup = CyclotomicSetup.create(args.p, args.q, g=args.g)
     ctx = build_field(setup, cap=args.field_cap)
     table = compute_period_table(ctx, setup)
@@ -191,6 +175,9 @@ def cmd_identity(args):
 
 
 def cmd_certify(args):
+    from .certify import certificate_to_dict, certify_half_plus, check_certificate
+    from .units import TRIVIAL
+
     cert = certify_half_plus(
         args.p, max_witnesses=args.max_witnesses, qbound=args.max_q,
         field_cap=args.field_cap, g=args.g,
@@ -221,6 +208,9 @@ def cmd_certify(args):
 
 
 def cmd_vandiver(args):
+    from .certify import vandiver_scan
+    from .units import TRIVIAL
+
     report = vandiver_scan(
         args.p, max_witnesses_per_r=args.max_witnesses, qbound=args.max_q,
         field_cap=args.field_cap, g=args.g,
@@ -258,6 +248,8 @@ def cmd_vandiver(args):
 
 
 def cmd_classnum(args):
+    from .quadforms import class_number, reduced_forms_count
+
     cn = class_number(args.p)
     forms = reduced_forms_count(-args.p)
     params = {"p": args.p}
@@ -273,6 +265,8 @@ def cmd_classnum(args):
 
 
 def cmd_cornacchia(args):
+    from .quadforms import cornacchia, represent_all
+
     D, N = args.D, args.N
     params = {"D": D, "N": str(N), "all": args.all}
     if args.all:
@@ -306,6 +300,10 @@ def cmd_cornacchia(args):
 
 
 def cmd_stickelberger(args):
+    from math import gcd
+
+    from .quadforms import class_number, represent_all, stickelberger_sign, stickelberger_target
+
     p, q = args.p, args.q
     cn = class_number(p)
     if not is_prime(q) or q == p:
@@ -347,6 +345,10 @@ def cmd_stickelberger(args):
 
 
 def cmd_density(args):
+    from fractions import Fraction
+
+    from .quadforms import class_number, density_estimate
+
     p = args.p
     if not is_prime(p) or p <= 3:
         raise BadInput(f"p={p} must be an odd prime > 3")
@@ -392,6 +394,8 @@ def cmd_density(args):
 
 
 def cmd_explore(args):
+    from .certify import remark_explore
+
     report = remark_explore(
         args.p, args.which, qbound=args.max_q, field_cap=args.field_cap, g=args.g,
     )
@@ -422,6 +426,8 @@ def cmd_explore(args):
 
 
 def cmd_verify(args):
+    from .certify import certificate_from_dict, check_certificate
+
     try:
         with open(args.certificate, "r", encoding="utf-8") as fh:
             data = json.load(fh)

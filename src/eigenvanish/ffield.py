@@ -46,6 +46,12 @@ from .errors import (
     NotInSubgroup,
 )
 
+# Defaults of the certificate search (`certify`) and of the CLI options that
+# feed it: the largest field size q^n whose elements a witness may enumerate,
+# and the largest witness prime q to try.
+DEFAULT_FIELD_CAP = 1 << 27
+DEFAULT_QBOUND = 10_000
+
 # Primitivity certification refuses composite cofactors above this size; at
 # supported field sizes the cyclotomic split keeps pieces far below it.
 _FACTOR_DIGIT_LIMIT = 80

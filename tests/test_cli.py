@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import inspect
 import json
 import subprocess
@@ -9,9 +10,10 @@ from pathlib import Path
 import pytest
 from conftest import WRONG_TYPES, forged_golden_certificate, unencodable_certificates
 
-from eigenvanish import cli
+from eigenvanish import cli, quadforms
 from eigenvanish.cli import SCHEMA, build_parser, main
 from eigenvanish.errors import InternalInvariant
+from eigenvanish.ffield import build_field
 
 
 def run(capsys, *argv):
@@ -206,8 +208,9 @@ def test_handler_bad_input_exits_1(capsys, tmp_path, argv, message):
 
 
 def test_failing_check_exits_2_without_a_handler_code(capsys, monkeypatch):
-    # the handler returns 0; the failed sign-congruence check alone gives 2
-    monkeypatch.setattr(cli, "stickelberger_sign", lambda *args: None)
+    # the handler returns 0; the failed sign-congruence check alone gives 2.
+    # The handler imports stickelberger_sign when it runs, so patch its home.
+    monkeypatch.setattr(quadforms, "stickelberger_sign", lambda *args: None)
     code, report, err = run(capsys, "stickelberger", "--p", "7", "--q", "11", "--json")
     assert code == 2
     assert report["result"]["signed_C"] is None
@@ -407,6 +410,22 @@ def test_internal_invariant_exits_3(capsys, monkeypatch):
     assert err == "internal invariant violated: forced\n"
 
 
+@pytest.mark.parametrize("forged", ["one", "generator"])
+def test_setup_checks_zeta_in_the_built_field(capsys, monkeypatch, forged):
+    # at (7, 3), n = 6 and f = 104: zeta = 1 fails zeta != 1, and the
+    # generator, of order 3^6 - 1 = 728, fails zeta^7 = 1
+    def forging(setup, cap=None):
+        ctx = build_field(setup, cap)
+        zeta = (1,) + (0,) * (ctx.n - 1) if forged == "one" else ctx.alpha
+        return dataclasses.replace(ctx, zeta=zeta)
+
+    monkeypatch.setattr(cli, "build_field", forging)
+    code, report, err = run(capsys, "setup", "--p", "7", "--q", "3", "--json")
+    assert code == 2
+    checks = {c["name"]: c["ok"] for c in report["checks"]}
+    assert checks == {"order-bookkeeping": True, "zeta-order-p": False}
+
+
 @pytest.mark.parametrize("message", ["", "Unable to allocate 2.50 GiB"])
 def test_out_of_memory_exits_2_with_a_report(capsys, monkeypatch, message):
     # numpy raises a MemoryError subclass with a message, a bytearray a bare one
@@ -416,7 +435,7 @@ def test_out_of_memory_exits_2_with_a_report(capsys, monkeypatch, message):
     def exhausted(*args):
         raise ArrayMemoryError(message)
 
-    monkeypatch.setattr(cli, "density_estimate", exhausted)
+    monkeypatch.setattr(quadforms, "density_estimate", exhausted)
     code, report, err = run(capsys, "density", "--p", "7", "--bound", "1000", "--json")
     assert code == 2
     assert report["result"] is None

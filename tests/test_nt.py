@@ -256,6 +256,87 @@ def test_cli_import_and_setup_load_neither_sympy_nor_numpy():
     assert loaded == {"import": [], "main": [], "code": 0}
 
 
+def _fresh(code: str):
+    """Run `code` in a fresh interpreter from the directory that holds the
+    imported package; returns the JSON of its last stdout line."""
+    root = Path(eigenvanish.__file__).parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import json, sys\n" + code],
+        capture_output=True, text=True, check=True, cwd=root,
+    ).stdout
+    return json.loads(out.splitlines()[-1])
+
+
+def _run_cli(*argv: str) -> str:
+    """Code for `_fresh` that runs the CLI on argv with stdout muted, then
+    prints the exit code and the package modules loaded."""
+    return (
+        "import contextlib, io\n"
+        "from eigenvanish.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({list(argv)!r})\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'eigenvanish')\n"
+        "print(json.dumps({'code': code, 'loaded': loaded, "
+        "'fractions': 'fractions' in sys.modules}))\n"
+    )
+
+
+def test_import_eigenvanish_loads_no_submodule():
+    loaded = _fresh(
+        "import eigenvanish\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('eigenvanish'))))\n"
+    )
+    assert loaded == ["eigenvanish"]
+
+
+def test_setup_loads_only_the_field_layer():
+    got = _fresh(_run_cli("setup", "--p", "7", "--q", "2", "--json"))
+    assert got == {
+        "code": 0,
+        "loaded": ["eigenvanish", "eigenvanish._nt", "eigenvanish.cli",
+                   "eigenvanish.errors", "eigenvanish.ffield"],
+        "fractions": False,
+    }
+
+
+def test_periods_loads_neither_certify_nor_quadforms_nor_units():
+    got = _fresh(_run_cli("periods", "--p", "19", "--q", "5", "--json"))
+    assert got["code"] == 0
+    assert "eigenvanish.periods" in got["loaded"]
+    assert not {"eigenvanish.certify", "eigenvanish.quadforms", "eigenvanish.units"} & set(
+        got["loaded"]
+    )
+
+
+def test_lazy_exports_resolve_to_their_defining_objects():
+    got = _fresh(
+        "import importlib\n"
+        "import eigenvanish\n"
+        "certify_first = eigenvanish.certify.__name__\n"  # before any explicit import
+        "same = []\n"
+        "for name in eigenvanish.__all__:\n"
+        "    obj = getattr(eigenvanish, name)\n"
+        "    home = importlib.import_module(obj.__module__)\n"
+        "    if home.__name__.startswith('eigenvanish.') and getattr(home, name) is obj:\n"
+        "        same.append(name)\n"
+        "try:\n"
+        "    eigenvanish.no_such_name\n"
+        "    unknown = None\n"
+        "except AttributeError as exc:\n"
+        "    unknown = str(exc)\n"
+        "star = {}\n"
+        "exec('from eigenvanish import *', star)\n"
+        "print(json.dumps({'certify': certify_first, 'all': eigenvanish.__all__, 'same': same,\n"
+        "                  'unknown': unknown, 'star': sorted(set(star) - {'__builtins__'}),\n"
+        "                  'dir': set(eigenvanish.__all__) <= set(dir(eigenvanish))}))\n"
+    )
+    assert got["certify"] == "eigenvanish.certify"
+    assert len(got["all"]) == 59
+    assert got["same"] == got["all"] == sorted(got["star"])
+    assert got["unknown"] == "module 'eigenvanish' has no attribute 'no_such_name'"
+    assert got["dir"]
+
+
 @pytest.mark.parametrize("p", (19, 23, 31, 43, 47, 59))
 def test_certify_never_falls_back_to_sympy(p, fallbacks):
     cert = certify_half_plus(p)
