@@ -45,8 +45,10 @@ reads a block of terms of every column per matmul from the power table. All
 of it is float64 matrix arithmetic mod q on integers below n(q-1)^2, exact
 while that stays below 2^53, so a field with n(q-1)^2 >= 2^53 is refused.
 `_scan_python`, a walk of all q^n - 1 powers alpha^k by the packed field
-product, is the oracle `scan_counts` must match bit for bit; only
-`periods.compute_period_table(..., backend=)` chooses between the two.
+product, is the oracle `scan_counts` must match bit for bit. For even n
+`periods.compute_period_table` needs neither: there Y_0 = 1 and Y_m = 0 for
+m != 0 (`periods._semiprimitive_rows`), so it runs `scan_counts` for odd n
+only, and `_scan_python` for every n when its `backend` is "python".
 
 numpy is imported inside the functions that use it, so it loads only when a
 scan runs; importing the package, or a command that never scans, leaves it out.
@@ -221,6 +223,16 @@ def _projective_counts(cols, trace, p: int, q: int, d: int):
     return rows
 
 
+def require_exact(n: int, q: int) -> None:
+    """Raise FieldTooLarge unless n(q-1)^2 < 2^53, the bound that keeps every
+    dot product of the scan an exact float64 integer. `scan_counts` and the
+    closed form of `periods.compute_period_table` refuse the same fields."""
+    if n * (q - 1) ** 2 >= 1 << 53:
+        raise FieldTooLarge(
+            f"n(q-1)^2 = {n * (q - 1) ** 2} overflows the exact float64 integers (2^53)"
+        )
+
+
 def _scan_python(cols, trace, total, p, q):
     """The table of `scan_counts` for any `total`, in plain python, sharing
     none of the four identities: alpha^k walks by the packed field product,
@@ -271,8 +283,5 @@ def scan_counts(cols, trace, total: int, p: int, q: int):
             f"the subfield scan needs total = q^n - 1 divisible by p(q^d - 1) with d = {d}, "
             f"so that F_{{q^d}}^* lies in <alpha^p>; got total = {total}, p = {p}"
         )
-    if n * (q - 1) ** 2 >= 1 << 53:
-        raise FieldTooLarge(
-            f"n(q-1)^2 = {n * (q - 1) ** 2} overflows the exact float64 integers (2^53)"
-        )
+    require_exact(n, q)
     return _projective_counts(cols, trace, p, q, d)

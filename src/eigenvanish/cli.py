@@ -100,12 +100,15 @@ def cmd_periods(args):
     }
     if args.full:
         result["eta_counts"] = [[str(c) for c in row] for row in table.counts]
+    rows, eta = table.counts, table.eta_values
     checks = [
-        _check("eta-count-sums", True, f"every eta holds f={setup.f} terms"),
-        _check("eta-rational", True, "all periods are rational integers"),
-        _check("eta-sum", True, "sum of periods is -1"),
-        _check("eta-mod-q", True, "eta ≡ f mod q"),
-        _check("v-range", True, f"v={table.v}, n-2v >= 0"),
+        _check("eta-count-sums", all(sum(row) == setup.f for row in rows),
+               f"every eta holds f={setup.f} terms"),
+        _check("eta-rational", all(row[1:].count(row[1]) == setup.q - 1 for row in rows),
+               "all periods are rational integers"),
+        _check("eta-sum", sum(eta) == -1, "sum of periods is -1"),
+        _check("eta-mod-q", all((x - setup.f) % setup.q == 0 for x in eta), "eta ≡ f mod q"),
+        _check("v-range", setup.n - 2 * table.v >= 0, f"v={table.v}, n-2v >= 0"),
     ]
     summary = [
         f"p={setup.p} q={setup.q}: v={table.v}",

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import WRONG_TYPES, forged_golden_certificate, unencodable_certificates
 
-from eigenvanish import cli, quadforms
+from eigenvanish import cli, periods, quadforms
 from eigenvanish.cli import SCHEMA, build_parser, main
 from eigenvanish.errors import InternalInvariant
 from eigenvanish.ffield import build_field
@@ -424,6 +424,42 @@ def test_setup_checks_zeta_in_the_built_field(capsys, monkeypatch, forged):
     assert code == 2
     checks = {c["name"]: c["ok"] for c in report["checks"]}
     assert checks == {"order-bookkeeping": True, "zeta-order-p": False}
+
+
+PERIOD_CHECKS = ("eta-count-sums", "eta-rational", "eta-sum", "eta-mod-q", "v-range")
+
+
+@pytest.mark.parametrize("broken", PERIOD_CHECKS)
+def test_periods_checks_read_the_table(capsys, monkeypatch, broken):
+    # at (19, 5), n = 9 and f = 102,796: each forgery of the table breaks
+    # exactly one check (+1 on a whole row keeps it rational; eta_0 + q keeps
+    # every eta ≡ f mod q; eta_0 + 1 with eta_1 - 1 keeps the sum)
+    compute = periods.compute_period_table
+
+    def forging(ctx, setup, backend="numpy"):
+        table = compute(ctx, setup, backend)
+        rows, eta = [list(r) for r in table.counts], list(table.eta_values)
+        if broken == "v-range":
+            return dataclasses.replace(table, v=setup.n)
+        if broken == "eta-count-sums":
+            rows[3] = [c + 1 for c in rows[3]]
+        elif broken == "eta-rational":
+            rows[3][1] += 1
+            rows[3][2] -= 1
+        elif broken == "eta-sum":
+            eta[0] += setup.q
+        else:
+            eta[0] += 1
+            eta[1] -= 1
+        return dataclasses.replace(
+            table, counts=tuple(map(tuple, rows)), eta_values=tuple(eta)
+        )
+
+    monkeypatch.setattr(periods, "compute_period_table", forging)
+    code, report, err = run(capsys, "periods", "--p", "19", "--q", "5", "--json")
+    assert code == 2
+    checks = {c["name"]: c["ok"] for c in report["checks"]}
+    assert checks == {name: name != broken for name in PERIOD_CHECKS}
 
 
 @pytest.mark.parametrize("message", ["", "Unable to allocate 2.50 GiB"])

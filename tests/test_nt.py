@@ -308,6 +308,20 @@ def test_periods_loads_neither_certify_nor_quadforms_nor_units():
     )
 
 
+def test_even_n_period_table_loads_no_numpy():
+    # F_{5^4} for p = 13 takes the closed form; F_{3^3} for p = 13 scans
+    got = _fresh(
+        "from eigenvanish import CyclotomicSetup, build_field, compute_period_table\n"
+        "loaded = []\n"
+        "for q in (5, 3):\n"
+        "    setup = CyclotomicSetup.create(13, q)\n"
+        "    compute_period_table(build_field(setup), setup)\n"
+        "    loaded.append([setup.n, 'numpy' in sys.modules])\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert got == [[4, False], [3, True]]
+
+
 def test_lazy_exports_resolve_to_their_defining_objects():
     got = _fresh(
         "import importlib\n"

@@ -2,18 +2,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from conftest import schoolbook_mulmod, trace
+from conftest import grid_setups, schoolbook_mulmod, trace
+from sympy import primerange
 
 from eigenvanish import (
+    BadInput,
     CyclotomicSetup,
+    FieldTooLarge,
     InternalInvariant,
     NonIntegralPeriod,
     build_field,
     compute_period_table,
     compute_v,
+    multiplicative_order,
     periods,
 )
 from eigenvanish._scan import scan_counts
+from eigenvanish.ffield import generator_recurrence
 
 
 def period_counts_by_walk(setup, ctx):
@@ -129,3 +134,98 @@ def test_d_reconstructs_eta(f8):
     for i, d in enumerate(table.d):
         m = pow(setup.g, i, setup.p)
         assert Fraction(vals[m] - vals[0]) == Fraction(d * setup.q**table.v)
+
+
+# ---------------------------------------------------------------------------
+# even n: the closed form of the semiprimitive case, with no scan
+
+
+def _unreachable(*args, **kwargs):
+    raise AssertionError("a scan step ran")
+
+
+def _setup_id(setup):
+    return f"{setup.p},{setup.q}"
+
+
+EVEN_SMALL_GRID = [s for s in grid_setups() if s.n % 2 == 0 and s.q**s.n <= 1 << 16]
+EVEN_PAIRS = [
+    (p, q)
+    for p in primerange(5, 60)
+    for q in primerange(2, 60)
+    if q != p and q % p != 1
+    and (n := multiplicative_order(q, p)) % 2 == 0 and q**n <= 1 << 24
+]
+
+
+def test_even_n_takes_28_of_the_44_grid_fields():
+    assert sum(s.n % 2 == 0 for s in grid_setups()) == 28
+    assert len(EVEN_SMALL_GRID) == 17 and len(EVEN_PAIRS) == 38
+
+
+@pytest.mark.parametrize("setup", EVEN_SMALL_GRID, ids=_setup_id)
+def test_closed_form_matches_the_python_scan(setup):
+    ctx = build_field(setup, cap=1 << 16)
+    table = compute_period_table(ctx, setup)
+    assert table.counts == periods._semiprimitive_rows(setup.p, setup.q, setup.n)
+    assert table == compute_period_table(ctx, setup, backend="python")
+
+
+@pytest.mark.parametrize("pq", EVEN_PAIRS, ids=lambda pq: f"{pq[0]},{pq[1]}")
+def test_closed_form_matches_the_scan(pq):
+    setup = CyclotomicSetup.create(*pq)
+    ctx = build_field(setup, cap=1 << 24)
+    counts = scan_counts(*generator_recurrence(ctx), ctx.order, setup.p, setup.q)
+    rows = tuple(map(tuple, counts.tolist()))
+    assert periods._semiprimitive_rows(setup.p, setup.q, setup.n) == rows
+
+
+def test_even_n_reaches_neither_the_recurrence_nor_the_scan(monkeypatch):
+    setup = CyclotomicSetup.create(13, 5)  # n = 4
+    ctx = build_field(setup)
+    want = compute_period_table(ctx, setup, backend="python")
+    monkeypatch.setattr(periods, "scan_counts", _unreachable)
+    monkeypatch.setattr(periods, "generator_recurrence", _unreachable)
+    assert compute_period_table(ctx, setup) == want
+    assert want.eta_values == (25 - 2,) + (-2,) * 12  # q^d - span, then -span
+
+
+def test_odd_n_still_scans(monkeypatch, f27):
+    setup, ctx = f27
+    totals = []
+
+    def counted(*args):
+        totals.append(args[2])
+        return scan_counts(*args)
+
+    monkeypatch.setattr(periods, "scan_counts", counted)
+    compute_period_table(ctx, setup)
+    assert totals == [ctx.order]
+
+
+def test_even_n_keeps_the_float64_refusal(monkeypatch):
+    # 5 | q + 1, so n = 2: refused before the closed form, as the scan refuses
+    q = 4_294_967_389
+    setup = CyclotomicSetup.create(5, q)
+    ctx = build_field(setup, cap=10**20)
+    monkeypatch.setattr(periods, "_semiprimitive_rows", _unreachable)
+    with pytest.raises(FieldTooLarge) as closed:
+        compute_period_table(ctx, setup)
+    with pytest.raises(FieldTooLarge) as scanned:
+        scan_counts(((0, 1), (q - 1, 0)), (2, 0), q**2 - 1, 5, q)
+    assert str(closed.value) == str(scanned.value)
+
+
+@pytest.mark.parametrize("field_pq, setup_pq", [
+    ((5, 2), (13, 2)),  # F_16 for n = 12: the closed form would need only setup
+    ((5, 2), (5, 3)),  # F_16 for F_81
+    ((7, 2), (13, 3)),  # F_8 for F_27, odd n
+])
+def test_field_must_match_the_setup(monkeypatch, field_pq, setup_pq):
+    ctx = build_field(CyclotomicSetup.create(*field_pq))
+    setup = CyclotomicSetup.create(*setup_pq)
+    monkeypatch.setattr(periods, "_semiprimitive_rows", _unreachable)
+    monkeypatch.setattr(periods, "generator_recurrence", _unreachable)
+    for backend in ("numpy", "python"):
+        with pytest.raises(BadInput, match="needs F_"):
+            compute_period_table(ctx, setup, backend=backend)

@@ -13,6 +13,7 @@ from eigenvanish import (
     build_field,
     certify_half_plus,
     compute_period_table,
+    periods,
 )
 from eigenvanish._scan import _scan_python, scan_counts
 from eigenvanish.certify import DEFAULT_FIELD_CAP
@@ -327,6 +328,7 @@ def test_subfield_scan_matches_the_projective_step(pq, d, blocks):
     assert -(-span // _scan._BLOCK) == blocks
     got = scan_counts(cols, trace, ctx.order, p, q)
     assert np.array_equal(got, _projective_rows(cols, trace, p, q))
+    assert tuple(map(tuple, got.tolist())) == periods._semiprimitive_rows(p, q, ctx.n)
 
 
 def _alpha_power_columns(ctx, k):
