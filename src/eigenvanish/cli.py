@@ -293,7 +293,8 @@ def cmd_cornacchia(args):
         "solution": None if sol is None else {"x": str(sol[0]), "y": str(sol[1])},
     }
     if sol is None:
-        checks = [_check("no-solution", True, f"{N} is not represented by x^2 + {D}y^2")]
+        checks = [_check("no-solution", not represent_all(D, N),
+                         f"{N} is not represented by x^2 + {D}y^2")]
         summary = [f"x^2 + {D}y^2 = {N}: no solution"]
     else:
         checks = [_check("solution-verifies", sol[0] ** 2 + D * sol[1] ** 2 == N,

@@ -9,10 +9,14 @@ encoding, certified primitive against the full factorization of q^n - 1, and
 zeta = alpha^f is the canonical p-th root of unity.
 
 The modulus search goes up in encoding order and runs Ben-Or's
-irreducibility test, which rejects a reducible candidate at the degree of its
-smallest factor, only on a candidate that is the least of its F_q^*-scaling
-orbit (`_orbit_leaders`): the others are reducible, because a smaller member
-of their orbit was rejected before them. A linear element's powers, which
+irreducibility test only on a candidate that is the least of its
+F_q^*-scaling orbit (`_orbit_leaders`): the others are reducible, because a
+smaller member of their orbit was rejected before them. The test looks for
+the roots 0, 1 and -1 before it builds a packed form, then takes one gcd per
+doubling window of degrees (`_irreducible_form`), so it rejects a reducible
+candidate at the end of the window that holds its smallest factor degree;
+the Frobenius chain x^(q^d), d <= n/2, that it computes stays on the form
+that the field keeps (`_Kronecker.conjugate`). A linear element's powers, which
 decide primitivity and give zeta = alpha^f, are taken by base-q digits over
 its Frobenius conjugates (`_Kronecker.conjugate_pow`); the generator search
 takes them once per monic associate X + c0/c1 of its linear candidates,
@@ -170,7 +174,7 @@ class _Kronecker:
 
     __slots__ = (
         "q", "n", "w", "mask", "top", "f", "mu_neg", "cut", "low", "k", "m", "quotients",
-        "_frobenius",
+        "_chain",
     )
 
     def __init__(self, modulus, q: int):
@@ -194,7 +198,7 @@ class _Kronecker:
             c = -((rest >> self.top + shift) & self.mask) % q
             rest += c * self.f << shift
             self.mu_neg |= c << shift
-        self._frobenius = None
+        self._chain = [1 << w]  # x^(q^j) for j < len(_chain), packed: x itself first
 
     def pack(self, a) -> int:
         w, packed = self.w, 0
@@ -261,15 +265,25 @@ class _Kronecker:
                 result = self.mul(result, x)
         return result
 
-    def frobenius(self) -> tuple[int, ...]:
-        """x^(q^j) for j < n, packed: made on first use by n - 1 powers by q
-        (n >= 2), then kept with the form."""
-        if self._frobenius is None:
-            conjugates = [1 << self.w]
-            for _ in range(self.n - 1):
-                conjugates.append(self.pow(conjugates[-1], self.q))
-            self._frobenius = tuple(conjugates)
-        return self._frobenius
+    def conjugate(self, j: int) -> int:
+        """x^(q^j), packed, for 0 <= j < n (n >= 2), from the Frobenius chain
+        that the form keeps: Ben-Or's test takes its first half, j <= n/2,
+        and `frobenius` the rest. A missing link x^(q^i) is the monomial
+        itself while q^i < n, so no product is taken for it, and the q-th
+        power of the link before otherwise."""
+        q, n, chain = self.q, self.n, self._chain
+        while (i := len(chain)) <= j:
+            if i < n.bit_length() and q**i < n:  # q^i < n needs i < log2(n)
+                chain.append(1 << q**i * self.w)
+            else:
+                chain.append(self.pow(chain[-1], q))
+        return chain[j]
+
+    def frobenius(self) -> list[int]:
+        """x^(q^j) for every j < n, packed: the chain of `conjugate`, finished
+        on first use and then kept with the form (read it, do not change it)."""
+        self.conjugate(self.n - 1)
+        return self._chain
 
     def conjugate_pow(self, conjugates, exponent: int) -> int:
         """y^exponent for 0 <= exponent < q^n, given conjugates[j] = y^(q^j),
@@ -296,26 +310,47 @@ class _Kronecker:
         return result
 
 
-def _is_irreducible(coeffs, q: int) -> bool:
-    """Ben-Or's test for the monic polynomial f = x^n + sum coeffs[i] x^i.
+def _irreducible_form(coeffs, q: int) -> _Kronecker | None:
+    """The packed form of the monic f = x^n + sum coeffs[i] x^i if f is
+    irreducible, with the first half of its Frobenius chain, x^(q^d) for
+    d <= n/2, left on it; None if f is reducible. Ben-Or's test, in doubling
+    windows of degrees.
 
-    f is reducible exactly when it has a factor of degree d <= n/2, that is
-    when gcd(f, x^(q^d) - x) != 1 for some d <= n/2. Testing d = 1, 2, ... in
-    turn rejects a reducible f at the degree of its smallest factor.
+    f is reducible exactly when it has an irreducible factor g of degree
+    d <= n/2, that is when gcd(f, x^(q^d) - x) != 1 for some d <= n/2. A
+    root in F_q comes first, with no form: f(0) = c_0, f(1) and f(-1) from
+    coefficient sums. For q <= 3 these are all of F_q, so they decide d = 1.
+    Then one gcd per window of degrees: d = 1, then (2^k, 2^(k+1)] for
+    k = 0, 1, ..., the last cut at n/2, taken on the product mod f of the
+    x^(q^d) - x over the window, one packed product per term after the
+    first. The windows' verdicts are Ben-Or's: an irreducible g | f divides
+    that product exactly when it divides one of its terms, and g | f divides
+    x^(q^d) - x exactly when deg g | d. A product that is 0 mod f has gcd f
+    and is rejected. So a reducible f is rejected at the end of the window
+    that holds the degree of its smallest factor, and an irreducible f of
+    degree n takes at most ceil(log2(n/2)) + 1 gcds.
     """
     n = len(coeffs)
     if n == 1:
-        return True
-    if coeffs[0] == 0:
-        return False  # divisible by x
+        return _Kronecker(coeffs, q)
+    even, odd = sum(coeffs[::2]), sum(coeffs[1::2])
+    if coeffs[0] == 0 or (1 + even + odd) % q == 0 or ((-1) ** n + even - odd) % q == 0:
+        return None  # f(0), f(1) or f(-1) is 0
     form = _Kronecker(coeffs, q)
-    x = frob = form.pack((0, 1))
-    for _ in range(n // 2):
-        frob = form.pow(frob, q)
-        # frob = x gives gcd f, so that case is rejected too
-        if not form.coprime(form.f, form.sub(frob, x)):
-            return False
-    return True
+    x, half, product = form.conjugate(0), n // 2, 1
+    for d in range(1 if q > 3 else 2, half + 1):
+        term = form.sub(form.conjugate(d), x)
+        product = term if product == 1 else form.mul(product, term)
+        if d & (d - 1) == 0 or d == half:  # the end of a window
+            if not form.coprime(form.f, product):
+                return None
+            product = 1
+    return form
+
+
+def _is_irreducible(coeffs, q: int) -> bool:
+    """Ben-Or's test for the monic x^n + sum coeffs[i] x^i (`_irreducible_form`)."""
+    return _irreducible_form(coeffs, q) is not None
 
 
 def _orbit_leaders(q: int, n: int):
@@ -363,19 +398,25 @@ def _orbit_leaders(q: int, n: int):
                     yield tail[::-1] + high
 
 
-def _least_irreducible(q: int, n: int) -> tuple[int, ...]:
+def _least_irreducible_form(q: int, n: int) -> tuple[tuple[int, ...], _Kronecker]:
     """The lexicographically least monic irreducible polynomial of degree n
-    over F_q, as its non-leading coefficients.
+    over F_q, as its non-leading coefficients, and its packed form from
+    Ben-Or's test (`_irreducible_form`).
 
-    Ben-Or's test runs only on the orbit leaders, in encoding order. That
-    skips no irreducible polynomial: a skipped f has a smaller member g of its
+    The test runs only on the orbit leaders, in encoding order. That skips
+    no irreducible polynomial: a skipped f has a smaller member g of its
     orbit, whose leader the search met and rejected first, and f has the
     factor degrees of g.
     """
     for cand in _orbit_leaders(q, n):
-        if _is_irreducible(cand, q):
-            return cand
+        if (form := _irreducible_form(cand, q)) is not None:
+            return cand, form
     raise InternalInvariant("no irreducible polynomial found")
+
+
+def _least_irreducible(q: int, n: int) -> tuple[int, ...]:
+    """The coefficients that `_least_irreducible_form` finds."""
+    return _least_irreducible_form(q, n)[0]
 
 
 def _group_order_primes(q: int, n: int) -> list[int]:
@@ -448,8 +489,7 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
         raise FieldTooLarge(f"q^n = {size} exceeds cap {cap}")
     factors = _group_order_primes(q, n)  # refuses an uncertifiable q^n - 1 first
 
-    modulus = _least_irreducible(q, n)
-    form = _Kronecker(modulus, q)
+    modulus, form = _least_irreducible_form(q, n)
     return _field_context(setup, form, modulus, _least_primitive(form, factors))
 
 
@@ -489,12 +529,13 @@ def _least_primitive(form: _Kronecker, primes) -> tuple[int, ...]:
 def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> FieldContext:
     """The F_{q^n} that a certificate names by the encodings of its monic
     modulus and its generator, checked instead of searched for: the modulus
-    must be monic of degree n and irreducible (one Ben-Or test), the generator
-    a primitive element by `_is_primitive`, the search's own rule: the primes
-    of q^n - 1 that divide q - 1 are tested on its norm in F_q (a Horner
-    evaluation of the modulus for a linear generator, one field power
-    otherwise), every other prime by a field power. Whether they are the
-    lexicographically least choices is not checked."""
+    must be monic of degree n and irreducible (one Ben-Or test, whose packed
+    form the field keeps), the generator a primitive element by
+    `_is_primitive`, the search's own rule: the primes of q^n - 1 that divide
+    q - 1 are tested on its norm in F_q (a Horner evaluation of the modulus
+    for a linear generator, one field power otherwise), every other prime by
+    a field power. Whether they are the lexicographically least choices is
+    not checked."""
     q, n = setup.q, setup.n
     size = q**n
     if not size <= modulus < 2 * size:
@@ -502,10 +543,10 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     if not 0 < generator < size:
         raise BadInput(f"generator {generator} does not encode a nonzero element of F_{size}")
     coeffs = _int_to_coeffs(modulus - size, n, q)
-    if not _is_irreducible(coeffs, q):
+    form = _irreducible_form(coeffs, q)
+    if form is None:
         raise BadInput(f"modulus {modulus} is reducible over F_{q}")
     alpha = _int_to_coeffs(generator, n, q)
-    form = _Kronecker(coeffs, q)
     if not _is_primitive(alpha, form, _group_order_primes(q, n)):
         raise BadInput(f"generator {generator} is not a primitive element")
     return _field_context(setup, form, coeffs, alpha)

@@ -139,8 +139,8 @@ def _descend(D: int, M: int, root: int) -> tuple[int, int] | None:
 
 def _cornacchia_prime(D: int, N: int) -> tuple[int, int] | None:
     """`cornacchia` without its checks, for a caller that knows N is prime."""
-    if N == 2:
-        return (1, 1) if D == 1 else None
+    if N == 2:  # 2 = 1 + 1 = 0 + 2·1
+        return {1: (1, 1), 2: (0, 1)}.get(D)
     root = _sqrt_mod_prime(-D, N)
     if root is None:
         return None

@@ -27,6 +27,7 @@ from eigenvanish.ffield import (
     _coeffs_to_int,
     _group_order_primes,
     _int_to_coeffs,
+    _irreducible_form,
     _is_irreducible,
     _is_primitive,
     _least_irreducible,
@@ -481,7 +482,7 @@ def test_generator_recurrence_product_count(monkeypatch, p, q, products):
     assert calls == products
 
 
-@pytest.mark.parametrize("q, max_degree", [(2, 6), (3, 5)])
+@pytest.mark.parametrize("q, max_degree", [(2, 6), (3, 5), (5, 4), (7, 3)])
 def test_ben_or_matches_rabin_exhaustively(q, max_degree):
     for n in range(1, max_degree + 1):
         for cand in itertools.product(range(q), repeat=n):
@@ -503,6 +504,120 @@ def test_ben_or_rejects_products_of_two_halves(q, k):
         assert len(f) == 2 * k
         assert not _is_irreducible(f, q), (q, g, h)
         assert not rabin_is_irreducible(f, q)
+
+
+@cache
+def least_irreducible_by_sympy(q, k):
+    """The first monic irreducible polynomial of degree k over F_q in
+    encoding order, by sympy's test, as a coefficient list with its leading
+    1; for k = 1 the first with no root 0, 1 or -1 if there is one (x - 2 for
+    q > 3), so that Ben-Or's d = 1 step decides it."""
+    if k == 1:
+        return [(-2 if q > 3 else 1) % q, 1]
+    for code in range(q**k):
+        c = list(_int_to_coeffs(code, k, q)) + [1]
+        if Poly.from_list(c[::-1], _X, modulus=q).is_irreducible:
+            return c
+    raise AssertionError("no irreducible polynomial")
+
+
+def count_calls(monkeypatch, name):
+    """A list that gets one entry per call of `_Kronecker.<name>` from now on."""
+    calls, method = [], getattr(_Kronecker, name)
+
+    def counting(*args):
+        calls.append(1)
+        return method(*args)
+
+    monkeypatch.setattr(_Kronecker, name, counting)
+    return calls
+
+
+def window_gcds(q, k):
+    """The gcds Ben-Or takes on an f whose smallest factor degree k <= n/2 lies
+    in a whole window: one per window end 1, 2, 4, ..., 2^ceil(log2 k), the
+    d = 1 step left to the roots 0, 1, -1 for q <= 3."""
+    return (k - 1).bit_length() + (q > 3)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 9])
+def test_ben_or_rejects_at_the_end_of_the_smallest_factors_window(monkeypatch, q, k):
+    # k is the first or the last degree of its window {1}, {2}, (2, 4],
+    # (4, 8], (8, 16]; f = g·h with deg h >= k, and n/2 at or past the
+    # window's end, so f is rejected exactly at that end
+    end = 1 << (k - 1).bit_length()
+    g = least_irreducible_by_sympy(q, k)
+    h = least_irreducible_by_sympy(q, max(k, 2 * end - k))
+    f = tuple(_poly_mul(g, h, q)[:-1])
+    assert len(f) // 2 >= end
+    gcds = count_calls(monkeypatch, "coprime")
+    assert not _is_irreducible(f, q), (q, g, h)
+    assert len(gcds) == window_gcds(q, k), (q, k)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("n, cut", [(12, (5, 6)), (20, (9, 10))])
+def test_ben_or_on_a_truncated_last_window(monkeypatch, q, n, cut):
+    # n/2 = 6 and 10 cut the windows (4, 8] and (8, 16] short: a smallest
+    # factor degree in the cut window, and an irreducible f, take every gcd
+    # up to n/2, one more than the windows before it
+    gcds = count_calls(monkeypatch, "coprime")
+    want = window_gcds(q, n // 2)
+    for k in cut:
+        g, h = least_irreducible_by_sympy(q, k), least_irreducible_by_sympy(q, n - k)
+        gcds.clear()
+        assert not _is_irreducible(tuple(_poly_mul(g, h, q)[:-1]), q), (q, g, h)
+        assert len(gcds) == want, (q, k)
+    f = least_irreducible_by_sympy(q, n)[:-1]
+    gcds.clear()
+    assert _is_irreducible(tuple(f), q)
+    assert len(gcds) == want
+    assert _least_irreducible(q, n) == tuple(f)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 47])
+def test_ben_or_takes_a_logarithmic_number_of_gcds(monkeypatch, q):
+    # an irreducible modulus of degree n takes at most ceil(log2(n/2)) + 1
+    # gcds, one per doubling window; the certify and grid moduli too
+    moduli = [_least_irreducible(q, n) for n in range(2, 41 if q < 47 else 13)]
+    moduli += [build_field(s).modulus for s in production_setups() if s.q == q]
+    gcds = count_calls(monkeypatch, "coprime")
+    for modulus in moduli:
+        n = len(modulus)
+        gcds.clear()
+        assert _is_irreducible(modulus, q)
+        assert len(gcds) <= (n // 2 - 1).bit_length() + 1, (q, n)
+
+
+def test_ben_or_leaves_the_first_half_of_the_frobenius_chain(monkeypatch):
+    # x^(q^d) for d <= n/2 stays on the form, so finishing the conjugate
+    # table takes field products only for d > n/2
+    powers = count_calls(monkeypatch, "pow")
+    for q, n in [(2, 18), (3, 29), (13, 21), (5, 9)]:
+        form = _irreducible_form(_least_irreducible(q, n), q)
+        assert len(form._chain) == n // 2 + 1, (q, n)
+        powers.clear()
+        form.frobenius()
+        assert len(powers) == n - 1 - n // 2, (q, n)
+
+
+def test_frobenius_tables_match_schoolbook_on_every_production_field(monkeypatch):
+    # x^(q^j), j < n, on the form that built the field and on the one the
+    # verifier rebuilds from the stored choice, against schoolbook powers by
+    # q; the verifier's route builds one form per field
+    forms = count_calls(monkeypatch, "__init__")
+    for setup in production_setups():
+        ctx = build_field(setup)
+        q, n = ctx.q, ctx.n
+        forms.clear()
+        again = ffield.field_from_choice(setup, ctx.modulus_int, ctx.encode(ctx.alpha))
+        assert again == ctx and len(forms) == 1, (setup.p, q)
+        want = [(0, 1) + (0,) * (n - 2)]
+        while len(want) < n:
+            want.append(schoolbook_powmod(want[-1], q, ctx.modulus, q))
+        for form in (ctx.kronecker, again.kronecker):
+            assert [form.unpack(y) for y in form.frobenius()] == want, (setup.p, q)
 
 
 # zero polynomials as [] and as zero lists, constants, and zero top
@@ -658,10 +773,12 @@ def test_power_sums_match_frobenius_traces():
 @pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
 def test_build_field_product_count(monkeypatch, p, q):
     # the whole build (modulus search, generator search, zeta) in packed
-    # field products: 548 and 657 here, since Ben-Or runs on orbit leaders
-    # only and a linear element is powered by base-q digits (2,547 and 3,016
-    # before; 2,775 and 3,601 while every prime of q^n - 1 took a field
-    # power); a full Rabin test per modulus candidate would take far more
+    # field products: 429 and 512 here, since Ben-Or takes one gcd per
+    # doubling window of degrees and leaves its Frobenius chain on the form
+    # (548 and 657 before; 2,547 and 3,016 before Ben-Or ran on orbit
+    # leaders only and a linear element was powered by base-q digits; 2,775
+    # and 3,601 while every prime of q^n - 1 took a field power); a full
+    # Rabin test per modulus candidate would take far more
     calls = 0
     packed_mul = ffield._Kronecker.mul
 
@@ -804,7 +921,7 @@ def test_modulus_search_does_no_work_proportional_to_q(monkeypatch):
     # of scalings, or a scan of every top coefficient) fails on the count of
     # int powers instead of running for minutes
     calls = []
-    ben_or = ffield._is_irreducible
+    ben_or = ffield._irreducible_form
     powers = 0
 
     def counting(coeffs, q):
@@ -818,7 +935,7 @@ def test_modulus_search_does_no_work_proportional_to_q(monkeypatch):
         assert powers <= 1000, "the field layer took too many int powers"
         return pow(*args)
 
-    monkeypatch.setattr(ffield, "_is_irreducible", counting)
+    monkeypatch.setattr(ffield, "_irreducible_form", counting)
     monkeypatch.setattr(ffield, "pow", counting_pow, raising=False)
     searches = [(2**31 - 1, 2, (1, 0)), (67_108_879, 2, (1, 0)), (1_000_000_241, 3, (1, 1, 0))]
     for q, n, want in searches:

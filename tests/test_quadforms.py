@@ -113,6 +113,16 @@ def test_cornacchia_goldens():
     assert cornacchia(23, 59) == (6, 1)
 
 
+def test_cornacchia_agrees_with_represent_all_on_small_primes():
+    # None exactly when no representation exists, and otherwise one of them;
+    # N = 2 included: 2 = 1 + 1·1 = 0 + 2·1
+    assert cornacchia(2, 2) == (0, 1) and cornacchia(1, 2) == (1, 1)
+    for D in range(1, 50):
+        for N in primerange(2, 1000):
+            got, reps = cornacchia(D, N), represent_all(D, N)
+            assert (got in reps) if got is not None else not reps, (D, N)
+
+
 @pytest.mark.parametrize("N", [25, 65, 85, 145])
 def test_cornacchia_composite_n_is_bad_input(N):
     # Tonelli-Shanks never returned on 25, 65 and 145, and 85 raised a bare
