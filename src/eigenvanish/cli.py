@@ -260,8 +260,8 @@ def cmd_classnum(args):
     checks = [
         _check("forms-oracle", forms == cn.h,
                f"reduced forms of discriminant -{args.p}: {forms}, V-R = {cn.h}"),
-        _check("sum-rule", True, "V + R = (p-1)/2"),
-        _check("h-odd", True, f"h = {cn.h} is odd"),
+        _check("sum-rule", cn.R + cn.V == (args.p - 1) // 2, "V + R = (p-1)/2"),
+        _check("h-odd", cn.h % 2 == 1, f"h = {cn.h} is odd"),
     ]
     summary = [f"h(-{args.p}) = {cn.h} (R={cn.R}, V={cn.V}, reduced forms {forms})"]
     return _report("classnum", params, result, checks), summary, 0

@@ -348,11 +348,6 @@ def _irreducible_form(coeffs, q: int) -> _Kronecker | None:
     return form
 
 
-def _is_irreducible(coeffs, q: int) -> bool:
-    """Ben-Or's test for the monic x^n + sum coeffs[i] x^i (`_irreducible_form`)."""
-    return _irreducible_form(coeffs, q) is not None
-
-
 def _orbit_leaders(q: int, n: int):
     """Every monic f = x^n + sum c_i x^i over F_q that is the least member of
     its F_q^*-scaling orbit, as (c_0, ..., c_(n-1)), in encoding order, with
@@ -412,11 +407,6 @@ def _least_irreducible_form(q: int, n: int) -> tuple[tuple[int, ...], _Kronecker
         if (form := _irreducible_form(cand, q)) is not None:
             return cand, form
     raise InternalInvariant("no irreducible polynomial found")
-
-
-def _least_irreducible(q: int, n: int) -> tuple[int, ...]:
-    """The coefficients that `_least_irreducible_form` finds."""
-    return _least_irreducible_form(q, n)[0]
 
 
 def _group_order_primes(q: int, n: int) -> list[int]:

@@ -9,7 +9,8 @@ divided out first), joins them by CRT and descends from each (Cohen, A Course
 in Computational Algebraic Number Theory, 1.5), with the exhaustive scan
 kept as its oracle; odd-power lifting of solutions, the sign congruence for
 the distinguished representation of 4q^h, and prime-density estimates for
-the forms x^2 + p*y^2 and x^2 + p^3*y^2.
+the forms x^2 + p*y^2 and x^2 + p^3*y^2, which mark the form's values in a
+prime sieve (the per-prime Cornacchia count is their oracle, in the tests).
 """
 
 from dataclasses import dataclass
@@ -137,8 +138,13 @@ def _descend(D: int, M: int, root: int) -> tuple[int, int] | None:
     return (b, y) if y * y == y2 else None
 
 
-def _cornacchia_prime(D: int, N: int) -> tuple[int, int] | None:
-    """`cornacchia` without its checks, for a caller that knows N is prime."""
+def cornacchia(D: int, N: int) -> tuple[int, int] | None:
+    """The solution of x^2 + D*y^2 = N for prime N, or None. Deterministic:
+    descends from the root of -D in (N/2, N). BadInput unless N is prime."""
+    if D <= 0 or N <= 0:
+        raise BadInput("D and N must be positive")
+    if not is_prime(N):
+        raise BadInput(f"N={N} must be prime")
     if N == 2:  # 2 = 1 + 1 = 0 + 2·1
         return {1: (1, 1), 2: (0, 1)}.get(D)
     root = _sqrt_mod_prime(-D, N)
@@ -147,16 +153,6 @@ def _cornacchia_prime(D: int, N: int) -> tuple[int, int] | None:
     if 2 * root < N:
         root = N - root
     return _descend(D, N, root)
-
-
-def cornacchia(D: int, N: int) -> tuple[int, int] | None:
-    """The solution of x^2 + D*y^2 = N for prime N, or None. Deterministic:
-    descends from the root of -D in (N/2, N). BadInput unless N is prime."""
-    if D <= 0 or N <= 0:
-        raise BadInput("D and N must be positive")
-    if not is_prime(N):
-        raise BadInput(f"N={N} must be prime")
-    return _cornacchia_prime(D, N)
 
 
 def _unit_sqrts(u: int, ell: int, k: int) -> list[int]:
@@ -303,20 +299,26 @@ class DensityEstimate:
 
 
 def density_estimate(D: int, X: int) -> DensityEstimate:
-    """Among primes N <= X, the fraction representable as x^2 + D*y^2."""
+    """Among primes N <= X, the fraction representable as x^2 + D*y^2.
+
+    Walks the form's values: every x >= 0, y >= 1 with N = x^2 + D*y^2 <= X
+    marks a prime N in the sieve (1 -> 2), so a value met twice, as for
+    D = 1, counts once. No represented prime is missed: y = 0 gives only
+    squares, and x = 0 gives D*y^2, prime only for y = 1 and a prime D,
+    which Cornacchia also finds (as (0, 1)).
+    """
     if D <= 0:
         raise BadInput(f"D={D} must be positive")
     if X < 100:
         raise BoundTooSmall(f"X={X} < 100 gives meaningless ratios")
     sieve = prime_sieve(X)
-    represented = 0
-    primes = 0
-    for N in range(2, X + 1):
-        if not sieve[N]:
-            continue
-        primes += 1
-        if _cornacchia_prime(D, N) is not None:
-            represented += 1
+    for y in range(1, isqrt(X // D) + 1):
+        dy2 = D * y * y
+        for x in range(isqrt(X - dy2) + 1):
+            if sieve[N := dy2 + x * x]:
+                sieve[N] = 2
+    represented = sieve.count(2)
+    primes = represented + sieve.count(1)
     return DensityEstimate(
         D=D, bound=X, represented=represented, primes=primes,
         ratio=Fraction(represented, primes),

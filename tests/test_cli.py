@@ -426,6 +426,24 @@ def test_setup_checks_zeta_in_the_built_field(capsys, monkeypatch, forged):
     assert checks == {"order-bookkeeping": True, "zeta-order-p": False}
 
 
+@pytest.mark.parametrize("forged, failing", [
+    ({"R": 5, "V": 8}, {"sum-rule"}),  # h = V - R = 3 still, but R + V = 13
+    ({"h": 4}, {"h-odd", "forms-oracle"}),  # an even h also misses the 3 forms
+], ids=["sum-rule", "h-odd"])
+def test_classnum_checks_read_the_class_number(capsys, monkeypatch, forged, failing):
+    # at p = 23, R = 4, V = 7 and h = 3 = the 3 reduced forms
+    honest = quadforms.class_number
+
+    def forging(p):
+        return dataclasses.replace(honest(p), **forged)
+
+    monkeypatch.setattr(quadforms, "class_number", forging)
+    code, report, err = run(capsys, "classnum", "--p", "23", "--json")
+    assert code == 2
+    checks = {c["name"]: c["ok"] for c in report["checks"]}
+    assert checks == {name: name not in failing for name in ("forms-oracle", "sum-rule", "h-odd")}
+
+
 PERIOD_CHECKS = ("eta-count-sums", "eta-rational", "eta-sum", "eta-mod-q", "v-range")
 
 

@@ -28,9 +28,8 @@ from eigenvanish.ffield import (
     _group_order_primes,
     _int_to_coeffs,
     _irreducible_form,
-    _is_irreducible,
     _is_primitive,
-    _least_irreducible,
+    _least_irreducible_form,
     _least_primitive,
     _norm,
     _orbit_leaders,
@@ -38,6 +37,16 @@ from eigenvanish.ffield import (
     dlog_order_p,
     generator_recurrence,
 )
+
+
+def is_irreducible(coeffs, q):
+    """Ben-Or's verdict on x^n + sum coeffs[i] x^i."""
+    return _irreducible_form(coeffs, q) is not None
+
+
+def least_irreducible(q, n):
+    """The coefficients of the modulus that the search finds."""
+    return _least_irreducible_form(q, n)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +261,7 @@ def test_irreducibility_matches_sympy(q, coeffs):
     poly = Poly(
         x ** len(cand) + sum(c * x**i for i, c in enumerate(cand)), x, modulus=q
     )
-    assert _is_irreducible(cand, q) == poly.is_irreducible
+    assert is_irreducible(cand, q) == poly.is_irreducible
 
 
 @given(k=st.integers(0, 3**6 - 1))
@@ -336,7 +345,7 @@ def test_modulus_is_lex_least(f8):
     # every smaller monic cubic over F_2 must be reducible
     setup, ctx = f8
     for k in range(ctx.modulus_int - 8):
-        assert not _is_irreducible(_int_to_coeffs(k, 3, 2), 2)
+        assert not is_irreducible(_int_to_coeffs(k, 3, 2), 2)
 
 
 MULMOD_QS = [2, 3, 5, 7, 13, 107]
@@ -486,7 +495,7 @@ def test_generator_recurrence_product_count(monkeypatch, p, q, products):
 def test_ben_or_matches_rabin_exhaustively(q, max_degree):
     for n in range(1, max_degree + 1):
         for cand in itertools.product(range(q), repeat=n):
-            assert _is_irreducible(cand, q) == rabin_is_irreducible(cand, q), (q, cand)
+            assert is_irreducible(cand, q) == rabin_is_irreducible(cand, q), (q, cand)
 
 
 @pytest.mark.parametrize("q, k", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 2)])
@@ -502,7 +511,7 @@ def test_ben_or_rejects_products_of_two_halves(q, k):
     for g, h in itertools.combinations_with_replacement(irreducible, 2):
         f = tuple(_poly_mul(g, h, q)[:-1])
         assert len(f) == 2 * k
-        assert not _is_irreducible(f, q), (q, g, h)
+        assert not is_irreducible(f, q), (q, g, h)
         assert not rabin_is_irreducible(f, q)
 
 
@@ -552,7 +561,7 @@ def test_ben_or_rejects_at_the_end_of_the_smallest_factors_window(monkeypatch, q
     f = tuple(_poly_mul(g, h, q)[:-1])
     assert len(f) // 2 >= end
     gcds = count_calls(monkeypatch, "coprime")
-    assert not _is_irreducible(f, q), (q, g, h)
+    assert not is_irreducible(f, q), (q, g, h)
     assert len(gcds) == window_gcds(q, k), (q, k)
 
 
@@ -567,26 +576,26 @@ def test_ben_or_on_a_truncated_last_window(monkeypatch, q, n, cut):
     for k in cut:
         g, h = least_irreducible_by_sympy(q, k), least_irreducible_by_sympy(q, n - k)
         gcds.clear()
-        assert not _is_irreducible(tuple(_poly_mul(g, h, q)[:-1]), q), (q, g, h)
+        assert not is_irreducible(tuple(_poly_mul(g, h, q)[:-1]), q), (q, g, h)
         assert len(gcds) == want, (q, k)
     f = least_irreducible_by_sympy(q, n)[:-1]
     gcds.clear()
-    assert _is_irreducible(tuple(f), q)
+    assert is_irreducible(tuple(f), q)
     assert len(gcds) == want
-    assert _least_irreducible(q, n) == tuple(f)
+    assert least_irreducible(q, n) == tuple(f)
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13, 47])
 def test_ben_or_takes_a_logarithmic_number_of_gcds(monkeypatch, q):
     # an irreducible modulus of degree n takes at most ceil(log2(n/2)) + 1
     # gcds, one per doubling window; the certify and grid moduli too
-    moduli = [_least_irreducible(q, n) for n in range(2, 41 if q < 47 else 13)]
+    moduli = [least_irreducible(q, n) for n in range(2, 41 if q < 47 else 13)]
     moduli += [build_field(s).modulus for s in production_setups() if s.q == q]
     gcds = count_calls(monkeypatch, "coprime")
     for modulus in moduli:
         n = len(modulus)
         gcds.clear()
-        assert _is_irreducible(modulus, q)
+        assert is_irreducible(modulus, q)
         assert len(gcds) <= (n // 2 - 1).bit_length() + 1, (q, n)
 
 
@@ -595,7 +604,7 @@ def test_ben_or_leaves_the_first_half_of_the_frobenius_chain(monkeypatch):
     # table takes field products only for d > n/2
     powers = count_calls(monkeypatch, "pow")
     for q, n in [(2, 18), (3, 29), (13, 21), (5, 9)]:
-        form = _irreducible_form(_least_irreducible(q, n), q)
+        form = _irreducible_form(least_irreducible(q, n), q)
         assert len(form._chain) == n // 2 + 1, (q, n)
         powers.clear()
         form.frobenius()
@@ -683,9 +692,9 @@ def test_ben_or_runs_on_packed_ints_alone(monkeypatch, p, q):
         raise AssertionError("Ben-Or's test unpacked a packed int")
 
     monkeypatch.setattr(_Kronecker, "unpack", refuse)
-    assert _is_irreducible(ctx.modulus, q)
+    assert is_irreducible(ctx.modulus, q)
     for k in range(min(below, 200)):
-        assert not _is_irreducible(_int_to_coeffs(k, ctx.n, q), q), k
+        assert not is_irreducible(_int_to_coeffs(k, ctx.n, q), q), k
 
 
 # no prime divides q - 1 for q = 2, so only field powers run there;
@@ -817,7 +826,7 @@ def plain_least_irreducible(q, n):
     """The first encoding that passes Ben-Or's test, every candidate tested:
     the modulus search without the orbit rule."""
     return next(
-        c for c in (_int_to_coeffs(k, n, q) for k in range(q**n)) if _is_irreducible(c, q)
+        c for c in (_int_to_coeffs(k, n, q) for k in range(q**n)) if is_irreducible(c, q)
     )
 
 
@@ -840,7 +849,7 @@ def test_least_irreducible_matches_the_plain_search():
     small = [(q, n) for q in primerange(2, 51) for n in range(1, 21) if q**n <= 1 << 20]
     assert len(small) == 89
     for q, n in small:
-        assert _least_irreducible(q, n) == plain_least_irreducible(q, n), (q, n)
+        assert least_irreducible(q, n) == plain_least_irreducible(q, n), (q, n)
     for setup in production_setups():
         want = plain_least_irreducible(setup.q, setup.n)
         assert build_field(setup).modulus == want, (setup.p, setup.q)
@@ -850,7 +859,7 @@ def plain_least_primitive(q, n):
     """The first encoding k >= q that `_is_primitive` accepts, every
     candidate tested in turn: the generator search without the monic
     associates."""
-    form = _Kronecker(_least_irreducible(q, n), q)
+    form = _Kronecker(least_irreducible(q, n), q)
     primes = _group_order_primes(q, n)
     return next(
         k for k in range(q, q**n) if _is_primitive(_int_to_coeffs(k, n, q), form, primes)
@@ -858,7 +867,7 @@ def plain_least_primitive(q, n):
 
 
 def searched_generator(q, n):
-    form = _Kronecker(_least_irreducible(q, n), q)
+    form = _Kronecker(least_irreducible(q, n), q)
     return _coeffs_to_int(_least_primitive(form, _group_order_primes(q, n)), q)
 
 
@@ -880,7 +889,7 @@ def test_one_field_power_verdict_per_monic_associate(monkeypatch, q, n):
     # within one search: one norm per t = c0/c1 met, and field powers for a
     # t only once, at the first candidate c1·(X + t) whose own norm passes;
     # a second search repeats every call, so nothing is kept across searches
-    form = _Kronecker(_least_irreducible(q, n), q)
+    form = _Kronecker(least_irreducible(q, n), q)
     primes = _group_order_primes(q, n)
     alpha = _least_primitive(form, primes)
     stop = _coeffs_to_int(alpha, q) + 1 if not any(alpha[2:]) else q * q
@@ -940,7 +949,7 @@ def test_modulus_search_does_no_work_proportional_to_q(monkeypatch):
     searches = [(2**31 - 1, 2, (1, 0)), (67_108_879, 2, (1, 0)), (1_000_000_241, 3, (1, 1, 0))]
     for q, n, want in searches:
         calls.clear()
-        assert _least_irreducible(q, n) == want, q
+        assert least_irreducible(q, n) == want, q
     assert calls == [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
     for p, q in [(5, 67_108_879), (7, 1_000_000_241)]:
         calls.clear()
@@ -952,7 +961,7 @@ def test_modulus_search_does_no_work_proportional_to_q(monkeypatch):
 def test_conjugate_pow_matches_pow_and_schoolbook(q):
     rng = random.Random(q)
     for n in (2, 3, 5, 8):
-        modulus = _least_irreducible(q, n)
+        modulus = least_irreducible(q, n)
         form = _Kronecker(modulus, q)
         x = (0, 1) + (0,) * (n - 2)
         for j, conjugate in enumerate(form.frobenius()):

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import I, expand, im, jacobi_symbol, primerange, re, sqrt
+from sympy import I, expand, im, jacobi_symbol, primepi, primerange, re, sqrt
 
 import eigenvanish
+from eigenvanish import quadforms
 from eigenvanish import (
     BadDiscriminant,
     BadInput,
@@ -283,9 +284,24 @@ def test_density_estimate_guard():
             density_estimate(D, 1000)
 
 
-def test_density_counts_only_represented_primes():
-    est = density_estimate(7, 200)
-    by_hand = sum(
-        1 for q in primerange(2, 201) if cornacchia(7, q) is not None
-    )
-    assert est.represented == by_hand
+# D = 1 meets each value twice, D = 2 represents N = 2, 4, 8, 12, 49, 343 and
+# 1331 are not squarefree, and 10^5 exceeds every X
+@pytest.mark.parametrize("X", [100, 1000, 10**4])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 7, 8, 11, 12, 15, 49, 343, 1331, 10**5])
+def test_density_counts_only_represented_primes(D, X):
+    # the oracle: Cornacchia on each prime up to X
+    est = density_estimate(D, X)
+    assert est.represented == sum(cornacchia(D, N) is not None for N in primerange(2, X + 1))
+    assert est.primes == primepi(X)
+    assert est.ratio == Fraction(est.represented, est.primes)
+
+
+def test_density_walks_the_form_not_the_primes(monkeypatch):
+    # Tonelli-Shanks and the descent belong to the per-prime oracle; the walk calls neither
+    def per_prime(*args):
+        raise AssertionError("density_estimate ran Cornacchia on a prime")
+
+    monkeypatch.setattr(quadforms, "_sqrt_mod_prime", per_prime)
+    monkeypatch.setattr(quadforms, "_descend", per_prime)
+    est = density_estimate(7, 10**4)
+    assert (est.represented, est.primes) == (608, 1229)
