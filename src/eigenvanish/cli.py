@@ -518,12 +518,20 @@ _FAILURES = (
 )
 
 
-def build_parser() -> _Parser:
+def build_parser(commands=None) -> _Parser:
+    """The parser with the subparsers of `commands`, or of every command when
+    None. A parser built for fewer names every command in its metavar, so its
+    usage line is the full parser's. Only the full parser keeps `command` as
+    that argument's name, which the errors for a missing or an unknown
+    command print; `main` builds fewer only when argv names a command first."""
     parser = _Parser(prog="eigenvanish",
                      description="Eigenspace-vanishing certificates for the "
                                  "p-part of cyclotomic class groups")
-    sub = parser.add_subparsers(dest="command", required=True)
+    metavar = None if commands is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for command, (handler, help_line, keys) in _COMMANDS.items():
+        if commands is not None and command not in commands:
+            continue
         sp = sub.add_parser(command, help=help_line)
         for key in keys + ("json", "quiet"):
             key, override = (key, {}) if isinstance(key, str) else key
@@ -534,8 +542,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a run that names its command builds that subparser alone; help, a
+    # missing or an unknown command get all of them
+    wanted = argv[:1] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(wanted).parse_args(argv)
     try:
         report, summary, code = args.handler(args)
     except (EigenvanishError, MemoryError) as exc:

@@ -36,7 +36,6 @@ Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
 """
 
-from dataclasses import dataclass, field
 from functools import cached_property, partial
 from math import gcd
 
@@ -78,16 +77,45 @@ def multiplicative_order(a: int, m: int) -> int:
     return phi
 
 
-@dataclass(frozen=True)
-class CyclotomicSetup:
+class _Record:
+    """A frozen record: `_fields` names the attributes, in order, that make its
+    ==, hash and repr, as a frozen dataclass's would (equal only to a record
+    of the same class). The field layer writes it out instead of importing
+    `dataclasses`, which loads `inspect` on every cold start. The constructor
+    fills `__dict__`, so `cached_property` still caches in it, and copies and
+    pickles restore it."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class CyclotomicSetup(_Record):
     """The (p, q) frame: orders, cofactor f = (q^n - 1)/p, primitive root g."""
 
-    p: int
-    q: int
-    n: int
-    e: int
-    f: int
-    g: int
+    _fields = ("p", "q", "n", "e", "f", "g")
+
+    def __init__(self, p: int, q: int, n: int, e: int, f: int, g: int):
+        vars(self).update(p=p, q=q, n=n, e=e, f=f, g=g)
 
     @classmethod
     def create(cls, p: int, q: int, g: int | None = None) -> "CyclotomicSetup":
@@ -421,17 +449,17 @@ def _group_order_primes(q: int, n: int) -> list[int]:
     return sorted({prime for piece in pieces for prime in factor(piece)})
 
 
-@dataclass(frozen=True)
-class FieldContext:
-    """Canonical F_{q^n} and its trace data; its arithmetic is the private `kronecker`."""
+class FieldContext(_Record):
+    """Canonical F_{q^n} and its trace data; `modulus` holds the non-leading
+    coefficients of the monic modulus. Its arithmetic is the private
+    `kronecker`, the packed form that built the field, which ==, hash and
+    repr leave out."""
 
-    q: int
-    n: int
-    modulus: tuple[int, ...]  # non-leading coefficients of the monic modulus
-    alpha: tuple[int, ...]
-    zeta: tuple[int, ...]
-    # the packed form that built the field, left out of ==, hash and repr
-    kronecker: _Kronecker = field(repr=False, compare=False)
+    _fields = ("q", "n", "modulus", "alpha", "zeta")
+
+    def __init__(self, q: int, n: int, modulus: tuple[int, ...], alpha: tuple[int, ...],
+                 zeta: tuple[int, ...], kronecker: _Kronecker):
+        vars(self).update(q=q, n=n, modulus=modulus, alpha=alpha, zeta=zeta, kronecker=kronecker)
 
     @cached_property
     def basis_traces(self) -> tuple[int, ...]:

@@ -13,7 +13,7 @@ from conftest import WRONG_TYPES, forged_golden_certificate, unencodable_certifi
 from eigenvanish import cli, periods, quadforms
 from eigenvanish.cli import SCHEMA, build_parser, main
 from eigenvanish.errors import InternalInvariant
-from eigenvanish.ffield import build_field
+from eigenvanish.ffield import FieldContext, build_field
 
 
 def run(capsys, *argv):
@@ -48,6 +48,16 @@ def test_bad_flag_exits_1(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command"])
     assert exc.value.code == 1
+    # both name the command argument by its dest
+    assert "\neigenvanish: error: argument command: invalid choice: 'no-such-command'" in (
+        capsys.readouterr().err
+    )
+    with pytest.raises(SystemExit) as exc:
+        main([])
+    assert exc.value.code == 1
+    assert capsys.readouterr().err.endswith(
+        "\neigenvanish: error: the following arguments are required: command\n"
+    )
 
 
 def test_invalid_input_exits_1(capsys):
@@ -385,6 +395,35 @@ def _describe(parser):
     }
 
 
+def test_a_named_command_builds_its_subparser_alone():
+    assert list(_subcommands(build_parser(["setup"]))) == ["setup"]
+    assert len(_subcommands(build_parser())) == 12
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv), which may exit."""
+    try:
+        code = call(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["--help"], ["bogus"], ["--json"],
+    *([name, flag] for name in cli._COMMANDS for flag in ("-h", "--bogus")),
+    *(argv + ["--bogus"] for argv, _ in CLI_GOLDENS.values()),
+], ids=" ".join)
+def test_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    # main builds one subparser when argv names a command; what it prints and
+    # its exit code must be those of the parser with all of them
+    monkeypatch.setenv("COLUMNS", "80")
+    want = _outcome(capsys, build_parser().parse_args, argv)
+    assert want[0] in (0, 1)
+    assert _outcome(capsys, main, argv) == want
+
+
 def test_usage_and_options_match_pins(monkeypatch):
     """Each subcommand's help text (usage line included) and its options in
     order, with flags, type, default, required, choices and help."""
@@ -417,7 +456,7 @@ def test_setup_checks_zeta_in_the_built_field(capsys, monkeypatch, forged):
     def forging(setup, cap=None):
         ctx = build_field(setup, cap)
         zeta = (1,) + (0,) * (ctx.n - 1) if forged == "one" else ctx.alpha
-        return dataclasses.replace(ctx, zeta=zeta)
+        return FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker)
 
     monkeypatch.setattr(cli, "build_field", forging)
     code, report, err = run(capsys, "setup", "--p", "7", "--q", "3", "--json")

@@ -1,6 +1,7 @@
+import copy
 import itertools
+import pickle
 import random
-from dataclasses import replace
 from functools import cache
 
 import numpy as np
@@ -12,6 +13,7 @@ from sympy import Poly, Symbol, factorint, isprime, primerange
 from eigenvanish import (
     BadInput,
     CyclotomicSetup,
+    FieldContext,
     FieldTooLarge,
     NotCoprime,
     NotInSubgroup,
@@ -236,6 +238,57 @@ def test_field_context_keeps_its_packed_form_out_of_eq_hash_and_repr(f27):
     assert (ctx.kronecker.w, ctx.kronecker.f) == (fresh.w, fresh.f)
 
 
+def test_setup_and_field_context_are_frozen_records(monkeypatch):
+    """The record semantics of the two field-layer classes: construction,
+    ==, hash, repr, frozenness, copies and the lazy basis traces."""
+    calls = []
+    power_sums = ffield._power_sums
+    monkeypatch.setattr(ffield, "_power_sums", lambda *a: calls.append(a) or power_sums(*a))
+    setup = CyclotomicSetup.create(7, 2)
+    ctx = build_field(setup)
+    setup_fields = (7, 2, 3, 2, 1, 3)
+    ctx_fields = (2, 3, (1, 1, 0), (0, 1, 0), (0, 1, 0))
+
+    assert CyclotomicSetup(*setup_fields) == setup
+    assert CyclotomicSetup(p=7, q=2, n=3, e=2, f=1, g=3) == setup
+    assert CyclotomicSetup(7, 2, 3, 2, 1, g=5) != setup
+    assert FieldContext(*ctx_fields, ctx.kronecker) == ctx
+    assert FieldContext(
+        q=2, n=3, modulus=(1, 1, 0), alpha=(0, 1, 0), zeta=(0, 1, 0), kronecker=None
+    ) == ctx
+    assert FieldContext(2, 3, (1, 1, 0), (0, 1, 0), (1, 0, 0), ctx.kronecker) != ctx
+    for record, values in ((setup, setup_fields), (ctx, ctx_fields)):
+        assert not record == values and record != values
+        assert hash(record) == hash(values)
+    assert repr(setup) == "CyclotomicSetup(p=7, q=2, n=3, e=2, f=1, g=3)"
+    assert repr(ctx) == (
+        "FieldContext(q=2, n=3, modulus=(1, 1, 0), alpha=(0, 1, 0), zeta=(0, 1, 0))"
+    )
+
+    for record in (setup, ctx):
+        with pytest.raises(AttributeError, match="^cannot assign to field 'q'$"):
+            record.q = 5
+        with pytest.raises(AttributeError, match="^cannot delete field 'q'$"):
+            del record.q
+        with pytest.raises(AttributeError, match="^cannot assign to field 'other'$"):
+            record.other = 5
+        assert record.q == 2
+
+    assert "basis_traces" not in vars(ctx) and calls == []
+    assert ctx.basis_traces == ctx.basis_traces == (1, 0, 0)
+    assert calls == [((1, 1, 0), 2)]
+
+    for clone in (copy.copy, copy.deepcopy, lambda x: pickle.loads(pickle.dumps(x))):
+        assert clone(setup) == setup and repr(clone(setup)) == repr(setup)
+        again = clone(ctx)
+        assert again == ctx and hash(again) == hash(ctx) and repr(again) == repr(ctx)
+        assert again.basis_traces == (1, 0, 0)
+        assert dlog_order_p(again, 7) == dlog_order_p(ctx, 7)
+        with pytest.raises(AttributeError):
+            again.zeta = ctx.alpha
+    assert calls == [((1, 1, 0), 2)]
+
+
 def test_field_too_large():
     s = CyclotomicSetup.create(19, 5)
     with pytest.raises(FieldTooLarge):
@@ -336,7 +389,8 @@ def test_dlog_order_p_refuses_a_forged_zeta(f27, bad):
     # zeta = 1 has order 1, and alpha order 26: neither walk first comes back
     # to 1 at k = p
     setup, ctx = f27
-    forged = replace(ctx, zeta={"one": (1, 0, 0), "alpha": ctx.alpha}[bad])
+    zeta = {"one": (1, 0, 0), "alpha": ctx.alpha}[bad]
+    forged = FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker)
     with pytest.raises(NotInSubgroup):
         dlog_order_p(forged, 13)
 

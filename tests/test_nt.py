@@ -238,12 +238,14 @@ def test_least_primitive_root_matches_the_order_search():
 
 
 def test_cli_import_and_setup_load_neither_sympy_nor_numpy():
+    # nor dataclasses, nor inspect, which it imports
     code = (
         "import json, sys\n"
+        "heavy = ('dataclasses', 'inspect', 'numpy', 'sympy')\n"
         "import eigenvanish.cli\n"
-        "after_import = sorted(m for m in ('sympy', 'numpy') if m in sys.modules)\n"
+        "after_import = sorted(m for m in heavy if m in sys.modules)\n"
         "code = eigenvanish.cli.main(['setup', '--p', '7', '--q', '2', '--json'])\n"
-        "after_main = sorted(m for m in ('sympy', 'numpy') if m in sys.modules)\n"
+        "after_main = sorted(m for m in heavy if m in sys.modules)\n"
         "print(json.dumps({'import': after_import, 'main': after_main, 'code': code}))\n"
     )
     # run from the directory that holds the imported package, so that the
