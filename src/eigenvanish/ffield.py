@@ -24,13 +24,16 @@ since a scalar c1 in F_q^* changes only the norm (`build_field`). Field
 arithmetic is private: `_Kronecker` alone stores residues and polynomials
 (packed ints, one slot per coefficient) and subtracts, multiplies and takes
 gcds of them. A product is one integer multiplication, reduced by Barrett's
-method: two more integer products, by the form's constant -floor(X^(2n-2)/F)
-and by F, and multiply-and-shift folds that take all slots mod q at once; a
-difference and each Euclid step are the same fold. `FieldContext` is data
-(coefficient tuples, trace data, and the packed form that the search built,
-kept out of equality and repr); the discrete-log table of <zeta> is keyed by
-packed residues. All of it is exact, so the choices above do not depend on
-it.
+method on the modulus's shape F = X^n + L: floor(X^(2n-2)/F) is
+X^(n-2) + M with deg M < deg L, so the two more integer products are by M
+and by -L, short for the canonical moduli, whose tails have low degree;
+multiply-and-shift folds take all slots mod q at once, and a difference and
+each Euclid step are the same fold. The verdict that accepts the generator
+has taken zeta = alpha^f, so zeta costs no power of its own. `FieldContext`
+is data (coefficient tuples, trace data, and the packed form that the search
+built, kept out of equality and repr); the discrete-log table of <zeta> is
+keyed by packed residues. All of it is exact, so the choices above do not
+depend on it.
 
 Primality, factoring and the cyclotomic values Phi_d(q) come from the
 private `_nt` module, so building a field loads neither sympy nor numpy.
@@ -193,16 +196,17 @@ class _Kronecker:
     <= 1/q; and x·m < 2^(b+k). So slots of w = b + k bits never carry into
     each other, as long as every slot stays below 2^b. In `mul` the slots of
     x·y are below n(q-1)^2, and so are the slots of its high part h; the
-    slots of h·mu_neg are below (n-1)(q-1)^2, and the low slots of
-    low + t·F below 2n(q-1)^2 < 2nq^2 < 2^b. A step of `coprime` adds
-    (q - c)·y, shifted, to x (slots below q), so its slots stay below
-    q + (q-1)^2 < q^2 as well. Slot n is folded for `coprime` alone; every
-    other fold input has no slot above n - 1, and x·m >> k leaves 0 there.
+    slots of h + (h·mu_tail >> cut) are below q + (n-2)(q-1)^2, and the low
+    slots of low + t·neg_tail below 2n(q-1)^2 < 2nq^2 < 2^b. A step of
+    `coprime` adds (q - c)·y, shifted, to x (slots below q), so its slots
+    stay below q + (q-1)^2 < q^2 as well. Slot n is folded for `coprime`
+    alone; every other fold input has no slot above n - 1, and x·m >> k
+    leaves 0 there.
     """
 
     __slots__ = (
-        "q", "n", "w", "mask", "top", "f", "mu_neg", "cut", "low", "k", "m", "quotients",
-        "_chain",
+        "q", "n", "w", "mask", "top", "f", "neg_tail", "mu_tail", "cut", "low", "k", "m",
+        "quotients", "_chain",
     )
 
     def __init__(self, modulus, q: int):
@@ -217,15 +221,19 @@ class _Kronecker:
         # the low w - k bits of slots n ... 0: where x·m >> k leaves x // q
         self.quotients = ((1 << self.top + w) - 1) // self.mask * ((1 << w - self.k) - 1)
         self.f = self.pack(modulus) | 1 << self.top
-        # mu_neg = -floor(X^(2n-2) / F) mod q, packed, for `mul`: X^(2n-2)'s
-        # slots 2n-2 ... n are eliminated from the top, slot i by adding
-        # c·F·X^(i-n) with c = -(slot i) mod q, and c is slot i - n of mu_neg
+        # F = X^n + L: neg_tail = -L mod q, and mu_tail = M, where
+        # floor(X^(2n-2) / F) = X^(n-2) + M (n >= 2; M = 0 for n = 1), for
+        # `mul`. Long division from the top: slot i of the rest, c mod q, is
+        # slot i - n of the quotient, and the rest gains c·(-L)·X^(i-n) (its
+        # slot i is never read again); a slot c = 0 adds nothing
+        self.neg_tail = self.pack([-c % q for c in modulus])
         self.cut = max(n - 2, 0) * w  # the offset of slot n - 2, 0 for n = 1
-        rest, self.mu_neg = 1 << (2 * n - 2) * w, 0
+        rest, mu = 1 << (2 * n - 2) * w, 0
         for shift in range(self.top - 2 * w, -1, -w):
-            c = -((rest >> self.top + shift) & self.mask) % q
-            rest += c * self.f << shift
-            self.mu_neg |= c << shift
+            if c := ((rest >> self.top + shift) & self.mask) % q:
+                rest += c * self.neg_tail << shift
+                mu |= c << shift
+        self.mu_tail = mu & (1 << self.cut) - 1  # X^(n-2)'s 1 dropped
         self._chain = [1 << w]  # x^(q^j) for j < len(_chain), packed: x itself first
 
     def pack(self, a) -> int:
@@ -240,24 +248,36 @@ class _Kronecker:
 
     def mul(self, x: int, y: int) -> int:
         """Packed product of two packed residues, the one product kernel, by
-        Barrett reduction (two int products and three folds for any n).
+        Barrett reduction (two more int products and three folds for any n).
 
-        Write A = x·y = H·X^n + L over F_q, X = 2^w, deg H <= n-2, and
-        X^(2n-2) = mu·F + rho with deg rho < n; the form keeps
-        mu_neg = -mu mod q. Let Q' = floor(H·mu / X^(n-2)), that is
-        H·mu = Q'·X^(n-2) + E with deg E < n-2. Then
-        Q'·F·X^(n-2) = H·mu·F - E·F = H·X^(2n-2) - H·rho - E·F, and the last
-        two terms have degree <= 2n-3, so Q'·F - H·X^n has degree < n, and so
-        has A - Q'·F: Q' = floor(A / F) exactly, with no correction step, for
-        any monic F, irreducible or not. So h = H with its slots mod q,
-        t = -Q' with its slots mod q (slots n-2 ... 2n-4 of h·mu_neg, shifted
-        down by `cut`), and the result is the low n slots of A + t·F, each
-        taken mod q by the fold. No slot carries (see the slot bound).
+        Write A = x·y = H·X^n + A0 over F_q, X = 2^w, deg H <= n-2, deg A0 < n,
+        and X^(2n-2) = mu·F + rho with deg rho < n. Let
+        Q' = floor(H·mu / X^(n-2)), that is H·mu = Q'·X^(n-2) + E with
+        deg E < n-2. Then Q'·F·X^(n-2) = H·mu·F - E·F
+        = H·X^(2n-2) - H·rho - E·F, and the last two terms have degree
+        <= 2n-3, so Q'·F - H·X^n has degree < n, and so has A - Q'·F:
+        Q' = floor(A / F) exactly, with no correction step, for any monic F,
+        irreducible or not.
+
+        The modulus's shape makes two of the products short. With
+        F = X^n + L, deg L = j, X^(2n-2) = X^(n-2)·F - X^(n-2)·L, so mu is
+        monic of degree n-2: mu = X^(n-2) + M, deg M <= j-2 (the form keeps
+        mu_tail = M). So Q' = H + floor(H·M / X^(n-2)): t = h +
+        (h·mu_tail >> cut), h = H with its slots mod q, folded. The low n
+        slots of Q'·F are those of Q'·L, as Q'·X^n has none, so A - Q'·F is
+        the low n slots of A + t·neg_tail (neg_tail = -L mod q), each taken
+        mod q by the fold. For the canonical moduli j is small, and mu_tail
+        and neg_tail are ints of at most j + 1 slots; for a dense F they are
+        full length. No slot carries (see the slot bound).
         """
+        q, m, k, quotients = self.q, self.m, self.k, self.quotients
         prod = x * y
-        h = self._fold(prod >> self.top)
-        t = self._fold(h * self.mu_neg >> self.cut)
-        return self._fold((prod & self.low) + (t * self.f & self.low))
+        h = prod >> self.top
+        h -= q * ((h * m >> k) & quotients)
+        t = h + (h * self.mu_tail >> self.cut)
+        t -= q * ((t * m >> k) & quotients)
+        low = (prod & self.low) + (t * self.neg_tail & self.low)
+        return low - q * ((low * m >> k) & quotients)
 
     def sub(self, x: int, y: int) -> int:
         """Packed x - y, folded from x + (q-1)·y (see the slot bound)."""
@@ -500,6 +520,11 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     from `_powers` when a candidate with that t first passes its norm test;
     every other candidate costs int powers mod q only. Both records live in
     one call. Non-linear candidates go through `_is_primitive`.
+
+    Every verdict that accepts alpha has taken alpha^((q^n-1)/ell) for each
+    prime ell ∤ q - 1 of q^n - 1, and p is one of them (p | q^n - 1, and
+    p ∤ q - 1 as n >= 2), with (q^n-1)/p = f: so zeta = alpha^f comes from
+    the verdict, c1^f·(X + t)^f for a linear alpha, with no further power.
     """
     q, n = setup.q, setup.n
     size = q**n
@@ -508,21 +533,25 @@ def build_field(setup: CyclotomicSetup, cap: int | None = None) -> FieldContext:
     factors = _group_order_primes(q, n)  # refuses an uncertifiable q^n - 1 first
 
     modulus, form = _least_irreducible_form(q, n)
-    return _field_context(setup, form, modulus, _least_primitive(form, factors))
+    alpha, zeta = _least_primitive(form, factors, setup.f)
+    return _field_context(setup, form, modulus, alpha, zeta)
 
 
-def _least_primitive(form: _Kronecker, primes) -> tuple[int, ...]:
-    """The lexicographically least primitive element of F_{q^n}, n >= 2,
-    given its packed form and the primes of q^n - 1: the linear candidates
-    as (c1, c0) in encoding order, with one norm and one field-power verdict
-    per t = c0/c1 (see `build_field`), then the rest by `_is_primitive`.
+def _least_primitive(form: _Kronecker, primes, exponent: int) -> tuple[tuple[int, ...], int]:
+    """The lexicographically least primitive element alpha of F_{q^n},
+    n >= 2, and alpha^exponent packed, given its packed form and the primes
+    of q^n - 1: the linear candidates as (c1, c0) in encoding order, with one
+    norm and one field-power verdict per t = c0/c1 (see `build_field`), then
+    the rest by `_is_primitive`. For alpha = c1·(X + t), alpha^exponent =
+    c1^exponent·(X + t)^exponent, and `_verdict` takes the power of X + t.
     Constants are never primitive for n >= 2."""
     q, n = form.q, form.n
     order = q**n - 1
     small = [(q - 1) // ell for ell in primes if (q - 1) % ell == 0]
     large = [order // ell for ell in primes if (q - 1) % ell]
     pad = (0,) * (n - 2)
-    norms, verdicts = {}, {}  # t -> Nm(X + t); t -> X + t passes every ell ∤ q - 1
+    # t -> Nm(X + t); t -> (X + t)^exponent if X + t passes every ell ∤ q - 1, else None
+    norms, verdicts = {}, {}
     for c1 in range(1, q):
         scale, inverse = pow(c1, n, q), pow(c1, -1, q)
         for c0 in range(q):
@@ -530,17 +559,16 @@ def _least_primitive(form: _Kronecker, primes) -> tuple[int, ...]:
             if t not in norms:
                 norms[t] = _norm((t, 1) + pad, form)
             norm = scale * norms[t] % q
-            if any(pow(norm, exponent, q) == 1 for exponent in small):
+            if any(pow(norm, e, q) == 1 for e in small):
                 continue
             if t not in verdicts:
-                power = _powers((t, 1) + pad, form)
-                verdicts[t] = all(power(exponent) != 1 for exponent in large)
-            if verdicts[t]:
-                return (c0, c1) + pad
+                verdicts[t] = _verdict(_powers((t, 1) + pad, form), large, exponent)
+            if verdicts[t] is not None:
+                return (c0, c1) + pad, form._fold(pow(c1, exponent, q) * verdicts[t])
     for k in range(q * q, q**n):
         cand = _int_to_coeffs(k, n, q)
-        if _is_primitive(cand, form, primes):
-            return cand
+        if (power := _is_primitive(cand, form, primes, exponent)) is not None:
+            return cand, power
     raise InternalInvariant("no primitive element found")
 
 
@@ -553,7 +581,7 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     q - 1 are tested on its norm in F_q (a Horner evaluation of the modulus
     for a linear generator, one field power otherwise), every other prime by
     a field power. Whether they are the lexicographically least choices is
-    not checked."""
+    not checked. zeta comes from the verdict, as in `build_field`."""
     q, n = setup.q, setup.n
     size = q**n
     if not size <= modulus < 2 * size:
@@ -565,9 +593,10 @@ def field_from_choice(setup: CyclotomicSetup, modulus: int, generator: int) -> F
     if form is None:
         raise BadInput(f"modulus {modulus} is reducible over F_{q}")
     alpha = _int_to_coeffs(generator, n, q)
-    if not _is_primitive(alpha, form, _group_order_primes(q, n)):
+    zeta = _is_primitive(alpha, form, _group_order_primes(q, n), setup.f)
+    if zeta is None:
         raise BadInput(f"generator {generator} is not a primitive element")
-    return _field_context(setup, form, coeffs, alpha)
+    return _field_context(setup, form, coeffs, alpha, zeta)
 
 
 def check_modulus_length(q: int, n: int, modulus: int) -> None:
@@ -577,9 +606,10 @@ def check_modulus_length(q: int, n: int, modulus: int) -> None:
         raise BadInput(_NOT_MONIC.format(modulus, n))
 
 
-def _is_primitive(x, form: _Kronecker, primes) -> bool:
-    """Whether the nonzero residue x generates F_{q^n}^*, given the packed
-    form of F_{q^n} and the primes of q^n - 1: x^((q^n-1)/ell) != 1 for each.
+def _is_primitive(x, form: _Kronecker, primes, exponent: int) -> int | None:
+    """x^exponent, packed, if the nonzero residue x generates F_{q^n}^*, None
+    if not, given the packed form of F_{q^n} and the primes of q^n - 1:
+    x generates it when x^((q^n-1)/ell) != 1 for each.
 
     For ell | q - 1 that power is Nm(x)^((q-1)/ell), a power in F_q, since
     (q^n-1)/ell = N·(q-1)/ell with N = (q^n-1)/(q-1) and Nm(x) = x^N. So
@@ -595,16 +625,29 @@ def _is_primitive(x, form: _Kronecker, primes) -> bool:
     The generator search applies this rule to a linear candidate through its
     monic associate X + c0/c1 (proof in `build_field`): the norm scaled by
     c1^n, and the field-power verdict of X + c0/c1, taken once per search.
-    `field_from_choice` and the search's non-linear candidates call this."""
+    `field_from_choice` and the search's non-linear candidates call this;
+    both ask for zeta's exponent f, which the verdict has taken."""
     q = form.q
     order = q**form.n - 1
     small = [ell for ell in primes if (q - 1) % ell == 0]
     if small:
         norm = _norm(x, form)
         if any(pow(norm, (q - 1) // ell, q) == 1 for ell in small):
-            return False
-    power = _powers(x, form)
-    return all(power(order // ell) != 1 for ell in primes if ell not in small)
+            return None
+    large = [order // ell for ell in primes if ell not in small]
+    return _verdict(_powers(x, form), large, exponent)
+
+
+def _verdict(power, exponents, exponent: int) -> int | None:
+    """power(exponent) if power(e) != 1 for every e in `exponents`, else None,
+    for power(E) = y^E: the field-power verdict on y. An exponent among
+    `exponents` is read from the verdict, with no further power."""
+    taken = {}
+    for e in exponents:
+        if (y := power(e)) == 1:
+            return None
+        taken[e] = y
+    return taken[exponent] if exponent in taken else power(exponent)
 
 
 def _is_linear(x) -> bool:
@@ -635,13 +678,14 @@ def _norm(x, form: _Kronecker) -> int:
     return form.pow(form.pack(x), (q**n - 1) // (q - 1))  # in F_q: packed as itself
 
 
-def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha) -> FieldContext:
-    """The context of alpha mod `modulus`, whose packed form is `form`. alpha
-    is primitive, so zeta = alpha^f has order (q^n - 1)/f = p exactly; f < q^n,
-    so `_powers` takes it."""
-    zeta = form.unpack(_powers(alpha, form)(setup.f))
+def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha,
+                   zeta: int) -> FieldContext:
+    """The context of alpha mod `modulus`, whose packed form is `form`, with
+    zeta = alpha^f packed. alpha is primitive, so zeta has order
+    (q^n - 1)/f = p exactly."""
     return FieldContext(
-        q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=zeta, kronecker=form
+        q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=form.unpack(zeta),
+        kronecker=form,
     )
 
 

@@ -113,11 +113,16 @@ def index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> int:
     return index_vector(ctx, setup).at(r)
 
 
-def beta_index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> IndexRecord:
-    if r % 2 or not 2 <= r <= setup.p - 3:
-        raise BadEigenspaceIndex(f"r={r} must be even and in [2, {setup.p - 3}]")
-    i = index_mod_p(ctx, setup, r)
+def index_record(vector: IndexVector, r: int) -> IndexRecord:
+    """The verdict on i_r read from `vector`, for an even r in [2, p-3]."""
+    if r % 2 or not 2 <= r <= vector.p - 3:
+        raise BadEigenspaceIndex(f"r={r} must be even and in [2, {vector.p - 3}]")
+    i = vector.at(r)
     return IndexRecord(r=r, i_mod_p=i, verdict=verdict(i))
+
+
+def beta_index_mod_p(ctx: FieldContext, setup: CyclotomicSetup, r: int) -> IndexRecord:
+    return index_record(index_vector(ctx, setup), r)
 
 
 def verify_identity_i(setup: CyclotomicSetup, table) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import WRONG_TYPES, forged_golden_certificate, unencodable_certificates
 
-from eigenvanish import cli, periods, quadforms
+from eigenvanish import cli, periods, quadforms, units
 from eigenvanish.cli import SCHEMA, build_parser, main
 from eigenvanish.errors import InternalInvariant
 from eigenvanish.ffield import FieldContext, build_field
@@ -225,6 +225,29 @@ def test_failing_check_exits_2_without_a_handler_code(capsys, monkeypatch):
     assert code == 2
     assert report["result"]["signed_C"] is None
     assert [c["ok"] for c in report["checks"]] == [True, False]
+
+
+@pytest.mark.parametrize("p, q, k", [(7, 2, 0), (13, 3, 1), (13, 5, 2)])
+def test_indices_check_refuses_a_tampered_index_vector(capsys, monkeypatch, p, q, k):
+    # c_k off by one at the last coset whose c_k is a discrete log (n = 3, 3
+    # and 4): the recomputed (1 - zeta^(g^k))^f no longer matches zeta^(c_k)
+    real = units.index_vector
+
+    def tampered(ctx, setup):
+        vector = real(ctx, setup)
+        c = list(vector.c)
+        c[k] = (c[k] + 1) % p
+        return dataclasses.replace(vector, c=tuple(c))
+
+    code, report, err = run(capsys, "indices", "--p", str(p), "--q", str(q), "--r", "4", "--json")
+    assert code in (0, 2) and report["checks"][0]["ok"]
+    monkeypatch.setattr(units, "index_vector", tampered)
+    code, report, err = run(capsys, "indices", "--p", str(p), "--q", str(q), "--r", "4", "--json")
+    assert code == 2
+    assert report["checks"] == [{
+        "name": "beta-power-in-order-p-subgroup", "ok": False,
+        "detail": "discrete log of beta^f found in the order-p subgroup",
+    }]
 
 
 def test_every_error_class_is_exported_with_an_exit_code():

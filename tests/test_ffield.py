@@ -475,17 +475,22 @@ def _quotient_of_top_power(modulus, q):
 @pytest.mark.parametrize("q", BARRETT_QS)
 def test_barrett_product_matches_schoolbook_on_every_width(q):
     # random monic moduli, reducible ones included (modulus[0] = 0 among
-    # them), random operands and operands with every slot at q - 1, for
-    # every n up to 40; the Barrett constant against long division
+    # them), X^n + c·X^(n-1) and X^n + c (the tails of degree n - 1 and 0),
+    # random operands and operands with every slot at q - 1, for every n up
+    # to 40; the Barrett constants against long division: floor(X^(2n-2)/F)
+    # is X^(n-2) + mu_tail, and neg_tail is -L for F = X^n + L
     rng = random.Random(q)
     for n in range(1, 41):
         moduli = [(0,) * n, (q - 1,) * n] + [
             tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)
-        ]
+        ] + [(0,) * (n - 1) + (q - 1,), (q - 1,) + (0,) * (n - 1)]
         for modulus in moduli:
             form = _Kronecker(modulus, q)
             quotient = _quotient_of_top_power(modulus, q)
-            assert form.mu_neg == form.pack(tuple(-c % q for c in quotient)), (n, modulus)
+            if n >= 2:
+                assert quotient[n - 2] == 1, (n, modulus)
+            assert form.mu_tail == form.pack(quotient[: max(n - 2, 0)]), (n, modulus)
+            assert form.neg_tail == form.pack(tuple(-c % q for c in modulus)), (n, modulus)
             operands = [(q - 1,) * n] + [
                 tuple(rng.randrange(q) for _ in range(n)) for _ in range(3)
             ]
@@ -769,18 +774,26 @@ def _outer_moduli(q, n):
 
 @pytest.mark.parametrize("q, n", NORM_FIELDS)
 def test_is_primitive_matches_all_powers(q, n):
+    # the power asked for is x^((q^n-1)/ell) for the largest prime ell: one
+    # the verdict takes when ell ∤ q - 1, a power of its own otherwise
+    # ((31, 2), where every prime of q^n - 1 divides q - 1)
     primes = _group_order_primes(q, n)
     phi = q**n - 1
     for ell in primes:
         phi -= phi // ell
+    exponent = (q**n - 1) // primes[-1]
     for modulus in _outer_moduli(q, n):
         form = _Kronecker(modulus, q)
         primitive = 0
         for k in range(1, q**n):
             x = _int_to_coeffs(k, n, q)
-            got = _is_primitive(x, form, primes)
-            assert got == all_powers_is_primitive(x, modulus, q, primes), (q, modulus, x)
-            primitive += got
+            got = _is_primitive(x, form, primes, exponent)
+            assert (got is not None) == all_powers_is_primitive(x, modulus, q, primes), (
+                q, modulus, x,
+            )
+            if got is not None:
+                assert form.unpack(got) == schoolbook_powmod(x, exponent, modulus, q)
+                primitive += 1
         assert primitive == phi, (q, modulus)
 
 
@@ -833,15 +846,52 @@ def test_power_sums_match_frobenius_traces():
         assert trace_row == frobenius_traces(ctx.modulus, ctx.q), (setup.p, setup.q)
 
 
+# the witness field of `certify_half_plus(p)` for p = 19, 23, 31, 43, 47, 59
+CERTIFY_WITNESS_FIELDS = [(19, 5), (23, 2), (31, 7), (43, 13), (47, 2), (59, 3)]
+
+
+def test_certify_witness_fields_are_the_certificates():
+    for p, q in CERTIFY_WITNESS_FIELDS:
+        assert [choice[0] for choice in certify_half_plus(p).field_choices] == [q], p
+
+
+def test_zeta_from_the_verdict_is_the_binary_power():
+    # build_field takes zeta = alpha^f from the generator's verdict, and
+    # field_from_choice from its own: both against binary powering of alpha
+    setups = grid_setups() + [CyclotomicSetup.create(p, q) for p, q in CERTIFY_WITNESS_FIELDS]
+    assert len(setups) == 50
+    for setup in setups:
+        ctx = build_field(setup)
+        form = ctx.kronecker
+        want = form.unpack(form.pow(form.pack(ctx.alpha), setup.f))
+        assert ctx.zeta == want, (setup.p, setup.q)
+        chosen = ffield.field_from_choice(setup, ctx.modulus_int, ctx.encode(ctx.alpha))
+        assert chosen.zeta == want, (setup.p, setup.q)
+
+
+@pytest.mark.parametrize("p, q", CERTIFY_WITNESS_FIELDS)
+def test_barrett_constants_are_as_short_as_the_tail(p, q):
+    # F = X^n + L with deg L = j: M (deg <= j - 2) takes at most max(j - 1, 0)
+    # slots and -L at most j + 1, so two of a product's three int products
+    # are by ints of j + 1 slots, not n
+    ctx = build_field(CyclotomicSetup.create(p, q))
+    form = ctx.kronecker
+    j = max(i for i, c in enumerate(ctx.modulus) if c)
+    assert j <= 5, (p, q, ctx.modulus)
+    assert form.mu_tail.bit_length() <= max(j - 1, 0) * form.w, (p, q)
+    assert form.neg_tail.bit_length() <= (j + 1) * form.w, (p, q)
+
+
 @pytest.mark.parametrize("p, q", [(43, 13), (67, 17)])
 def test_build_field_product_count(monkeypatch, p, q):
     # the whole build (modulus search, generator search, zeta) in packed
-    # field products: 429 and 512 here, since Ben-Or takes one gcd per
-    # doubling window of degrees and leaves its Frobenius chain on the form
-    # (548 and 657 before; 2,547 and 3,016 before Ben-Or ran on orbit
-    # leaders only and a linear element was powered by base-q digits; 2,775
-    # and 3,601 while every prime of q^n - 1 took a field power); a full
-    # Rabin test per modulus candidate would take far more
+    # field products: 390 and 446 here, since zeta = alpha^f comes from the
+    # generator's verdict (429 and 512 while it was powered again; 548 and
+    # 657 before Ben-Or took one gcd per doubling window of degrees and left
+    # its Frobenius chain on the form; 2,547 and 3,016 before Ben-Or ran on
+    # orbit leaders only and a linear element was powered by base-q digits;
+    # 2,775 and 3,601 while every prime of q^n - 1 took a field power); a
+    # full Rabin test per modulus candidate would take far more
     calls = 0
     packed_mul = ffield._Kronecker.mul
 
@@ -916,13 +966,17 @@ def plain_least_primitive(q, n):
     form = _Kronecker(least_irreducible(q, n), q)
     primes = _group_order_primes(q, n)
     return next(
-        k for k in range(q, q**n) if _is_primitive(_int_to_coeffs(k, n, q), form, primes)
+        k for k in range(q, q**n)
+        if _is_primitive(_int_to_coeffs(k, n, q), form, primes, 1) is not None
     )
 
 
 def searched_generator(q, n):
+    # asked for alpha^1, which a linear alpha = c1·(X + t) gets as c1·(X + t)
     form = _Kronecker(least_irreducible(q, n), q)
-    return _coeffs_to_int(_least_primitive(form, _group_order_primes(q, n)), q)
+    alpha, power = _least_primitive(form, _group_order_primes(q, n), 1)
+    assert power == form.pack(alpha), (q, n)
+    return _coeffs_to_int(alpha, q)
 
 
 def test_least_primitive_matches_the_plain_search():
@@ -945,7 +999,8 @@ def test_one_field_power_verdict_per_monic_associate(monkeypatch, q, n):
     # a second search repeats every call, so nothing is kept across searches
     form = _Kronecker(least_irreducible(q, n), q)
     primes = _group_order_primes(q, n)
-    alpha = _least_primitive(form, primes)
+    exponent = (q**n - 1) // primes[-1]
+    alpha, _ = _least_primitive(form, primes, exponent)
     stop = _coeffs_to_int(alpha, q) + 1 if not any(alpha[2:]) else q * q
     small = [ell for ell in primes if (q - 1) % ell == 0]
     norms_want, powers_want = [], []
@@ -972,7 +1027,7 @@ def test_one_field_power_verdict_per_monic_associate(monkeypatch, q, n):
     for _ in range(2):
         linear["_norm"].clear()
         linear["_powers"].clear()
-        assert _least_primitive(form, primes) == alpha
+        assert _least_primitive(form, primes, exponent)[0] == alpha
         assert linear["_norm"] == norms_want
         assert linear["_powers"] == powers_want
 
