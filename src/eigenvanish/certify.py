@@ -20,7 +20,7 @@ from heapq import merge
 from itertools import islice
 from math import gcd
 
-from ._nt import factor, is_prime
+from ._nt import is_prime
 from .errors import (
     BadEigenspaceIndex,
     BadInput,
@@ -51,29 +51,46 @@ ROUTE_FULL = "periods+forms"
 ROUTE_ANALYTIC = "forms+index"
 
 
-def _primes_of_order(p: int, n: int, qbound: int):
-    """The primes q <= qbound of order n mod the prime p, ascending and lazily.
-    Such q lie in the residue classes a mod p of order n: a^n ≡ 1 and
-    a^(n/ell) ≢ 1 for each prime ell of n. Only the classes a <= qbound can
-    hold one, so at most min(p, qbound) residues are tested, and a class
-    whose progression ends at a (a + p > qbound) only if a is prime; the
-    progressions of the classes found are merged and their primes kept."""
-    ells = factor(n)
-    classes = [
-        a for a in range(1, min(p, qbound + 1))
-        if _holds_a_prime(a, p, qbound)
-        and pow(a, n, p) == 1 and all(pow(a, n // ell, p) != 1 for ell in ells)
-    ]
-    return _progression_primes(p, classes, qbound)
+def _witness_fields(p: int, orders, qbound: int, field_cap: int | None = None):
+    """(field size, q, n) for every prime q <= qbound whose order n mod p is
+    one of `orders` (divisors of p - 1, each >= 2), smallest fields first,
+    up to the first q with q^n > field_cap in each order when there is a cap.
+    Under a cap, an order n >= the cap's bit length is dropped before any
+    work: q^n >= 2^n > field_cap. The fields are yielded lazily, merged from
+    one ascending stream per order, so a caller that reads k of them lists
+    no more.
+
+    The residue classes of every order come from one walk of g^k, k < p - 1,
+    g the least primitive root: g^k has order (p - 1)/gcd(k, p - 1). A class
+    a <= qbound is kept when it can hold a prime (a + p <= qbound, or a is
+    prime); the progressions a, a + p, ... of an order's classes are merged
+    in ascending order and their primes kept. The walk is Θ(p), as are
+    `class_number(p)` before certify's first witness and `vandiver_scan`'s
+    loop over the even r."""
+    if field_cap is not None:
+        orders = [n for n in orders if n < field_cap.bit_length()]
+    classes = {n: [] for n in orders}
+    if classes:
+        g, a = least_primitive_root(p), 1
+        for k in range(p - 1):
+            n = (p - 1) // gcd(k, p - 1)
+            if a <= qbound and n in classes and (a + p <= qbound or is_prime(a)):
+                classes[n].append(a)
+            a = a * g % p
+    return merge(*(
+        _fields_of_order(n, residues, p, qbound, field_cap) for n, residues in classes.items()
+    ))
 
 
-def _holds_a_prime(a: int, p: int, qbound: int) -> bool:
-    return a + p <= qbound or is_prime(a)
-
-
-def _progression_primes(p: int, classes, qbound: int):
-    """The primes <= qbound in the classes a mod p, ascending classes given."""
-    return filter(is_prime, merge(*(range(a, qbound + 1, p) for a in classes)))
+def _fields_of_order(n: int, residues, p: int, qbound: int, field_cap: int | None):
+    """(field size, q, n) for the primes q <= qbound in the classes a mod p,
+    ascending, up to the first q with q^n > field_cap when there is a cap."""
+    progressions = merge(*(range(a, qbound + 1, p) for a in sorted(residues)))
+    for q in filter(is_prime, progressions):
+        size = q**n
+        if field_cap is not None and size > field_cap:
+            return
+        yield size, q, n
 
 
 @dataclass(frozen=True)
@@ -168,7 +185,7 @@ def certify_half_plus(
     n = (p - 1) // 2
     records: list[WitnessRecord] = []
     choices: list[tuple[int, int, int]] = []
-    for q in _primes_of_order(p, n, qbound):
+    for _, q, _ in _witness_fields(p, (n,), qbound):
         setup = CyclotomicSetup.create(p, q, g=g)
         ctx = build_field(setup)
         rec = _witness_record(setup, ctx, cn, field_cap)
@@ -342,40 +359,6 @@ def certificate_from_dict(data: dict) -> Certificate:
         raise BadInput(f"malformed certificate: {exc}") from None
 
 
-def _fields_of_order(n: int, primes, field_cap: int):
-    """(field size, q, n) for the ascending primes q of order n, up to the
-    first q with q^n > field_cap."""
-    for q in primes:
-        if (size := q**n) > field_cap:
-            return
-        yield size, q, n
-
-
-def _witness_fields(p: int, qbound: int, field_cap: int):
-    """(field size, q, n) for every candidate witness prime, smallest fields
-    first. The order n of q mod p divides p - 1, and n < the cap's bit length,
-    else q^n >= 2^n > field_cap. The fields are yielded lazily, merged from one
-    ascending stream per n, so a caller that reads k of them lists no more.
-
-    The residue classes of every such order come from one walk of g^k,
-    k < p - 1, g the least primitive root: g^k has order
-    (p - 1)/gcd(k, p - 1). The walk is Θ(p), as is `vandiver_scan`'s loop
-    over the even r; the classes a <= qbound that `_primes_of_order` would
-    keep are kept, in ascending order."""
-    classes = {n: [] for n in range(2, min(p, field_cap.bit_length())) if (p - 1) % n == 0}
-    if classes:  # p = 2, which has no primitive root, has no order n >= 2
-        g, a = least_primitive_root(p), 1
-        for k in range(p - 1):
-            n = (p - 1) // gcd(k, p - 1)
-            if a <= qbound and n in classes and _holds_a_prime(a, p, qbound):
-                classes[n].append(a)
-            a = a * g % p
-    return merge(*(
-        _fields_of_order(n, _progression_primes(p, sorted(residues), qbound), field_cap)
-        for n, residues in classes.items()
-    ))
-
-
 @dataclass(frozen=True)
 class EigenspaceScan:
     r: int
@@ -419,7 +402,8 @@ def vandiver_scan(
     if max_witnesses_per_r < 1:
         raise BadInput(f"max_witnesses_per_r={max_witnesses_per_r} must be at least 1")
     check_primitive_root(p, g)
-    candidates = list(islice(_witness_fields(p, qbound, field_cap), max_witnesses_per_r))
+    orders = [n for n in range(2, p) if (p - 1) % n == 0]
+    candidates = list(islice(_witness_fields(p, orders, qbound, field_cap), max_witnesses_per_r))
     vectors: dict[int, IndexVector] = {}
     scans = []
     for r in range(2, p - 2, 2):
@@ -496,7 +480,7 @@ def remark_explore(
         raise BadPrime(f"p={p} gives order {n} < 2")
     check_primitive_root(p, g)
     r = ((e - 1) * p + 1) // e
-    for _, q, _ in _fields_of_order(n, _primes_of_order(p, n, qbound), field_cap):
+    for _, q, _ in _witness_fields(p, (n,), qbound, field_cap):
         setup = CyclotomicSetup.create(p, q, g=g)
         ctx = build_field(setup)
         table = compute_period_table(ctx, setup)

@@ -151,8 +151,7 @@ def check_primitive_root(p: int, g: int | None) -> None:
 def least_primitive_root(p: int) -> int:
     """Least primitive root mod the prime p: p - 1 is factored once, and g is
     taken when g^((p-1)/ell) != 1 for every prime ell of p - 1. A composite
-    p >= 4 raises NotCoprime at its least prime factor, as the search by
-    multiplicative order did."""
+    p >= 4 raises NotCoprime at its least prime factor."""
     if p < 3:
         raise InternalInvariant(f"no primitive root mod {p}")
     if not is_prime(p):
@@ -457,14 +456,25 @@ def _least_irreducible_form(q: int, n: int) -> tuple[tuple[int, ...], _Kronecker
     raise InternalInvariant("no irreducible polynomial found")
 
 
+def _decimal_digits(m: int) -> int:
+    """The number of decimal digits of m >= 1, without str(m), which CPython
+    refuses past 4,300 digits. The count starts at most at the answer, since
+    3/10 < log10(2)."""
+    digits = m.bit_length() * 3 // 10
+    while 10**digits <= m:
+        digits += 1
+    return digits
+
+
 def _group_order_primes(q: int, n: int) -> list[int]:
     """Prime factors of q^n - 1, split along cyclotomic polynomial values.
     Every piece's size is checked before any piece is factored."""
     pieces = [cyclotomic_value(d, q) for d in range(1, n + 1) if n % d == 0]
     for piece in pieces:
-        if len(str(piece)) > _FACTOR_DIGIT_LIMIT and not is_prime(piece):
+        if piece >= 10**_FACTOR_DIGIT_LIMIT and not is_prime(piece):
             raise FactorizationFailure(
-                f"cofactor of q^n - 1 too large to certify primitivity ({len(str(piece))} digits)"
+                f"cofactor of q^n - 1 too large to certify primitivity "
+                f"({_decimal_digits(piece)} digits)"
             )
     return sorted({prime for piece in pieces for prime in factor(piece)})
 

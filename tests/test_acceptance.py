@@ -36,7 +36,7 @@ from eigenvanish import (
     verify_congruences_ii,
     verify_identity_i,
 )
-from eigenvanish.certify import _primes_of_order
+from eigenvanish.certify import _witness_fields
 
 from conftest import record_acceptance
 
@@ -152,7 +152,7 @@ def test_criterion_05_class_numbers():
             bad.append((p, "forms"))
         if p < 100:
             g = least_primitive_root(p)
-            for q in itertools.islice(_primes_of_order(p, (p - 1) // 2, 10_000), 2):
+            for _, q, _ in itertools.islice(_witness_fields(p, ((p - 1) // 2,), 10_000), 2):
                 witnesses += 1
                 v = compute_v(p, q, g)
                 if (p - 1) // 2 - 2 * v != h:

@@ -48,12 +48,16 @@ from eigenvanish.certify import (
     ROUTE_FULL,
     EigenspaceScan,
     VandiverReport,
-    _primes_of_order,
     _witness_fields,
     _witness_record,
 )
 from eigenvanish.ffield import field_from_choice
 from eigenvanish.units import index_vector
+
+
+def _primes_of_order(p: int, n: int, qbound: int, field_cap: int | None = None):
+    """The primes q <= qbound of order n mod p, through the one witness lister."""
+    return (q for _, q, _ in _witness_fields(p, (n,), qbound, field_cap))
 
 
 def test_primes_of_order_goldens():
@@ -63,7 +67,7 @@ def test_primes_of_order_goldens():
 
 def _prime_orders(p: int, qbound: int) -> list[tuple[int, int]]:
     """(q, ord_p(q)) for each prime q <= qbound but p, by sympy's n_order: the
-    oracle for the witness primes that `_primes_of_order` finds by residue class."""
+    oracle for the witness primes that `_witness_fields` finds by residue class."""
     return [(q, n_order(q, p)) for q in primerange(2, qbound + 1) if q != p]
 
 
@@ -80,15 +84,20 @@ def test_witness_primes_match_the_order_oracle(qbound):
     # prime qbound = 401 is the second and last term a + p of its class
     for p in primerange(2, 301):
         orders = _prime_orders(p, qbound)
-        for n in divisors(p - 1)[1:]:
+        all_orders = divisors(p - 1)[1:]
+        for n in all_orders:
             want = [q for q, order in orders if order == n]
             assert list(_primes_of_order(p, n, qbound)) == want, (p, n)
         fields = sorted((q**n, q, n) for q, n in orders if n >= 2)
         for cap in (1, 8, 100, 1 << 20, 1 << 27, 1 << 40):
             want = [field for field in fields if field[0] <= cap]
-            assert list(_witness_fields(p, qbound, cap)) == want, (p, cap)
+            assert list(_witness_fields(p, all_orders, qbound, cap)) == want, (p, cap)
             for k in (1, 5):
-                assert list(islice(_witness_fields(p, qbound, cap), k)) == want[:k], (p, cap, k)
+                got = list(islice(_witness_fields(p, all_orders, qbound, cap), k))
+                assert got == want[:k], (p, cap, k)
+            for n in all_orders:
+                want_n = [q for _, q, order in want if order == n]
+                assert list(_primes_of_order(p, n, qbound, cap)) == want_n, (p, n, cap)
 
 
 # frozen witness data for the smallest certifying prime q per p
@@ -314,7 +323,12 @@ def _primes_3_mod_4(draw):
 @settings(max_examples=30, deadline=None)
 @given(p=_primes_3_mod_4(), kind=st.sampled_from(["no-witnesses", "short-modulus"]))
 def test_verify_cost_on_large_p(p, kind):
-    q = next(_primes_of_order(p, (p - 1) // 2, 1000), None)
+    # a walk of order p cannot run at p ~ 10^12: the least prime q <= 1000 of
+    # order (p-1)/2, by power tests over the primes of (p-1)/2
+    n = (p - 1) // 2
+    ells = factorint(n)
+    q = next((q for q in primerange(2, 1001)
+              if pow(q, n, p) == 1 and all(pow(q, n // ell, p) != 1 for ell in ells)), None)
     problems, cpu = _timed_problems(unencodable_certificates(p, q or 2, modulus="7")[kind])
     if kind == "no-witnesses":
         assert "the certificate has no witnesses" in problems
@@ -851,3 +865,12 @@ def test_explore_guards():
         remark_explore(19, "e4")  # 19 ≢ 5 mod 8
     with pytest.raises(BadPrime, match="order 1 < 2"):
         remark_explore(5, "e4")  # 5 ≡ 5 mod 8, but (5 - 1)/4 = 1
+
+
+def test_explore_refuses_an_order_past_the_cap_at_once():
+    # n = 25,000,009 >= the default cap's bit length, so no q^n fits: the
+    # order is dropped before any walk or power
+    cpu = time.process_time()
+    with pytest.raises(BoundExhausted, match="no prime of order 25000009 mod 100000037"):
+        remark_explore(100000037, "e4")
+    assert time.process_time() - cpu < 0.1

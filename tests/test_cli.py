@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import WRONG_TYPES, forged_golden_certificate, unencodable_certificates
 
-from eigenvanish import cli, periods, quadforms, units
+from eigenvanish import cli, errors, ffield, periods, quadforms, units
 from eigenvanish.cli import SCHEMA, build_parser, main
 from eigenvanish.errors import InternalInvariant
 from eigenvanish.ffield import FieldContext, build_field
@@ -259,6 +259,36 @@ def test_every_error_class_is_exported_with_an_exit_code():
             assert name in eigenvanish.__all__ and getattr(eigenvanish, name) is cls, name
             code = next(c for base, c, _ in cli._FAILURES if issubclass(cls, base))
             assert code in (1, 2, 3), name
+
+
+@pytest.mark.parametrize("argv", [
+    "setup --p 7 --q 1",
+    "certify --p 7 --max-q 0",
+    "vandiver --p 7 --field-cap -1",
+    "periods --p 7 --q 2 --field-cap 0",
+    "density --p 7 --bound 10",
+    "cornacchia 5 0 --all",
+    "explore e4 --p 29 --field-cap 1",
+    "indices --p 7 --q 2 --r 3",
+    # the piece (2^15569 + 1)/3 of 2^31138 - 1 has 4,687 digits, past
+    # CPython's limit for str(int)
+    "setup --p 31139 --q 2",
+])
+def test_edge_inputs_keep_the_exit_contract(capsys, monkeypatch, argv):
+    # one Miller-Rabin pass on a 4,687-digit piece takes seconds; the
+    # refusal calls every such piece composite without it
+    prime = ffield.is_prime
+    monkeypatch.setattr(ffield, "is_prime", lambda n: n < 10**80 and prime(n))
+    code = main(argv.split())
+    report = json.loads(capsys.readouterr().out)  # exactly one document
+    assert code in (0, 1, 2, 3)
+    if "error" in report:
+        kind = report["error"]["type"]
+        names = {name for name, cls in inspect.getmembers(errors, inspect.isclass)
+                 if issubclass(cls, errors.EigenvanishError)}
+        assert code and kind in names | {"MemoryError"}, kind
+    else:  # a run that ends exits nonzero only for a failed check
+        assert code == (2 if any(not c["ok"] for c in report["checks"]) else 0), report
 
 
 def test_certify_inconclusive_small_bound(capsys):

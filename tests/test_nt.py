@@ -25,7 +25,7 @@ from eigenvanish import (
     vandiver_scan,
     verify_certificate,
 )
-from eigenvanish import _nt
+from eigenvanish import _nt, ffield
 from eigenvanish.errors import FactorizationFailure
 from eigenvanish.ffield import _group_order_primes
 
@@ -192,6 +192,18 @@ def test_group_order_refusal_is_unchanged():
         _group_order_primes(2, 271)
     assert str(err.value) == (
         "cofactor of q^n - 1 too large to certify primitivity (82 digits)"
+    )
+
+
+def test_group_order_refuses_a_piece_past_the_str_limit(monkeypatch):
+    # Phi_31138(2) = (2^15569 + 1)/3 has 4,687 digits, past CPython's 4,300
+    # for str(int); the refusal counts them without str. The Miller-Rabin
+    # pass on the piece, seconds long, is replaced by its verdict
+    monkeypatch.setattr(ffield, "is_prime", lambda n: n < 10**80 and isprime(n))
+    with pytest.raises(FactorizationFailure) as err:
+        _group_order_primes(2, 31138)
+    assert str(err.value) == (
+        "cofactor of q^n - 1 too large to certify primitivity (4687 digits)"
     )
 
 
