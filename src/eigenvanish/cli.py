@@ -10,6 +10,7 @@ are decimal strings; the only floats are density ratios.
 
 import argparse
 import json
+import os
 import sys
 
 from ._nt import is_prime
@@ -119,17 +120,14 @@ def cmd_periods(args):
 
 
 def _logs_recomputed(ctx, setup, vector) -> bool:
-    """(1 - zeta^(g^k))^f = zeta^(c_k) for every coset k whose c_k is a
-    discrete log: the first e/2 for odd n (the others follow from them by
-    `index_vector`'s pairing), every k for even n. Both sides are binary
-    powers, apart from the walk of <zeta> and the digit powers that gave c_k."""
+    """(1 - zeta^(g^k))^f = zeta^(c_k) for every coset k < e, by binary powers,
+    apart from the walk of <zeta>, the digit powers and the pairing that gave c_k."""
     p, form = setup.p, ctx.kronecker
     zeta = form.pack(ctx.zeta)
-    logged = setup.e // 2 if setup.n % 2 else setup.e
     return len(vector.c) == setup.e and all(
         form.pow(form.sub(1, form.pow(zeta, pow(setup.g, k, p))), setup.f)
-        == form.pow(zeta, vector.c[k])
-        for k in range(logged)
+        == form.pow(zeta, ck)
+        for k, ck in enumerate(vector.c)
     )
 
 
@@ -453,7 +451,7 @@ def cmd_verify(args):
             data = json.load(fh)
     except OSError as exc:
         raise BadInput(f"cannot read {args.certificate}: {exc}") from None
-    except ValueError as exc:  # not UTF-8, not JSON, or an int literal too long to parse
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too long or too deep
         raise BadInput(f"{args.certificate} is not JSON: {exc}") from None
     if isinstance(data, dict) and "result" in data and isinstance(data["result"], dict):
         data = data["result"].get("certificate", data)
@@ -563,6 +561,8 @@ def main(argv=None) -> int:
     # missing or an unknown command get all of them
     wanted = argv[:1] if argv and argv[0] in _COMMANDS else None
     args = build_parser(wanted).parse_args(argv)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # before any handler loads numpy; see README
     try:
         report, summary, code = args.handler(args)
     except (EigenvanishError, MemoryError) as exc:

@@ -315,7 +315,7 @@ class _Kronecker:
     def conjugate(self, j: int) -> int:
         """x^(q^j), packed, for 0 <= j < n (n >= 2), from the Frobenius chain
         that the form keeps: Ben-Or's test takes its first half, j <= n/2,
-        and `frobenius` the rest. A missing link x^(q^i) is the monomial
+        and `_powers` the rest. A missing link x^(q^i) is the monomial
         itself while q^i < n, so no product is taken for it, and the q-th
         power of the link before otherwise."""
         q, n, chain = self.q, self.n, self._chain
@@ -325,12 +325,6 @@ class _Kronecker:
             else:
                 chain.append(self.pow(chain[-1], q))
         return chain[j]
-
-    def frobenius(self) -> list[int]:
-        """x^(q^j) for every j < n, packed: the chain of `conjugate`, finished
-        on first use and then kept with the form (read it, do not change it)."""
-        self.conjugate(self.n - 1)
-        return self._chain
 
     def conjugate_pow(self, conjugates, exponent: int) -> int:
         """y^exponent for 0 <= exponent < q^n, given conjugates[j] = y^(q^j),
@@ -616,6 +610,14 @@ def check_modulus_length(q: int, n: int, modulus: int) -> None:
         raise BadInput(_NOT_MONIC.format(modulus, n))
 
 
+def check_field_of(ctx: FieldContext, setup: CyclotomicSetup) -> None:
+    """Raise BadInput unless ctx is a field F_{q^n} of setup's q and n."""
+    if (ctx.q, ctx.n) != (setup.q, setup.n):
+        raise BadInput(
+            f"ctx is F_{{{ctx.q}^{ctx.n}}}, but p = {setup.p} needs F_{{{setup.q}^{setup.n}}}"
+        )
+
+
 def _is_primitive(x, form: _Kronecker, primes, exponent: int) -> int | None:
     """x^exponent, packed, if the nonzero residue x generates F_{q^n}^*, None
     if not, given the packed form of F_{q^n} and the primes of q^n - 1:
@@ -670,7 +672,8 @@ def _powers(x, form: _Kronecker):
     by binary powering (`_Kronecker.pow`) for any other x."""
     if _is_linear(x):
         c0, c1 = x[0], x[1]
-        return partial(form.conjugate_pow, [form._fold(c1 * y + c0) for y in form.frobenius()])
+        conjugates = [form._fold(c1 * form.conjugate(j) + c0) for j in range(form.n)]
+        return partial(form.conjugate_pow, conjugates)
     return partial(form.pow, form.pack(x))
 
 

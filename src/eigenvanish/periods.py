@@ -18,8 +18,9 @@ and the periods' sum, whichever route made the rows.
 
 from dataclasses import dataclass
 
-from .errors import BadInput, DivisibilityFailure, InternalInvariant, NonIntegralPeriod
-from .ffield import CyclotomicSetup, FieldContext, generator_recurrence, multiplicative_order
+from .errors import DivisibilityFailure, InternalInvariant, NonIntegralPeriod
+from .ffield import (CyclotomicSetup, FieldContext, check_field_of, generator_recurrence,
+                     multiplicative_order)
 from ._scan import _scan_python, require_exact, scan_counts
 
 
@@ -110,10 +111,7 @@ def compute_period_table(
     FieldTooLarge. BadInput unless `ctx` is the field of `setup`."""
     if backend not in ("numpy", "python"):
         raise ValueError(f"unknown scan backend {backend!r}")
-    if (ctx.q, ctx.n) != (setup.q, setup.n):
-        raise BadInput(
-            f"ctx is F_{{{ctx.q}^{ctx.n}}}, but p = {setup.p} needs F_{{{setup.q}^{setup.n}}}"
-        )
+    check_field_of(ctx, setup)
     p, q, f = setup.p, setup.q, setup.f
     if backend == "numpy" and setup.n % 2 == 0:
         require_exact(setup.n, q)

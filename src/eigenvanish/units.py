@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import BadEigenspaceIndex, MissingIndex, NotInSubgroup
-from .ffield import CyclotomicSetup, FieldContext, dlog_order_p
+from .ffield import CyclotomicSetup, FieldContext, check_field_of, dlog_order_p
 
 TRIVIAL = "Trivial"
 UNKNOWN = "Unknown"
@@ -86,17 +86,18 @@ def index_vector(ctx: FieldContext, setup: CyclotomicSetup) -> IndexVector:
     is outside <q>, whose order n is odd, and u = -g^(e/2) = g^(e(n+1)/2) is
     in <q> = <g^e>, so g^(k+e/2) = u·(-g^k) with u = q^i for some i; since
     (1 - zeta^m)^(q^i) = 1 - zeta^(m·q^i), c_(u·m) = u·c_m, and so
-    c[k + e/2] = u·(c[k] - g^k·f) mod p."""
+    c[k + e/2] = u·(c[k] - g^k·f) mod p. BadInput unless `ctx` is the field of `setup`."""
+    check_field_of(ctx, setup)
     p, g, q, n, f = setup.p, setup.g, setup.q, setup.n, setup.f
     logs = dlog_order_p(ctx, p)
     powers = list(logs)  # powers[k] = zeta^k, packed
     form = ctx.kronecker
-    frobenius = [pow(q, j, p) for j in range(n)]
+    q_powers = [pow(q, j, p) for j in range(n)]
     paired = n % 2
     c = []
     gk = 1
     for _ in range(setup.e // 2 if paired else setup.e):
-        conjugates = [form.sub(1, powers[gk * qj % p]) for qj in frobenius]
+        conjugates = [form.sub(1, powers[gk * qj % p]) for qj in q_powers]
         target = form.conjugate_pow(conjugates, f)
         if target not in logs:
             raise NotInSubgroup("(1 - zeta^i)^f is not a p-th root of unity")

@@ -312,6 +312,25 @@ def test_verify_bounds_p_by_the_stored_moduli_before_any_primality_test(monkeypa
     assert cpu < 1.0
 
 
+P12 = 10**12 + 39  # a prime ≡ 3 mod 4
+MODULUS401 = str(10**400 + 7)  # 1,329 bits: 2L + 1 = 2,659 < P12
+
+
+@pytest.mark.parametrize("q", [2, 1, 0, -3])
+@pytest.mark.parametrize("modulus, two_l", [("7", 7), (MODULUS401, 2659)], ids=["7", "401"])
+def test_verify_problems_on_unbounded_p(q, modulus, two_l):
+    # p above 2L + 1: each witness gets the length check of its modulus and
+    # nothing else. A q of 0 or 1 passes it, n·(bit length of q - 1) <= 0,
+    # and so adds no problem of its own
+    data = unencodable_certificates(P12, q, modulus=modulus)["short-modulus"]
+    short = (f"witness q={q}: cannot recompute the record: modulus {modulus} "
+             f"does not encode a monic polynomial of degree 500000000019")
+    want = [f"p=1000000000039 > 2L + 1 = {two_l}: no stored modulus is long enough"]
+    want += [short] if q in (2, -3) else []
+    want += ["verdict 'Inconclusive' but witnesses say 'Trivial'"]
+    assert check_certificate(certificate_from_dict(data)) == want
+
+
 @st.composite
 def _primes_3_mod_4(draw):
     p = nextprime(draw(st.integers(6, 10**12)))

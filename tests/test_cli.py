@@ -112,7 +112,8 @@ def test_certify_roundtrip_through_verify(capsys, tmp_path):
     b'{"p": ' + b"1" * 5000 + b"}",  # int literal past the 4,300-digit limit
     b'{"p": 1e400, "r": 4, "verdict": "Trivial", "witnesses": [], "g": 3, "field_cap": 8}',
     b"[]",  # JSON, but not an object
-], ids=["not-utf8", "long-int", "float-overflow", "array"])
+    b"[" * 10_000 + b"]" * 10_000,  # json.load raises RecursionError
+], ids=["not-utf8", "long-int", "float-overflow", "array", "too-deep"])
 def test_verify_malformed_document_exits_1(capsys, tmp_path, payload):
     path = tmp_path / "cert.json"
     path.write_bytes(payload)
@@ -227,10 +228,14 @@ def test_failing_check_exits_2_without_a_handler_code(capsys, monkeypatch):
     assert [c["ok"] for c in report["checks"]] == [True, False]
 
 
-@pytest.mark.parametrize("p, q, k", [(7, 2, 0), (13, 3, 1), (13, 5, 2)])
+@pytest.mark.parametrize("p, q, k", [
+    (7, 2, 0), (13, 3, 1), (13, 5, 2), (7, 2, 1), (13, 3, 2), (13, 3, 3),
+])
 def test_indices_check_refuses_a_tampered_index_vector(capsys, monkeypatch, p, q, k):
-    # c_k off by one at the last coset whose c_k is a discrete log (n = 3, 3
-    # and 4): the recomputed (1 - zeta^(g^k))^f no longer matches zeta^(c_k)
+    # c_k off by one at any coset k < e (n = 3, 3, 4, 3, 3 and 3): the
+    # recomputed (1 - zeta^(g^k))^f no longer matches zeta^(c_k). For odd n
+    # the cosets k >= e/2 are the paired ones, which `index_vector` derives
+    # from the first e/2 rather than from a discrete log
     real = units.index_vector
 
     def tampered(ctx, setup):

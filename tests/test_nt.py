@@ -322,6 +322,24 @@ def test_periods_loads_neither_certify_nor_quadforms_nor_units():
     )
 
 
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "preset"])
+def test_cli_runs_blas_on_one_thread_unless_told_otherwise(preset):
+    # the (47, 2) scan loads numpy; a thread count the user set is kept
+    got = _fresh(
+        "import os\n"
+        f"for var in {_BLAS_THREADS!r}:\n"
+        "    os.environ.pop(var, None)\n"
+        f"os.environ.update({preset!r})\n"
+        + _run_cli("periods", "--p", "47", "--q", "2", "--json")
+        + f"print(json.dumps([{{v: os.environ.get(v) for v in {_BLAS_THREADS!r}}}, "
+        "'numpy' in sys.modules]))\n"
+    )
+    assert got == [{var: preset.get(var, "1") for var in _BLAS_THREADS}, True]
+
+
 def test_even_n_period_table_loads_no_numpy():
     # F_{5^4} for p = 13 takes the closed form; F_{3^3} for p = 13 scans
     got = _fresh(

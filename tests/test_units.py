@@ -3,6 +3,7 @@ from conftest import production_setups, schoolbook_mulmod, schoolbook_powmod, tu
 
 from eigenvanish import (
     BadEigenspaceIndex,
+    BadInput,
     CyclotomicSetup,
     FieldContext,
     IndexVector,
@@ -192,6 +193,20 @@ def test_index_vector_refuses_a_target_off_the_table(f27):
     forged = CyclotomicSetup(setup.p, setup.q, setup.n, setup.e, 1, setup.g)
     with pytest.raises(NotInSubgroup):
         index_vector(ctx, forged)
+
+
+@pytest.mark.parametrize("q", [61, 107, 29])
+def test_index_api_refuses_a_field_of_another_setup(q):
+    # F_{3^3} for (13, 3) handed a setup (13, q) of the same n = 3: no index
+    # of F_{q^3} can be read there, and every entry point says so alike
+    ctx = build_field(CyclotomicSetup.create(13, 3))
+    setup = CyclotomicSetup.create(13, q)
+    message = f"ctx is F_{{3^3}}, but p = 13 needs F_{{{q}^3}}"
+    for read in (index_vector, lambda c, s: index_mod_p(c, s, 4),
+                 lambda c, s: beta_index_mod_p(c, s, 4), compute_period_table):
+        with pytest.raises(BadInput) as err:
+            read(ctx, setup)
+        assert str(err.value) == message
 
 
 def test_index_vector_range_check(f8):
