@@ -39,9 +39,11 @@ gamma^((q^d-1)/(ell(q-1))) lies in F_q^*.
 
 Every matrix comes from one squaring chain (`_chain`): M and the start
 columns alpha^m by doubling from the squares of A; the power table, the
-state jump and Γ from the squares of M; the premise's powers and the d start
-columns Γ^i·s_m from the squares of Γ. The zero counter `_count_zeros`
-reads a block of terms of every column per matmul from the power table. All
+giant steps' states and Γ from the squares of M; the premise's powers and
+the d start columns Γ^i·s_m from the squares of Γ. The zero counter
+`_count_zeros` is a baby-step/giant-step count: it builds the states
+M^(aB)·s of every giant step a first, then reads the B terms of a chunk of
+giant steps of every column in one matmul with the power table. All
 of it is float64 matrix arithmetic mod q on integers below n(q-1)^2, exact
 while that stays below 2^53, so a field with n(q-1)^2 >= 2^53 is refused.
 `_scan_python`, a walk of all q^n - 1 powers alpha^k by the packed field
@@ -58,7 +60,8 @@ from .errors import FieldTooLarge, InternalInvariant
 from ._nt import factor
 from .ffield import _Kronecker
 
-_BLOCK = 1 << 12
+_BLOCK = 1 << 10
+_PRODUCT = 1 << 15
 
 
 def _mod(y, q):
@@ -118,15 +121,29 @@ def _count_zeros(squares, trace, states, total, q, joint=1):
     """Zeros among the terms trace·M^j·s, j < `total`, for each column s of
     `states`, M an n×n matrix and `trace` a row of n, all over F_q.
     `squares` is the list M, M^2, M^4, ... of M's squarings from `_chain`,
-    up to M^B at least (B below). With `joint` = d > 1 the columns are
-    d blocks of R, [S, Γ·S, ..., Γ^(d-1)·S], and entry c of the result
+    holding every M^(2^k) with 2^k < total. With `joint` = d > 1 the columns
+    are d blocks of R, [S, Γ·S, ..., Γ^(d-1)·S], and entry c of the result
     counts the j at which the terms of column c of every block all vanish.
 
-    Row j of the power table U is trace·M^j, so S^T @ U^T yields terms
-    k .. k+B-1 of every column at once, one column's terms to a contiguous
-    row, when S holds the columns' states M^k·s. U is filled by doubling,
-    U[h:2h] = U[:h] @ M^h. Its height B is the greatest power of two up to
-    min(_BLOCK, total), and M^B is the state jump S_{k+B} = M^B S_k.
+    Baby steps and giant steps. Row i of the power table U is trace·M^i,
+    i < B, filled by doubling, U[h:2h] = U[:h] @ M^h; its height B is the
+    greatest power of two up to min(_BLOCK, total). Giant step a holds the
+    states S_a = M^(aB)·S, a < ceil(total/B), all built before any count by
+    doubling, S_(a+2^k) = M^(B·2^k)·S_a for 2^k < ceil(total/B): then
+    B·2^k < total, so M^(B·2^k) is a square of M's chain, and each doubling
+    is one matmul. S_a^T @ U^T holds the terms aB .. aB+B-1 of every column,
+    one column's terms to a row. One matmul takes a chunk of giant steps,
+    at most _PRODUCT terms but at least one giant step, into one buffer
+    that the zero test reuses in place; the terms past `total`, in the last
+    giant step, are masked.
+
+    _BLOCK = 1,024 rows and _PRODUCT = 2^15 terms (256 KB of float64) keep
+    the table and the product in cache: BLAS repacks its operand on every
+    call, so one product per giant step costs more than the multiply-adds,
+    and a single product of the whole scan spends more on its zero test,
+    on a result far larger than the cache, than it saves (Goto and van de
+    Geijn, "Anatomy of High-Performance Matrix Multiplication", ACM TOMS 34,
+    2008).
 
     Every product is a float64 matmul, and it is exact. Each entry is an
     integer dot product of n terms below q, so it lies below n(q-1)^2 < 2^53
@@ -139,28 +156,43 @@ def _count_zeros(squares, trace, states, total, q, joint=1):
     import numpy as np
 
     height = 1 << min(_BLOCK, total).bit_length() - 1
-    top = height.bit_length()  # the squares M^(2^k) read, k < top
+    top = height.bit_length()  # the table reads M^(2^k), k < top - 1
     u = np.empty((height, len(trace)))
     u[0] = trace
     for k in range(top - 1):
         h = 1 << k
         _mod(np.matmul(u[:h], squares[k], out=u[h : 2 * h]), q)
 
+    # row a·width + c is column c of S_a, transposed
     state = np.asarray(states, dtype=np.float64)
-    zeros = np.zeros(state.shape[1] // joint, dtype=np.int64)
-    done = 0
-    while True:
-        cnt = min(height, total - done)
-        ratio = state.T @ u[:cnt].T  # row c holds column c's terms
-        ratio /= q
-        zero = ratio == np.floor(ratio)
+    width = state.shape[1]
+    groups = width // joint  # R, the columns of one block
+    steps = -(-total // height)
+    giant = np.empty((steps * width, len(trace)))
+    giant[:width] = state.T
+    built, k = 1, top - 1
+    while built < steps:  # S_(a+built) = M^(B·built)·S_a, M^(B·built) = squares[k]
+        more = min(built, steps - built) * width
+        out = giant[built * width : built * width + more]
+        _mod(np.matmul(giant[:more], squares[k].T, out=out), q)
+        built, k = built + more // width, k + 1
+
+    chunk = min(steps, max(1, _PRODUCT // (width * height))) * width
+    ratio, whole = np.empty((chunk, height)), np.empty((chunk, height))
+    zero = np.empty((chunk, height), dtype=bool)
+    zeros = np.zeros(groups, dtype=np.int64)
+    for row in range(0, steps * width, chunk):
+        rows = min(chunk, steps * width - row)
+        r, w, z = ratio[:rows], whole[:rows], zero[:rows]
+        np.matmul(giant[row : row + rows], u.T, out=r)  # a column's B terms to a row
+        r /= q
+        np.equal(r, np.floor(r, out=w), out=z)
+        if row + rows == steps * width:
+            z[-width:, total - (steps - 1) * height :] = False
         if joint > 1:
-            zero = zero.reshape(joint, -1, cnt).all(axis=0)
-        zeros += zero.sum(axis=1)
-        done += cnt
-        if done == total:
-            return zeros
-        state = _mod(squares[top - 1] @ state, q)
+            z = z.reshape(-1, joint, groups, height).all(axis=1)
+        zeros += z.sum(axis=-1, dtype=np.int32).reshape(-1, groups).sum(axis=0)
+    return zeros
 
 
 def _cosets(p: int, q: int) -> tuple[list[int], list[int]]:
@@ -193,7 +225,7 @@ def _projective_counts(cols, trace, p: int, q: int, d: int):
     # alpha^m for every m below 2^t > the largest coset leader, and M = A^p
     a = np.array(cols, dtype=np.float64).T  # column i is alpha·x^i
     _, (mult,), powers = _chain(a, q, p.bit_length(), [p], np.eye(n, 1), leaders[-1].bit_length())
-    # M^(2^k) for 2^k <= span: the power table, the state jump and Γ = M^span
+    # M^(2^k) for 2^k <= span: the power table, the giant steps and Γ = M^span
     squares, (gamma,), _ = _chain(mult, q, span.bit_length(), [span])
     # the premise's Γ^norm = A^N and Γ^(norm/ell); the d start blocks Γ^i·S
     norm = qd // (q - 1)  # N = (q^n - 1)/(q - 1) = p·span·norm

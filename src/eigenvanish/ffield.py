@@ -476,14 +476,17 @@ def _group_order_primes(q: int, n: int) -> list[int]:
 class FieldContext(_Record):
     """Canonical F_{q^n} and its trace data; `modulus` holds the non-leading
     coefficients of the monic modulus. Its arithmetic is the private
-    `kronecker`, the packed form that built the field, which ==, hash and
-    repr leave out."""
+    `kronecker`, the packed form that built the field, and `p` is the prime
+    whose primitive root of unity `zeta` is; ==, hash and repr leave both
+    out, so one field compares equal whichever p it was built for."""
 
     _fields = ("q", "n", "modulus", "alpha", "zeta")
 
     def __init__(self, q: int, n: int, modulus: tuple[int, ...], alpha: tuple[int, ...],
-                 zeta: tuple[int, ...], kronecker: _Kronecker):
-        vars(self).update(q=q, n=n, modulus=modulus, alpha=alpha, zeta=zeta, kronecker=kronecker)
+                 zeta: tuple[int, ...], kronecker: _Kronecker, *, p: int):
+        vars(self).update(
+            q=q, n=n, modulus=modulus, alpha=alpha, zeta=zeta, kronecker=kronecker, p=p
+        )
 
     @cached_property
     def basis_traces(self) -> tuple[int, ...]:
@@ -611,11 +614,14 @@ def check_modulus_length(q: int, n: int, modulus: int) -> None:
 
 
 def check_field_of(ctx: FieldContext, setup: CyclotomicSetup) -> None:
-    """Raise BadInput unless ctx is a field F_{q^n} of setup's q and n."""
+    """Raise BadInput unless ctx is the field F_{q^n} of setup's q and n, built
+    for setup's p: its zeta is a primitive p-th root of unity for that p only."""
     if (ctx.q, ctx.n) != (setup.q, setup.n):
         raise BadInput(
             f"ctx is F_{{{ctx.q}^{ctx.n}}}, but p = {setup.p} needs F_{{{setup.q}^{setup.n}}}"
         )
+    if ctx.p != setup.p:
+        raise BadInput(f"ctx is F_{{{ctx.q}^{ctx.n}}} built for p = {ctx.p}, not p = {setup.p}")
 
 
 def _is_primitive(x, form: _Kronecker, primes, exponent: int) -> int | None:
@@ -698,7 +704,7 @@ def _field_context(setup: CyclotomicSetup, form: _Kronecker, modulus, alpha,
     (q^n - 1)/f = p exactly."""
     return FieldContext(
         q=setup.q, n=setup.n, modulus=modulus, alpha=alpha, zeta=form.unpack(zeta),
-        kronecker=form,
+        kronecker=form, p=setup.p,
     )
 
 

@@ -514,7 +514,7 @@ def test_setup_checks_zeta_in_the_built_field(capsys, monkeypatch, forged):
     def forging(setup, cap=None):
         ctx = build_field(setup, cap)
         zeta = (1,) + (0,) * (ctx.n - 1) if forged == "one" else ctx.alpha
-        return FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker)
+        return FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker, p=ctx.p)
 
     monkeypatch.setattr(cli, "build_field", forging)
     code, report, err = run(capsys, "setup", "--p", "7", "--q", "3", "--json")

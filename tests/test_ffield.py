@@ -252,11 +252,14 @@ def test_setup_and_field_context_are_frozen_records(monkeypatch):
     assert CyclotomicSetup(*setup_fields) == setup
     assert CyclotomicSetup(p=7, q=2, n=3, e=2, f=1, g=3) == setup
     assert CyclotomicSetup(7, 2, 3, 2, 1, g=5) != setup
-    assert FieldContext(*ctx_fields, ctx.kronecker) == ctx
+    assert FieldContext(*ctx_fields, ctx.kronecker, p=7) == ctx
     assert FieldContext(
-        q=2, n=3, modulus=(1, 1, 0), alpha=(0, 1, 0), zeta=(0, 1, 0), kronecker=None
+        q=2, n=3, modulus=(1, 1, 0), alpha=(0, 1, 0), zeta=(0, 1, 0), kronecker=None, p=7
     ) == ctx
-    assert FieldContext(2, 3, (1, 1, 0), (0, 1, 0), (1, 0, 0), ctx.kronecker) != ctx
+    assert FieldContext(2, 3, (1, 1, 0), (0, 1, 0), (1, 0, 0), ctx.kronecker, p=7) != ctx
+    # the p it was built for is kept beside the field, out of ==, hash and repr
+    assert ctx.p == 7
+    assert FieldContext(*ctx_fields, ctx.kronecker, p=11) == ctx
     for record, values in ((setup, setup_fields), (ctx, ctx_fields)):
         assert not record == values and record != values
         assert hash(record) == hash(values)
@@ -390,7 +393,7 @@ def test_dlog_order_p_refuses_a_forged_zeta(f27, bad):
     # to 1 at k = p
     setup, ctx = f27
     zeta = {"one": (1, 0, 0), "alpha": ctx.alpha}[bad]
-    forged = FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker)
+    forged = FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker, p=13)
     with pytest.raises(NotInSubgroup):
         dlog_order_p(forged, 13)
 

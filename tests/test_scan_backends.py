@@ -45,7 +45,8 @@ def _oracle_counts(pq):
 
 def _zeros(mult, trace, states, total, q, joint=1):
     """`_scan._count_zeros` for the matrix `mult`, on its squarings from
-    `_scan._chain`: total.bit_length() of them reach the state jump M^B."""
+    `_scan._chain`: total.bit_length() of them reach every giant step's
+    jump M^(B·2^k), B·2^k < total."""
     squares = _scan._chain(np.asarray(mult, dtype=np.float64), q, total.bit_length())[0]
     return _scan._count_zeros(squares, trace, states, total, q, joint)
 
@@ -109,14 +110,18 @@ def _full_histogram(p, q):
 
 @pytest.mark.parametrize("block", [None, 16])
 def test_projective_scan_matches_full_histogram(monkeypatch, block):
-    # a 16-row block makes the state jump of every column cross many times
+    # a 16-row block makes the state jump of every column cross many times;
+    # products of 1 term take one giant step each, of 100 terms one or two
+    # by the field's width, and of 2^62 terms the whole scan at once
     if block is not None:
         monkeypatch.setattr(_scan, "_BLOCK", block)
     fields = _production_fields()
     assert len(fields) == 45  # of the witness fields only (47, 2) is off the grid
-    for (p, q), ctx in fields.items():
-        got = scan_counts(*generator_recurrence(ctx), ctx.order, p, q)
-        assert np.array_equal(got, _full_histogram(p, q)), (p, q)
+    for product in (_scan._PRODUCT, 1, 100, 1 << 62):
+        monkeypatch.setattr(_scan, "_PRODUCT", product)
+        for (p, q), ctx in fields.items():
+            got = scan_counts(*generator_recurrence(ctx), ctx.order, p, q)
+            assert np.array_equal(got, _full_histogram(p, q)), (p, q, product)
 
 
 @pytest.mark.parametrize("pq", FIELDS)
@@ -160,7 +165,8 @@ def test_multi_block_matches_python(monkeypatch, block):
 
 def test_float64_terms_exact_just_below_the_bound(monkeypatch):
     # q = 67,108,859 has 2(q-1)^2 < 2^53: the largest dot products, near 2^52,
-    # must still be reduced and tested for zero exactly
+    # must still be reduced and tested for zero exactly, in every chunking of
+    # the giant steps (totals 7 and 17 end in a partial one)
     q = 67_108_859
     monkeypatch.setattr(_scan, "_BLOCK", 8)
     rng = np.random.default_rng(q)
@@ -173,13 +179,55 @@ def test_float64_terms_exact_just_below_the_bound(monkeypatch):
                  rng.integers(0, q, (2, 2))):
         for total in (7, 8, 17):
             ref = [_python_zeros(mult, trace, states[:, c], total, q) for c in range(4)]
-            got = _zeros(mult, trace, states, total, q)
-            assert got.tolist() == ref, (mult.tolist(), total)
+            height = 1 << min(8, total).bit_length() - 1
+            for product in PRODUCTS:
+                monkeypatch.setattr(_scan, "_PRODUCT", _product_terms(product, 4, height, total))
+                got = _zeros(mult, trace, states, total, q)
+                assert got.tolist() == ref, (mult.tolist(), total, product)
     assert sum(ref) > 0
 
 
+def _product_terms(product, width, height, total):
+    """A `_PRODUCT` value: one term (rounded up to one giant step), exactly
+    one giant step, two giant steps less one term (so one step a product),
+    three giant steps, or more than the whole scan (one product)."""
+    step = width * height
+    return {"term": 1, "step": step, "under two": 2 * step - 1, "three": 3 * step,
+            "scan": width * (total + height)}[product]
+
+
+PRODUCTS = ["term", "step", "under two", "three", "scan"]
+
+
+@pytest.mark.parametrize("product", PRODUCTS)
+@pytest.mark.parametrize("block", [1, 4, 16])
+def test_chunked_products_match_python(monkeypatch, block, product):
+    # every giant step's states come first, then one matmul per chunk of
+    # them: totals that leave a partial last giant step (and, with three
+    # steps a product, a partial last chunk), and joint groups read across
+    # both, each against the python walk
+    monkeypatch.setattr(_scan, "_BLOCK", block)
+    rng = np.random.default_rng(block)
+    n, q, width = 4, 3, 6
+    mult, trace = rng.integers(0, q, (n, n)), rng.integers(0, q, n)
+    states = rng.integers(0, q, (n, width))
+    states[:, 2:4] = states[:, :2]  # columns 0 and 2 share their zeros
+    found = 0
+    for total in (1, block, block + 1, 4 * block, 7 * block - 1, 10 * block + 3):
+        height = 1 << min(block, total).bit_length() - 1
+        monkeypatch.setattr(_scan, "_PRODUCT", _product_terms(product, width, height, total))
+        flags = [_python_zero_flags(mult, trace, states[:, c], total, q) for c in range(width)]
+        for joint in (1, 2, 3):
+            groups = width // joint
+            ref = [sum(map(all, zip(*flags[i::groups]))) for i in range(groups)]
+            got = _zeros(mult, trace, states, total, q, joint)
+            assert got.tolist() == ref, (total, joint)
+            found += sum(ref)
+    assert found > 0
+
+
 def test_tiny_field_scan_allocates_little(f8):
-    # the power table is sized to the field, not to the 4,096-row block
+    # the power table is sized to the field, not to the 1,024-row block
     setup, ctx = f8
     cols, trace = generator_recurrence(ctx)
     tracemalloc.start()
@@ -192,8 +240,9 @@ def test_tiny_field_scan_allocates_little(f8):
 
 
 def test_largest_certify_scan_allocates_little():
-    # (47, 2) has 178,481 terms per column, read through a 4,096-row float64
-    # table of 23 entries (0.75 MB)
+    # (47, 2) has 178,481 terms per column, read through a 1,024-row float64
+    # table of 23 entries (0.19 MB) into products of at most 2^15 terms (two
+    # 0.25 MB buffers), from the states of its 175 giant steps (0.1 MB)
     ctx = _production_fields()[47, 2]
     cols, trace = generator_recurrence(ctx)
     tracemalloc.start()
@@ -312,11 +361,11 @@ def _projective_rows(cols, trace, p, q):
 
 
 @pytest.mark.parametrize("pq, d, blocks", [
-    ((5, 293), 2, 5),  # 17,170 orbits per column, against 5,030,412 terms at d = 1
-    ((5, 107), 2, 1),
-    ((11, 7), 5, 1),
+    ((5, 293), 2, 17),  # 17,170 orbits per column, against 5,030,412 terms at d = 1
+    ((5, 107), 2, 3),
+    ((11, 7), 5, 2),
     ((17, 3), 8, 1),
-    ((13, 1279), 2, 31),
+    ((13, 1279), 2, 123),
 ])
 def test_subfield_scan_matches_the_projective_step(pq, d, blocks):
     p, q = pq

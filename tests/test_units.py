@@ -181,7 +181,7 @@ def test_index_vector_matches_the_unpaired_vector(monkeypatch):
 def test_index_vector_refuses_a_forged_zeta(f27, bad):
     setup, ctx = f27
     zeta = {"one": (1, 0, 0), "alpha": ctx.alpha}[bad]
-    forged = FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker)
+    forged = FieldContext(ctx.q, ctx.n, ctx.modulus, ctx.alpha, zeta, ctx.kronecker, p=ctx.p)
     with pytest.raises(NotInSubgroup):
         index_vector(forged, setup)
 
@@ -202,6 +202,21 @@ def test_index_api_refuses_a_field_of_another_setup(q):
     ctx = build_field(CyclotomicSetup.create(13, 3))
     setup = CyclotomicSetup.create(13, q)
     message = f"ctx is F_{{3^3}}, but p = 13 needs F_{{{q}^3}}"
+    for read in (index_vector, lambda c, s: index_mod_p(c, s, 4),
+                 lambda c, s: beta_index_mod_p(c, s, 4), compute_period_table):
+        with pytest.raises(BadInput) as err:
+            read(ctx, setup)
+        assert str(err.value) == message
+
+
+def test_index_api_refuses_a_field_built_for_another_p():
+    # F_{2^11} for p = 23 handed the setup (89, 2), also of n = 11: its zeta
+    # has order 23, so no index mod 89 can be read there, and the refusal is
+    # bad input, not an internal NotInSubgroup from the zeta walk
+    ctx = build_field(CyclotomicSetup.create(23, 2))
+    setup = CyclotomicSetup.create(89, 2)
+    assert (ctx.q, ctx.n) == (setup.q, setup.n)
+    message = "ctx is F_{2^11} built for p = 23, not p = 89"
     for read in (index_vector, lambda c, s: index_mod_p(c, s, 4),
                  lambda c, s: beta_index_mod_p(c, s, 4), compute_period_table):
         with pytest.raises(BadInput) as err:
